@@ -9,7 +9,7 @@
 //! MCS / clique-tree code of `graph` and the Theorem-5 query of `core` do
 //! all the work and `ir` is never called.
 
-use crate::measure::{self, Outcome, Tracer};
+use crate::measure::{self, CpuClock, Outcome, Tracer};
 use crate::module::generate_module;
 use coalesce_core::affinity::{Affinity, AffinityGraph, Coalescing, CoalescingStats};
 use coalesce_core::chordal_strategy::{chordal_conservative_coalesce, ChordalMode};
@@ -264,6 +264,7 @@ pub fn run(seed: u64, seconds: f64, min_ops: usize, functions: usize) -> Outcome
     let (setup_s, inputs) = measure::median_setup(|| prepare_inputs(seed, functions));
     let timed = measure::timed_passes(
         &inputs,
+        &[CpuClock::CALLER],
         seconds,
         min_ops,
         coalesce,

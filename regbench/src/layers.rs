@@ -59,6 +59,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("spilled_values", "count"),
     ("reloads", "count"),
     ("remaining_move_weight", "weight"),
+    ("remaining_move_share", "ratio"),
     ("degraded_ratio", "ratio"),
     ("coverage", "ratio"),
     ("trace_overhead", "ratio"),
@@ -176,10 +177,13 @@ pub fn push_per_layer(
 pub fn set_deterministic(out: &mut Outcome) {
     let figure = |name: &str| out.deterministic.get(name).copied().unwrap_or(0) as f64;
     let degraded = ratio(figure("degraded_answers"), figure("ok_answers"));
+    let remaining = figure("remaining_move_weight");
+    let moves = remaining + figure("coalesced_weight");
     let values = [
         ("spilled_values", figure("spilled_values")),
         ("reloads", figure("reloads")),
-        ("remaining_move_weight", figure("remaining_move_weight")),
+        ("remaining_move_weight", remaining),
+        ("remaining_move_share", ratio(remaining, moves)),
         ("degraded_ratio", degraded),
     ];
     for (name, value) in values {

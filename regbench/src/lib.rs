@@ -64,12 +64,12 @@ impl Workload {
             Workload::ModuleSsa => 4000,
             Workload::ModuleChaitin => 1000,
             Workload::ModuleChordal => 4000,
-            Workload::ServeMixed => 12000,
+            Workload::ServeMixed => 6000,
         }
     }
 
-    /// The end-to-end run: set up, time ops for `seconds` (at least one
-    /// full pass and `min_ops` ops), then check every output.
+    /// The end-to-end run: set up, time whole passes of ops for `seconds`
+    /// (at least three passes and `min_ops` ops), then check every output.
     pub fn run(self, seed: u64, seconds: f64, min_ops: usize, size: usize) -> Outcome {
         match self {
             Workload::ModuleSsa => {

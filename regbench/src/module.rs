@@ -16,7 +16,7 @@
 //! same public calls the library makes, inside benchmark spans, and
 //! checks that the replay reproduces the entry point exactly.
 
-use crate::measure::{self, Outcome, Tracer};
+use crate::measure::{self, CpuClock, Outcome, Tracer};
 use coalesce_alloc::assignment::{MoveCosts, RegisterAssignment};
 use coalesce_alloc::pipeline::{run_allocator_with_artifacts, AllocationReport, AllocatorKind};
 use coalesce_alloc::{
@@ -25,6 +25,7 @@ use coalesce_alloc::{
 use coalesce_core::affinity::{Affinity, AffinityGraph, Coalescing};
 use coalesce_core::conservative::{conservative_coalesce, ConservativeRule};
 use coalesce_core::irc;
+use coalesce_gen::cfg::{PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, FunctionSpec, ModuleParams};
 use coalesce_graph::{chordal, greedy, VertexId};
 use coalesce_ir::function::{Function, Var};
@@ -60,10 +61,29 @@ impl Allocator {
 }
 
 /// Generates the module every module workload shares.
+///
+/// The seed draws each function's body (the spec seeds of
+/// [`module_specs`]), but not the mix: function `i` takes the `i`-th
+/// profile × pressure × size class in a fixed rotation, with one region
+/// twice as likely as two or three, as in `module_specs`.  Every seed then
+/// has the same number of functions of each class, so two seeds' figures
+/// differ by the bodies alone, not by how many heavy functions were drawn.
 pub fn generate_module(seed: u64, functions: usize) -> Vec<Function> {
+    const REGIONS: [usize; 4] = [1, 1, 2, 3];
+    let classes = ShapeProfile::ALL.len() * PressureLevel::ALL.len() * REGIONS.len();
     module_specs(&ModuleParams { functions }, seed)
-        .iter()
-        .map(FunctionSpec::generate)
+        .into_iter()
+        .map(|spec| {
+            let class = spec.index % classes;
+            FunctionSpec {
+                profile: ShapeProfile::ALL[class % ShapeProfile::ALL.len()],
+                pressure: PressureLevel::ALL
+                    [class / ShapeProfile::ALL.len() % PressureLevel::ALL.len()],
+                regions: REGIONS[class / (ShapeProfile::ALL.len() * PressureLevel::ALL.len())],
+                ..spec
+            }
+            .generate()
+        })
         .collect()
 }
 
@@ -143,14 +163,15 @@ impl Quality {
     }
 }
 
-/// The end-to-end run: allocate the module pass after pass until
-/// `seconds` have elapsed (at least one full pass and `min_ops` ops),
+/// The end-to-end run: allocate the module in whole passes until
+/// `seconds` have elapsed (at least three passes and `min_ops` ops),
 /// then check every output outside the timed phase.
 pub fn run(alloc: Allocator, seed: u64, seconds: f64, min_ops: usize, functions: usize) -> Outcome {
     let (setup_s, module) = measure::median_setup(|| generate_module(seed, functions));
     let kind = alloc.kind();
     let timed = measure::timed_passes(
         &module,
+        &[CpuClock::CALLER],
         seconds,
         min_ops,
         |f| run_allocator_with_artifacts(f, K, kind),

@@ -7,7 +7,7 @@
 //! 5% tiny work budgets, so the degradation ladder is exercised on a
 //! deterministic share of the traffic.
 
-use crate::measure::{self, Outcome, Tracer};
+use crate::measure::{self, CpuClock, Outcome, Tracer};
 use coalesce_core::{irc, Affinity, AffinityGraph, PreparedChordal};
 use coalesce_gen::module::{module_specs, FunctionSpec, ModuleParams};
 use coalesce_gen::trace::{trace, TraceParams};
@@ -41,10 +41,10 @@ const DIFFERENTIAL_STRIDE: u64 = 8;
 
 /// The trace is this many seeded segments back to back.  Each segment
 /// draws its instances from its own pools of 12, so the caches are hot
-/// within a segment, and a run sees 32 times as many distinct instances
+/// within a segment, and a run sees 64 times as many distinct instances
 /// as one trace would give it — which keeps the figures steady across
 /// seeds.
-const SEGMENTS: usize = 32;
+const SEGMENTS: usize = 64;
 
 /// Generates the request lines of the workload.
 pub fn trace_lines(seed: u64, requests: usize) -> Vec<String> {
@@ -57,7 +57,7 @@ pub fn trace_lines(seed: u64, requests: usize) -> Vec<String> {
                 pool_size: 12,
                 max_slice: 4,
             };
-            trace(&params, measure::mix(seed ^ segment as u64))
+            trace(&params, measure::mix(measure::mix(seed) ^ segment as u64))
         })
         .map(|r| r.line)
         .collect()
@@ -69,6 +69,9 @@ fn engine(verify: VerifyLevel) -> Engine {
         ..EngineConfig::default()
     })
 }
+
+/// The name the server gives its one worker thread.
+const WORKER: &str = "serve-worker-0";
 
 fn start_server() -> Server {
     Server::start(
@@ -378,21 +381,30 @@ fn record_quality(out: &mut Outcome, responses: &[Response]) {
 /// The end-to-end run.
 pub fn run(seed: u64, seconds: f64, min_ops: usize, requests: usize) -> Outcome {
     let mut problems = Vec::new();
-    let mut setup_times = Vec::with_capacity(measure::SETUP_REPEATS);
+    let mut setup = measure::SetupTimer::default();
     let mut ready = None;
     for _ in 0..measure::SETUP_REPEATS {
         if let Some((_, server)) = ready.take() {
             stop(server, &mut problems);
         }
-        let start = Instant::now();
-        let lines = trace_lines(seed, requests);
-        let server = start_server();
-        setup_times.push(start.elapsed().as_secs_f64());
-        ready = Some((lines, server));
+        ready = Some(setup.time(|| (trace_lines(seed, requests), start_server())));
     }
     let (lines, server) = ready.expect("SETUP_REPEATS > 0");
+    // A request's time is the CPU time the client and the worker spend on
+    // it; the worker is the only thread of its name (one server runs).
+    let Some(worker) = CpuClock::of_thread_named(WORKER) else {
+        stop(server, &mut problems);
+        problems.push(format!("no thread named `{WORKER}`"));
+        return Outcome {
+            attempted: 1,
+            failed: 1,
+            problems,
+            ..Outcome::default()
+        };
+    };
     let timed = measure::timed_passes(
         &lines,
+        &[CpuClock::CALLER, worker],
         seconds,
         min_ops,
         |line| server.execute_blocking(line),
@@ -416,7 +428,7 @@ pub fn run(seed: u64, seconds: f64, min_ops: usize, requests: usize) -> Outcome 
     out.failed = timed.failed(&bad);
     out.problems.truncate(5);
 
-    out.push("setup_s", measure::median(&mut setup_times), "s");
+    out.push("setup_s", setup.median_s(), "s");
     measure::push_health_metrics(&mut out);
     record_quality(&mut out, &timed.first);
     let figure = |name: &str| out.deterministic[name];

@@ -5,10 +5,16 @@
 
 use regbench::measure::Tracer;
 use regbench::Workload;
+use std::sync::Mutex;
 
 const SEED: u64 = regbench::DEFAULT_SEED;
 
+/// The serve workload finds its worker thread by name, so no two tests may
+/// run a server at once.
+static ONE_SERVER: Mutex<()> = Mutex::new(());
+
 fn assert_deterministic(workload: Workload, size: usize, min_ops: usize) {
+    let _server = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let runs = [
         workload.run(SEED, 0.0, min_ops, size),
         workload.run(SEED, 0.0, min_ops, size),
@@ -63,6 +69,7 @@ fn serve_mixed_is_deterministic() {
 
 #[test]
 fn traced_runs_report_every_per_layer_metric() {
+    let _server = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     for workload in Workload::ALL {
         let outcome = workload.run_traced(SEED, 12, &Tracer::default());
         for (name, _) in regbench::layers::PER_LAYER {
