@@ -3,8 +3,8 @@
 //! Each experiment is a function from a *base seed* to an
 //! [`ExperimentReport`]; base seed 0 reproduces the tables the original
 //! in-bench implementation printed.  The per-experiment modules also expose
-//! the instance builders the Criterion bench times, so the measured code
-//! path is exactly the reported one.
+//! their instance builders, so tests and budget checks time exactly the
+//! reported code path.
 
 pub mod allocators;
 pub mod module;

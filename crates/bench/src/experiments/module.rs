@@ -21,15 +21,15 @@ use crate::report::ExperimentReport;
 use crate::ExperimentId;
 use coalesce_gen::cfg::{PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, FunctionSpec, ModuleParams};
-use coalesce_ir::liveness::Liveness;
-use coalesce_ir::{spill, ssa};
+use coalesce_ir::spill::{tight_k, SpillInput, SpillerKind};
+use coalesce_ir::ssa;
 
 /// Number of functions in the E16 module.
 pub const E16_FUNCTIONS: usize = 1000;
 
 /// The specs of the E16 module (seeded by `base_seed + 1600`); the budget
-/// test and the Criterion harness build their instances here, so the timed
-/// code path is exactly the reported one.
+/// test builds its instances here, so the timed code path is exactly the
+/// reported one.
 pub fn e16_specs(base_seed: u64) -> Vec<FunctionSpec> {
     module_specs(
         &ModuleParams {
@@ -80,17 +80,9 @@ pub struct E16FnStats {
 pub fn e16_fn_stats(spec: &FunctionSpec) -> E16FnStats {
     let _span = coalesce_stats::span!("e16/function");
     let f = spec.generate();
-    let ((maxlive, k, result, spill_weight), counters) = coalesce_stats::collect(|| {
-        let live = Liveness::compute(&f);
-        let maxlive = live.maxlive_precise(&f);
-        let k = (maxlive / 2).max(3);
-        // Costs are taken on the pre-spill program: the reported weight is
-        // the price of the chosen victims, not of the rewrite's temps.
-        let costs = spill::spill_costs(&f);
-        let mut spilled_f = f.clone();
-        let result = spill::spill_to_pressure(&mut spilled_f, k);
-        let spill_weight = result.spilled.iter().map(|v| costs[v.index()]).sum::<u64>();
-        (maxlive, k, result, spill_weight)
+    let (run, counters) = coalesce_stats::collect(|| {
+        let input = SpillInput::analyze(&f);
+        input.spill(SpillerKind::PressureGreedy, tight_k(input.maxlive()))
     });
     E16FnStats {
         profile: spec.profile,
@@ -101,11 +93,11 @@ pub fn e16_fn_stats(spec: &FunctionSpec) -> E16FnStats {
         vars: f.num_vars(),
         phis: f.num_phis(),
         strict_ssa: ssa::is_strict(&f),
-        maxlive,
-        k,
-        spilled: result.spilled.len(),
-        reloads: result.reloads,
-        spill_weight,
+        maxlive: run.maxlive,
+        k: run.k,
+        spilled: run.spilled.len(),
+        reloads: run.reloads,
+        spill_weight: run.spill_weight,
         counters,
     }
 }

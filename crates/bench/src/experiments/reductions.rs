@@ -14,7 +14,7 @@ use coalesce_gen::graphs::random_graph;
 use coalesce_graph::solver::ExactSolver;
 use coalesce_graph::Graph;
 use coalesce_reduce::multiway_cut::{self, AggressiveReduction, MultiwayCutInstance};
-use coalesce_reduce::vertex_cover::{self, OptimisticReduction, VertexCoverInstance};
+use coalesce_reduce::vertex_cover::{self, VertexCoverInstance};
 use coalesce_reduce::{colorability, sat};
 use rand::Rng;
 
@@ -236,11 +236,6 @@ pub fn e4_formula(seed: u64) -> sat::Cnf {
     sat::Cnf::new(4, clauses)
 }
 
-/// Builds the E4 incremental reduction for one seed.
-pub fn e4_reduction(seed: u64) -> sat::IncrementalReduction {
-    sat::reduce_3sat_to_incremental(&e4_formula(seed))
-}
-
 /// Computes one E4 row, including the exact solver's instrumentation.
 pub fn e4_row(seed: u64) -> E4Row {
     let formula = e4_formula(seed);
@@ -333,12 +328,6 @@ pub fn e6_cases() -> Vec<(&'static str, Graph)> {
             Graph::with_edges(5, (0..5).map(|i| (v(i), v((i + 1) % 5)))),
         ),
     ]
-}
-
-/// Builds the E6 optimistic reduction of one fixed case (by index).
-pub fn e6_reduction(case: usize) -> OptimisticReduction {
-    let (_, g) = e6_cases().swap_remove(case);
-    vertex_cover::reduce_to_optimistic(&VertexCoverInstance::new(g))
 }
 
 /// Computes the E6 rows (the fixed graphs are seed-independent).

@@ -160,7 +160,7 @@ pub fn e13_rows(base_seed: u64, profile: ShapeProfile, level: PressureLevel) -> 
         }
     });
     let maxlive = facts.maxlive;
-    let tight = (maxlive / 2).max(3);
+    let tight = spill::tight_k(maxlive);
     let mut ks = vec![maxlive.max(1)];
     if tight < maxlive {
         ks.push(tight);

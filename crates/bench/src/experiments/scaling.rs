@@ -17,9 +17,9 @@
 //!
 //! Every row field is deterministic (sizes, edge counts, ω, spill counts),
 //! so the report is byte-identical for any `--jobs`; the wall-clock side
-//! is enforced by the budget tests in `tests/experiment_runner.rs` and the
-//! `e15_scaling` Criterion group, and the experiment's declared
-//! `budget_ms` rides in the summary for `bench-diff` to cross-check.
+//! is enforced by the budget tests in `tests/experiment_runner.rs`, and the
+//! experiment's declared `budget_ms` rides in the summary for `bench-diff`
+//! to cross-check.
 
 use crate::json::Json;
 use crate::par::par_map;
@@ -30,8 +30,8 @@ use coalesce_gen::cfg::{generate, CfgParams, ShapeProfile};
 use coalesce_gen::graphs::random_interval_graph;
 use coalesce_graph::{Graph, VertexId};
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
-use coalesce_ir::liveness::Liveness;
-use coalesce_ir::{spill, ssa, Function};
+use coalesce_ir::spill::{tight_k, SpillInput, SpillerKind};
+use coalesce_ir::{ssa, Function};
 
 /// Vertex counts of the interval-graph rows.
 ///
@@ -50,9 +50,8 @@ pub const E15_CFG_PROFILES: [ShapeProfile; 2] =
     [ShapeProfile::IntBranchy, ShapeProfile::FpLoopNest];
 
 /// Builds the interval graph of one scaling row (seeded by
-/// `base_seed + 1500 + n`); the Criterion group and the budget tests build
-/// their instances here, so the timed code path is exactly the reported
-/// one.
+/// `base_seed + 1500 + n`); the budget tests build their instances here,
+/// so the timed code path is exactly the reported one.
 pub fn e15_interval_graph(base_seed: u64, n: usize) -> Graph {
     let mut rng = coalesce_gen::rng(base_seed + 1500 + n as u64);
     random_interval_graph(n, 4 * n, E15_MAX_LEN, &mut rng).0
@@ -173,21 +172,18 @@ pub struct E15CfgRow {
 /// `k` with the incrementally patched liveness.
 pub fn e15_cfg_row(base_seed: u64, profile: ShapeProfile) -> E15CfgRow {
     let f = e15_cfg_program(base_seed, profile);
-    let live = Liveness::compute(&f);
-    let maxlive = live.maxlive_precise(&f);
+    let input = SpillInput::analyze(&f);
+    let maxlive = input.maxlive();
     let ig = InterferenceGraph::build_with(
         &f,
-        &live,
+        input.liveness(),
         BuildOptions {
             kind: InterferenceKind::Intersection,
             ..Default::default()
         },
     );
     let omega = PreparedChordal::prepare(&ig.graph).map(|s| s.omega());
-    let k = (maxlive / 2).max(3);
-    let mut spilled_f = f.clone();
-    let result = spill::spill_to_pressure(&mut spilled_f, k);
-    let live_after = Liveness::compute(&spilled_f);
+    let run = input.spill(SpillerKind::PressureGreedy, tight_k(maxlive));
     E15CfgRow {
         profile,
         blocks: f.num_blocks(),
@@ -199,10 +195,10 @@ pub fn e15_cfg_row(base_seed: u64, profile: ShapeProfile) -> E15CfgRow {
         interference_edges: ig.graph.num_edges(),
         affinities: ig.affinities.len(),
         chordal_omega_is_maxlive: omega == Some(maxlive),
-        k,
-        spilled: result.spilled.len(),
-        reloads: result.reloads,
-        maxlive_after: live_after.maxlive_precise(&spilled_f),
+        k: run.k,
+        spilled: run.spilled.len(),
+        reloads: run.reloads,
+        maxlive_after: run.maxlive_after(),
     }
 }
 

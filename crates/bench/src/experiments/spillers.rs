@@ -16,7 +16,7 @@
 //!   the E16 module, aggregated per spiller.
 //!
 //! Every row reports the loop-weighted spill weight (`Σ` pre-spill
-//! [`spill::spill_costs`] over the victims), the reload temporaries the
+//! [`spill_costs`] over the victims), the reload temporaries the
 //! rewrite inserted and the precise `Maxlive` after spilling.  Wall clock
 //! is *summary-only*: one `<spiller>_elapsed_ms` counter per strategy,
 //! masked by the byte-compare tests and treated as a perf counter by
@@ -24,14 +24,14 @@
 //! value.
 //!
 //! [`regalloc::workload_program`]: crate::experiments::regalloc::workload_program
+//! [`spill_costs`]: coalesce_ir::spill::spill_costs
 
 use crate::json::Json;
 use crate::par::par_map;
 use crate::report::ExperimentReport;
 use crate::ExperimentId;
 use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
-use coalesce_ir::liveness::Liveness;
-use coalesce_ir::spill::{self, SpillerKind};
+use coalesce_ir::spill::{tight_k, SpillInput, SpillerKind};
 use coalesce_ir::Function;
 
 use super::{module, regalloc};
@@ -62,14 +62,16 @@ pub struct E17CellStats {
     pub spiller: SpillerKind,
     /// Precise `Maxlive` of the input.
     pub maxlive: usize,
-    /// The register bound the spiller was asked to reach
-    /// (`(maxlive / 2).max(3)`, the E16 convention).
+    /// The register bound the spiller was asked to reach ([`tight_k`], the
+    /// E16 convention).
     pub k: usize,
     /// Variables the strategy spilled.
     pub spilled: usize,
     /// Reload temporaries the rewrite inserted.
     pub reloads: usize,
-    /// `Σ` pre-spill [`spill::spill_costs`] over the victims.
+    /// `Σ` pre-spill [`spill_costs`] over the victims.
+    ///
+    /// [`spill_costs`]: coalesce_ir::spill::spill_costs
     pub spill_weight: u64,
     /// Precise `Maxlive` after the rewrite.
     pub maxlive_after: usize,
@@ -85,35 +87,21 @@ pub struct E17CellStats {
 /// packages the deterministic statistics.
 pub fn e17_cell_stats(f: &Function, spiller: SpillerKind) -> E17CellStats {
     let _span = coalesce_stats::span!("e17/cell");
-    let ((maxlive, k, result, elapsed_nanos, spill_weight, maxlive_after), counters) =
-        coalesce_stats::collect(|| {
-            let maxlive = Liveness::compute(f).maxlive_precise(f);
-            let k = (maxlive / 2).max(3);
-            // Costs on the pre-spill program: the reported weight is the
-            // price of the chosen victims, not of the rewrite's temps.
-            let costs = spill::spill_costs(f);
-            let mut spilled_f = f.clone();
-            let started = std::time::Instant::now();
-            let result = spiller.run(&mut spilled_f, k);
-            let elapsed_nanos = started.elapsed().as_nanos() as u64;
-            let spill_weight = result.spilled.iter().map(|v| costs[v.index()]).sum::<u64>();
-            let maxlive_after = Liveness::compute(&spilled_f).maxlive_precise(&spilled_f);
-            (
-                maxlive,
-                k,
-                result,
-                elapsed_nanos,
-                spill_weight,
-                maxlive_after,
-            )
-        });
+    let ((run, elapsed_nanos, maxlive_after), counters) = coalesce_stats::collect(|| {
+        let input = SpillInput::analyze(f);
+        let started = std::time::Instant::now();
+        let run = input.spill(spiller, tight_k(input.maxlive()));
+        let elapsed_nanos = started.elapsed().as_nanos() as u64;
+        let maxlive_after = run.maxlive_after();
+        (run, elapsed_nanos, maxlive_after)
+    });
     E17CellStats {
         spiller,
-        maxlive,
-        k,
-        spilled: result.spilled.len(),
-        reloads: result.reloads,
-        spill_weight,
+        maxlive: run.maxlive,
+        k: run.k,
+        spilled: run.spilled.len(),
+        reloads: run.reloads,
+        spill_weight: run.spill_weight,
         maxlive_after,
         elapsed_nanos,
         counters,

@@ -19,36 +19,10 @@ use coalesce_ir::liveness::Liveness;
 // E5 — Theorem 5 / Figure 5: polynomial chordal algorithm vs exact search.
 // ---------------------------------------------------------------------------
 
-/// An E5 instance: a random interval graph with its clique number and a
-/// batch of non-adjacent query pairs.
-#[derive(Debug, Clone)]
-pub struct E5Instance {
-    /// The chordal (interval) graph.
-    pub graph: Graph,
-    /// Its clique number ω.
-    pub omega: usize,
-    /// Up to 30 non-adjacent vertex pairs to query.
-    pub pairs: Vec<(VertexId, VertexId)>,
-}
-
-/// The one generation recipe of the E5 instances (seeded by
-/// `base_seed + n`); both [`e5_instance`] and [`e5_row`] build their graph
-/// here, so the bench and the report always measure the same instance.
+/// The generation recipe of the E5 instances (seeded by `base_seed + n`).
 fn e5_graph(base_seed: u64, n: usize) -> Graph {
     let mut rng = coalesce_gen::rng(base_seed + n as u64);
     random_interval_graph(n, 3 * n, n / 2 + 2, &mut rng).0
-}
-
-/// Builds the E5 instance for `n` vertices (seeded by `base_seed + n`).
-pub fn e5_instance(base_seed: u64, n: usize) -> E5Instance {
-    let graph = e5_graph(base_seed, n);
-    let omega = chordal::chordal_clique_number(&graph).expect("interval graphs are chordal");
-    let pairs = e5_pairs(&graph, n);
-    E5Instance {
-        graph,
-        omega,
-        pairs,
-    }
 }
 
 /// The first 30 non-adjacent vertex pairs of an E5 instance.

@@ -8,8 +8,6 @@
 //!
 //! * the `run-experiments` CLI binary, which runs any experiment
 //!   deterministically and serializes the report as JSON;
-//! * the Criterion bench (`benches/experiments.rs`), reduced to a thin
-//!   timing wrapper around the instance builders exposed here;
 //! * tests, which pin the paper's equivalences (e.g. E1's *min multiway
 //!   cut = optimal aggressive uncoalesced count*) on fixed seeds.
 //!

@@ -31,8 +31,7 @@ impl ExperimentReport {
         ])
     }
 
-    /// Renders the report as the human-readable text the original
-    /// `cargo bench` harness used to print.
+    /// Renders the report as a human-readable text table.
     pub fn render_text(&self) -> String {
         let mut out = format!("[{}] {}\n", self.id.as_str().to_uppercase(), self.title);
         for row in &self.rows {

@@ -43,7 +43,7 @@ use coalesce_graph::chordal::{
 };
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
 use coalesce_ir::liveness::Liveness;
-use coalesce_ir::spill::{self, SpillerKind};
+use coalesce_ir::spill::{self, tight_k, SpillInput, SpillerKind};
 use coalesce_ir::Function;
 use coalesce_verify::{
     verify, AllocCtx, ChordalCtx, InterferenceCtx, SpillCtx, VerifyCtx, VerifyLevel, Violation,
@@ -108,13 +108,13 @@ fn verify_e18(base_seed: u64, jobs: usize) -> Vec<Violation> {
     violations
 }
 
-/// The full SSA-input audit of one function: CFG, SSA, liveness,
+/// The full SSA-input audit of one analysed function: CFG, SSA, liveness,
 /// intersection interference, and the Theorem 1 certificates.
-fn audit_ssa_function(site: &str, f: &Function, level: VerifyLevel) -> Vec<Violation> {
-    let live = Liveness::compute(f);
+fn audit_ssa_function(site: &str, input: &SpillInput, level: VerifyLevel) -> Vec<Violation> {
+    let (f, live) = (input.function(), input.liveness());
     let ig = InterferenceGraph::build_with(
         f,
-        &live,
+        live,
         BuildOptions {
             kind: InterferenceKind::Intersection,
             ..BuildOptions::default()
@@ -125,7 +125,7 @@ fn audit_ssa_function(site: &str, f: &Function, level: VerifyLevel) -> Vec<Viola
     let clique = chordal_max_clique(&ig.graph);
     let mut cx = VerifyCtx::at(level, site);
     cx.function = Some(f);
-    cx.liveness = Some(&live);
+    cx.liveness = Some(live);
     cx.interference = Some(InterferenceCtx {
         ig: &ig,
         kind: InterferenceKind::Intersection,
@@ -139,23 +139,42 @@ fn audit_ssa_function(site: &str, f: &Function, level: VerifyLevel) -> Vec<Viola
     verify(&cx)
 }
 
-/// The spill-boundary audit: spill (a clone of) `f` to `k` with
-/// `spill_to_pressure` and check victim deadness, reload placement and
-/// the recomputed `Maxlive` against the pipeline's own claim.
-fn audit_spill(site: &str, f: &Function, k: usize, level: VerifyLevel) -> Vec<Violation> {
-    let mut spilled = f.clone();
-    let result = spill::spill_to_pressure(&mut spilled, k);
-    let live_after = Liveness::compute(&spilled);
-    let claimed = live_after.maxlive_precise(&spilled);
+/// The spill-boundary audit: spill (a clone of) the input to the tight `k`
+/// with `sp` and check victim deadness, reload placement and the
+/// recomputed `Maxlive` against the pipeline's own claim.
+fn audit_spill(
+    site: &str,
+    input: &SpillInput,
+    sp: SpillerKind,
+    level: VerifyLevel,
+) -> Vec<Violation> {
+    let run = input.spill(sp, tight_k(input.maxlive()));
+    let live_after = run.liveness_after();
+    let claimed = live_after.maxlive_precise(&run.function);
     let mut cx = VerifyCtx::at(level, site);
-    cx.function = Some(&spilled);
+    cx.function = Some(&run.function);
     cx.liveness = Some(&live_after);
+    // The Belady spiller splits live ranges at block boundaries: victims
+    // may legitimately stay resident across some edges, and the rewrite
+    // does not preserve strict SSA, so only the rewrites built on
+    // `spill_everywhere` get the stronger checks.
+    let everywhere_rewrite = sp != SpillerKind::Belady;
+    cx.assume_ssa = everywhere_rewrite;
     cx.spill = Some(SpillCtx {
-        victims: &result.spilled,
+        victims: &run.spilled,
         claimed_maxlive: claimed,
-        victims_die: true,
+        victims_die: everywhere_rewrite,
     });
     verify(&cx)
+}
+
+/// Audits every spiller's rewrite of `f`, mirroring the E17 cells.
+fn audit_spillers(site: &str, f: &Function, level: VerifyLevel) -> Vec<Violation> {
+    let input = SpillInput::analyze(f);
+    SpillerKind::ALL
+        .into_iter()
+        .flat_map(|sp| audit_spill(&format!("{site}/{}", sp.name()), &input, sp, level))
+        .collect()
 }
 
 /// The allocation-boundary audit: run the SSA-based allocator end to end
@@ -173,11 +192,6 @@ fn audit_alloc(site: &str, f: &Function, k: usize, level: VerifyLevel) -> Vec<Vi
     verify(&cx)
 }
 
-/// The E16 tight-`k` convention shared by E13's second row and E17.
-fn tight_k(maxlive: usize) -> usize {
-    (maxlive / 2).max(3)
-}
-
 fn verify_e13(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation> {
     let cells: Vec<(ShapeProfile, PressureLevel)> = ShapeProfile::ALL
         .into_iter()
@@ -186,11 +200,17 @@ fn verify_e13(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation>
     par_map(&cells, jobs, |&(profile, pressure)| {
         let site = format!("e13/{}/{}", profile.name(), pressure.name());
         let f = regalloc::workload_program(base_seed, profile, pressure);
-        let mut out = audit_ssa_function(&site, &f, level);
-        let maxlive = Liveness::compute(&f).maxlive_precise(&f);
+        let input = SpillInput::analyze(&f);
+        let mut out = audit_ssa_function(&site, &input, level);
+        let maxlive = input.maxlive();
         let k = tight_k(maxlive);
         if k < maxlive {
-            out.extend(audit_spill(&format!("{site}/spill"), &f, k, level));
+            out.extend(audit_spill(
+                &format!("{site}/spill"),
+                &input,
+                SpillerKind::PressureGreedy,
+                level,
+            ));
         }
         out.extend(audit_alloc(
             &format!("{site}/alloc"),
@@ -259,13 +279,13 @@ fn verify_e15(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation>
     let cfg: Vec<Vec<Violation>> = par_map(&profiles, jobs, |&profile| {
         let site = format!("e15/cfg/{}", profile.name());
         let f = scaling::e15_cfg_program(base_seed, profile);
-        let mut row = audit_ssa_function(&site, &f, level);
+        let input = SpillInput::analyze(&f);
+        let mut row = audit_ssa_function(&site, &input, level);
         if level.is_paranoid() {
-            let maxlive = Liveness::compute(&f).maxlive_precise(&f);
             row.extend(audit_spill(
                 &format!("{site}/spill"),
-                &f,
-                tight_k(maxlive),
+                &input,
+                SpillerKind::PressureGreedy,
                 level,
             ));
         }
@@ -285,12 +305,12 @@ fn verify_e16(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation>
     par_map(&specs, jobs, |(i, spec)| {
         let site = format!("e16/fn{i}");
         let f = spec.generate();
-        let mut out = audit_ssa_function(&site, &f, level);
-        let maxlive = Liveness::compute(&f).maxlive_precise(&f);
+        let input = SpillInput::analyze(&f);
+        let mut out = audit_ssa_function(&site, &input, level);
         out.extend(audit_spill(
             &format!("{site}/spill"),
-            &f,
-            tight_k(maxlive),
+            &input,
+            SpillerKind::PressureGreedy,
             level,
         ));
         out
@@ -298,36 +318,6 @@ fn verify_e16(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation>
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// Audits one spiller's rewrite of `f`, mirroring the E17 cell semantics.
-fn audit_spiller_cell(
-    site: &str,
-    f: &Function,
-    sp: SpillerKind,
-    level: VerifyLevel,
-) -> Vec<Violation> {
-    let maxlive = Liveness::compute(f).maxlive_precise(f);
-    let k = tight_k(maxlive);
-    let mut spilled = f.clone();
-    let result = sp.run(&mut spilled, k);
-    let live_after = Liveness::compute(&spilled);
-    let claimed = live_after.maxlive_precise(&spilled);
-    let mut cx = VerifyCtx::at(level, site);
-    cx.function = Some(&spilled);
-    cx.liveness = Some(&live_after);
-    // The Belady spiller splits live ranges at block boundaries: victims
-    // may legitimately stay resident across some edges, and the rewrite
-    // does not preserve strict SSA, so only the rewrites built on
-    // `spill_everywhere` get the stronger checks.
-    let everywhere_rewrite = !matches!(sp, SpillerKind::Belady);
-    cx.assume_ssa = everywhere_rewrite;
-    cx.spill = Some(SpillCtx {
-        victims: &result.spilled,
-        claimed_maxlive: claimed,
-        victims_die: everywhere_rewrite,
-    });
-    verify(&cx)
 }
 
 fn verify_e17(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation> {
@@ -347,10 +337,7 @@ fn verify_e17(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation>
             Some((p, l)) => regalloc::workload_program(base_seed, *p, *l),
             None => spillers::windowed_program(base_seed),
         };
-        SpillerKind::ALL
-            .into_iter()
-            .flat_map(|sp| audit_spiller_cell(&format!("{site}/{}", sp.name()), &f, sp, level))
-            .collect()
+        audit_spillers(site, &f, level)
     });
     let mut out: Vec<Violation> = grid.into_iter().flatten().collect();
 
@@ -363,13 +350,7 @@ fn verify_e17(base_seed: u64, level: VerifyLevel, jobs: usize) -> Vec<Violation>
         .filter(|(i, _)| i % stride == 0)
         .collect();
     let slice: Vec<Vec<Violation>> = par_map(&specs, jobs, |(i, spec)| {
-        let f = spec.generate();
-        SpillerKind::ALL
-            .into_iter()
-            .flat_map(|sp| {
-                audit_spiller_cell(&format!("e17/module/fn{i}/{}", sp.name()), &f, sp, level)
-            })
-            .collect()
+        audit_spillers(&format!("e17/module/fn{i}"), &spec.generate(), level)
     });
     out.extend(slice.into_iter().flatten());
     out
@@ -442,7 +423,8 @@ mod tests {
     #[test]
     fn e13_single_cell_audit_is_clean() {
         let f = regalloc::workload_program(42, ShapeProfile::IntBranchy, PressureLevel::Low);
-        let violations = audit_ssa_function("test/e13", &f, VerifyLevel::Paranoid);
+        let violations =
+            audit_ssa_function("test/e13", &SpillInput::analyze(&f), VerifyLevel::Paranoid);
         assert!(violations.is_empty(), "{violations:#?}");
     }
 }

@@ -20,8 +20,9 @@
 //!   coalescing problem;
 //! * [`spill`]: spilling passes used to lower register pressure to a
 //!   target `k` before the coloring/coalescing phase (the "two-phase"
-//!   allocator setting of Appel–George and Hack et al.), plus the
-//!   [`spill::SpillerKind`] strategy zoo;
+//!   allocator setting of Appel–George and Hack et al.), the
+//!   [`spill::SpillerKind`] strategy zoo, and the one spill-and-measure
+//!   path ([`spill::SpillInput`] / [`spill::SpillRun`]);
 //! * [`belady`]: Braun–Hack-style Belady `MIN` spilling driven by next-use
 //!   distances, with live-range splitting at block boundaries.
 //!

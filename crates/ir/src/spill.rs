@@ -58,6 +58,29 @@
 //! incremental spiller above, the naive spill-everywhere baseline
 //! ([`spill_all_candidates`]), and the Belady `MIN` spiller of
 //! [`crate::belady`].
+//!
+//! # Spill and measure
+//!
+//! Every consumer that spills a function to a pressure target — the
+//! E15/E16/E17 experiments, the verifier harness and the service's spill
+//! ladder — goes through one type pair:
+//!
+//! * [`SpillInput::analyze`] solves liveness, the precise `Maxlive` and
+//!   the [`spill_costs`] of the input once; callers that also build
+//!   interference or audit the input read the same solution through
+//!   [`SpillInput::liveness`];
+//! * [`SpillInput::spill`] runs one [`SpillerKind`] on a clone of the
+//!   input, handing the pressure-greedy and spill-everywhere passes that
+//!   analysis instead of letting them solve it again, and returns a
+//!   [`SpillRun`]: the victims, the reloads, their pre-spill
+//!   `spill_weight` and the rewritten function;
+//! * [`SpillRun::liveness_after`] / [`SpillRun::maxlive_after`] solve the
+//!   rewritten function's liveness from scratch, so the post-spill check
+//!   never trusts the spiller's incrementally patched state, and callers
+//!   that do not check pay nothing.
+//!
+//! [`tight_k`] is the one definition of the tight register count
+//! (`Maxlive / 2`, at least 3) the experiments and the service spill to.
 
 use crate::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
 use crate::liveness::Liveness;
@@ -201,6 +224,111 @@ fn block_spill_stats(
     stats
 }
 
+/// The tight register count the experiments and the service spill to:
+/// half of the precise `Maxlive`, but at least 3.
+pub fn tight_k(maxlive: usize) -> usize {
+    (maxlive / 2).max(3)
+}
+
+/// The pre-spill analysis of one function, solved once and shared by
+/// every spill of it: liveness, the precise `Maxlive` and the
+/// [`spill_costs`] that price the victims.
+#[derive(Debug)]
+pub struct SpillInput<'f> {
+    function: &'f Function,
+    liveness: Liveness,
+    maxlive: usize,
+    costs: Vec<u64>,
+}
+
+impl<'f> SpillInput<'f> {
+    /// Solves the analysis of `f`.
+    pub fn analyze(f: &'f Function) -> Self {
+        let liveness = Liveness::compute(f);
+        let maxlive = liveness.maxlive_precise(f);
+        SpillInput {
+            function: f,
+            liveness,
+            maxlive,
+            costs: spill_costs(f),
+        }
+    }
+
+    /// The analysed function.
+    pub fn function(&self) -> &'f Function {
+        self.function
+    }
+
+    /// The liveness solution of the input.
+    pub fn liveness(&self) -> &Liveness {
+        &self.liveness
+    }
+
+    /// The precise `Maxlive` of the input.
+    pub fn maxlive(&self) -> usize {
+        self.maxlive
+    }
+
+    /// Runs `kind` on a clone of the input towards `Maxlive ≤ k`.
+    ///
+    /// The pressure-greedy and spill-everywhere passes start from this
+    /// analysis instead of solving liveness again; the result is exactly
+    /// that of [`SpillerKind::run`] on a clone.
+    pub fn spill(&self, kind: SpillerKind, k: usize) -> SpillRun {
+        let mut function = self.function.clone();
+        let result = match kind {
+            SpillerKind::Everywhere => {
+                spill_all_candidates(&mut function, k, self.liveness.clone())
+            }
+            SpillerKind::PressureGreedy => {
+                spill_to_pressure_from(&mut function, k, self.liveness.clone(), &self.costs)
+            }
+            SpillerKind::Belady => crate::belady::spill_belady(&mut function, k),
+        };
+        // Victims are pre-spill variables, so the pre-spill costs price
+        // them: the weight of the chosen victims, not of the reload temps.
+        let spill_weight = result.spilled.iter().map(|v| self.costs[v.index()]).sum();
+        SpillRun {
+            k,
+            maxlive: self.maxlive,
+            spilled: result.spilled,
+            reloads: result.reloads,
+            spill_weight,
+            function,
+        }
+    }
+}
+
+/// One spiller's rewrite of a [`SpillInput`].
+#[derive(Debug)]
+pub struct SpillRun {
+    /// The register bound the spiller was asked to reach.
+    pub k: usize,
+    /// Precise `Maxlive` of the input.
+    pub maxlive: usize,
+    /// Variables the spiller chose (pre-rewrite names).
+    pub spilled: Vec<Var>,
+    /// Reload temporaries the rewrite inserted.
+    pub reloads: usize,
+    /// `Σ` pre-spill [`spill_costs`] over the victims.
+    pub spill_weight: u64,
+    /// The rewritten function.
+    pub function: Function,
+}
+
+impl SpillRun {
+    /// Liveness of the rewritten function, solved from scratch.
+    pub fn liveness_after(&self) -> Liveness {
+        Liveness::compute(&self.function)
+    }
+
+    /// Precise `Maxlive` of the rewritten function, from a fresh liveness
+    /// solution.
+    pub fn maxlive_after(&self) -> usize {
+        self.liveness_after().maxlive_precise(&self.function)
+    }
+}
+
 /// Spills variables of `f` until `Maxlive ≤ k` (or no candidate remains),
 /// using a spill-everywhere rewrite.  Returns the list of spilled variables
 /// and rewrites `f` in place.
@@ -208,16 +336,27 @@ fn block_spill_stats(
 /// Variables that are already "short-lived" (live at only one point, e.g.
 /// reload temporaries) are never selected, which guarantees termination.
 pub fn spill_to_pressure(f: &mut Function, k: usize) -> SpillResult {
+    let (liveness, costs) = (Liveness::compute(f), spill_costs(f));
+    spill_to_pressure_from(f, k, liveness, &costs)
+}
+
+/// [`spill_to_pressure`] starting from an already solved analysis of `f`:
+/// its `liveness` (patched in place as victims are rewritten) and its
+/// [`spill_costs`].
+pub fn spill_to_pressure_from(
+    f: &mut Function,
+    k: usize,
+    mut liveness: Liveness,
+    spill_cost: &[u64],
+) -> SpillResult {
     let _span = coalesce_stats::span!("ir/spill/pressure");
     let mut result = SpillResult::default();
     let mut not_spillable: BTreeSet<Var> = BTreeSet::new();
-    // One full fixpoint up front; every later iteration patches it in
-    // place via `apply_spill_rewrite` (the patch is exact, see its docs).
-    let mut liveness = Liveness::compute(f);
-    // Spill costs only change for rewritten variables, and those are never
-    // reconsidered (`not_spillable`), so one up-front computation serves
-    // every iteration.
-    let spill_cost = spill_costs(f);
+    // Every iteration patches the liveness solution in place via
+    // `apply_spill_rewrite` (the patch is exact, see its docs).  Spill
+    // costs only change for rewritten variables, and those are never
+    // reconsidered (`not_spillable`), so the up-front costs serve every
+    // iteration.
     // Block of each variable's definition (first definition for non-SSA
     // inputs): the one block whose statistics a rewrite can change even
     // when the victim is live at none of its boundaries.
@@ -486,7 +625,10 @@ impl SpillerKind {
     /// Runs this strategy on `f`, spilling towards `Maxlive ≤ k`.
     pub fn run(self, f: &mut Function, k: usize) -> SpillResult {
         match self {
-            SpillerKind::Everywhere => spill_all_candidates(f, k),
+            SpillerKind::Everywhere => {
+                let liveness = Liveness::compute(f);
+                spill_all_candidates(f, k, liveness)
+            }
             SpillerKind::PressureGreedy => spill_to_pressure(f, k),
             SpillerKind::Belady => crate::belady::spill_belady(f, k),
         }
@@ -498,16 +640,16 @@ impl SpillerKind {
 /// worth spilling) is spilled, and rounds repeat until `Maxlive ≤ k` or no
 /// spillable candidate remains.
 ///
-/// This deliberately recomputes liveness from scratch each round and makes
-/// no cost/benefit choice — it is the strawman the loop-aware incremental
-/// spiller and the Belady spiller are measured against in E17.
-pub fn spill_all_candidates(f: &mut Function, k: usize) -> SpillResult {
+/// The first round reads `liveness`, the caller's solution for `f`; every
+/// later round deliberately recomputes liveness from scratch.  The pass
+/// makes no cost/benefit choice — it is the strawman the loop-aware
+/// incremental spiller and the Belady spiller are measured against in E17.
+pub fn spill_all_candidates(f: &mut Function, k: usize, mut liveness: Liveness) -> SpillResult {
     let _span = coalesce_stats::span!("ir/spill/everywhere");
     let mut result = SpillResult::default();
     let mut not_spillable: BTreeSet<Var> = BTreeSet::new();
     let mut birth: Vec<u32> = Vec::new();
     loop {
-        let liveness = Liveness::compute(f);
         let mut occurrences = vec![0u64; f.num_vars()];
         let mut candidates: BTreeSet<Var> = BTreeSet::new();
         let mut maxlive = 0usize;
@@ -539,6 +681,7 @@ pub fn spill_all_candidates(f: &mut Function, k: usize) -> SpillResult {
             not_spillable.extend((vars_before..f.num_vars()).map(Var::new));
             result.spilled.push(victim);
         }
+        liveness = Liveness::compute(f);
     }
     result
 }
@@ -836,9 +979,9 @@ mod tests {
         }
         b.ret(entry, &[]);
         let mut f = b.finish();
-        let before = Liveness::compute(&f).maxlive_precise(&f);
-        assert_eq!(before, 5);
-        let result = spill_all_candidates(&mut f, 2);
+        let liveness = Liveness::compute(&f);
+        assert_eq!(liveness.maxlive_precise(&f), 5);
+        let result = spill_all_candidates(&mut f, 2, liveness);
         assert!(f.validate().is_ok());
         assert_eq!(result.spilled.len(), 5);
         assert!(Liveness::compute(&f).maxlive_precise(&f) <= 2);
@@ -872,6 +1015,11 @@ mod tests {
         );
         assert!(!result.spilled.contains(&hot));
         assert!(f.validate().is_ok());
+    }
+
+    #[test]
+    fn tight_k_halves_maxlive_but_keeps_three_registers() {
+        assert_eq!([0, 5, 6, 7, 8, 21].map(tight_k), [3, 3, 3, 3, 4, 10]);
     }
 
     #[test]

@@ -39,8 +39,7 @@ use coalesce_graph::format::{
     from_challenge_limited, from_dimacs_limited, ParseError, ParseErrorKind, ParseLimits,
 };
 use coalesce_graph::{ExactSolver, Graph};
-use coalesce_ir::liveness::Liveness;
-use coalesce_ir::spill::{spill_costs, SpillerKind};
+use coalesce_ir::spill::{tight_k, SpillInput, SpillerKind};
 use coalesce_ir::Function;
 use coalesce_stats::json::Json;
 use coalesce_verify::VerifyLevel;
@@ -506,8 +505,11 @@ impl Engine {
         budget: &mut Budget,
     ) -> (Rung, Option<&'static str>, SpillOutcome) {
         let instrs = function.num_instrs_total() as u64;
-        let maxlive = Liveness::compute(function).maxlive_precise(function);
-        let k = k.map_or_else(|| (maxlive / 2).max(3), |k| k.clamp(2, maxlive.max(2)));
+        // The analysis is structural, like `instrs`: it stays outside the
+        // charged spill work.
+        let input = SpillInput::analyze(function);
+        let maxlive = input.maxlive();
+        let k = k.map_or_else(|| tight_k(maxlive), |k| k.clamp(2, maxlive.max(2)));
         let ladder = [
             (Rung::Exact, SpillerKind::Belady, instrs * 4 + 1),
             (
@@ -520,48 +522,40 @@ impl Engine {
         for (rung, spiller, estimate) in ladder {
             match rung_allowed(budget, estimate) {
                 Ok(()) => {
-                    let outcome = self.run_spiller(function, spiller, k, maxlive, budget);
+                    let outcome = self.run_spiller(&input, spiller, k, budget);
                     return (rung, degrade_reason(degrade, true), outcome);
                 }
                 Err(e) => degrade = Some(degrade.unwrap_or(e)),
             }
         }
-        let outcome = self.run_spiller(function, SpillerKind::Everywhere, k, maxlive, budget);
+        let outcome = self.run_spiller(&input, SpillerKind::Everywhere, k, budget);
         (Rung::Greedy, degrade_reason(degrade, true), outcome)
     }
 
     fn run_spiller(
         &self,
-        function: &Function,
+        input: &SpillInput,
         spiller: SpillerKind,
         k: usize,
-        maxlive: usize,
         budget: &mut Budget,
     ) -> SpillOutcome {
         let (outcome, counters) = coalesce_stats::collect(|| {
-            let costs = spill_costs(function);
-            let mut spilled_f = function.clone();
-            let result = spiller.run(&mut spilled_f, k);
-            let spill_weight = result
-                .spilled
-                .iter()
-                .map(|v| costs.get(v.index()).copied().unwrap_or(0))
-                .sum::<u64>();
-            let maxlive_after = Liveness::compute(&spilled_f).maxlive_precise(&spilled_f);
+            let run = input.spill(spiller, k);
+            let maxlive_after = run.maxlive_after();
             // Spillers chase `Maxlive <= k` but per-instruction operand
             // pressure can put a floor above `k` (E17's auditor makes the
             // same allowance), so the boundary check is "spilling never
             // *worsens* pressure" — recomputed independently of the
             // spiller's own claim.
             SpillOutcome {
-                function: (function.num_blocks(), function.num_vars()),
-                maxlive,
+                function: (input.function().num_blocks(), input.function().num_vars()),
+                maxlive: run.maxlive,
                 k,
-                spilled: result.spilled.len(),
-                reloads: result.reloads,
-                spill_weight,
+                spilled: run.spilled.len(),
+                reloads: run.reloads,
+                spill_weight: run.spill_weight,
                 maxlive_after,
-                verified: self.verify_bool(maxlive_after <= maxlive.max(k)),
+                verified: self.verify_bool(maxlive_after <= run.maxlive.max(k)),
             }
         });
         // Uncached per-request work: the measured counters are

@@ -737,7 +737,7 @@ fn e15_cfg_spill_at_2k_blocks_stays_within_the_wall_clock_budget() {
     let mut f = coalesce_bench::experiments::scaling::e15_cfg_program(42, ShapeProfile::IntBranchy);
     assert!(f.num_blocks() >= 2000);
     let live = coalesce_ir::Liveness::compute(&f);
-    let k = (live.maxlive_precise(&f) / 2).max(3);
+    let k = coalesce_ir::spill::tight_k(live.maxlive_precise(&f));
     let start = Instant::now();
     let result = coalesce_ir::spill::spill_to_pressure(&mut f, k);
     let elapsed = start.elapsed();

@@ -16,14 +16,21 @@
 //! itself uses a min-plus fixpoint over whole maps), and every
 //! [`spill::SpillerKind`] is held to the common pressure contract
 //! `Maxlive ≤ max(k, structural floor)`.
+//!
+//! The shared spill-and-measure path ([`SpillInput`] / `SpillRun`) is
+//! pinned to a verbatim copy of the hand-wired sequence it replaced, for
+//! every spiller, on module functions and the E13 grid.
 
+use coalesce_bench::experiments::module::e16_specs;
+use coalesce_bench::experiments::regalloc::workload_program;
+use coalesce_bench::experiments::spillers::{windowed_program, E17_MODULE_FUNCTIONS};
 use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, ModuleParams};
 use coalesce_ir::belady::{NextUse, LOOP_EXIT_DISTANCE};
 use coalesce_ir::function::{BlockId, Function, Instr, Var};
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
 use coalesce_ir::liveness::Liveness;
-use coalesce_ir::spill::{self, spill_everywhere, SpillResult, SpillerKind};
+use coalesce_ir::spill::{self, spill_everywhere, SpillInput, SpillResult, SpillerKind};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -655,8 +662,7 @@ proptest! {
     #[test]
     fn every_spiller_meets_the_pressure_target_up_to_the_floor(seed in 0u64..24) {
         for f in module_functions(seed * 29 + 5) {
-            let maxlive = Liveness::compute(&f).maxlive_precise(&f);
-            let k = (maxlive / 2).max(3);
+            let k = spill::tight_k(Liveness::compute(&f).maxlive_precise(&f));
             for spiller in SpillerKind::ALL {
                 let mut floor_f = f.clone();
                 let _ = spiller.run(&mut floor_f, 0);
@@ -688,8 +694,7 @@ proptest! {
 #[test]
 fn incremental_spiller_matches_the_from_scratch_reference_victim_sequence() {
     for (i, f) in workload_functions().into_iter().enumerate() {
-        let maxlive = Liveness::compute(&f).maxlive_precise(&f);
-        let k = (maxlive / 2).max(3);
+        let k = spill::tight_k(Liveness::compute(&f).maxlive_precise(&f));
         let mut flat_f = f.clone();
         let flat = spill::spill_to_pressure(&mut flat_f, k);
         let mut ref_f = f.clone();
@@ -718,13 +723,129 @@ fn incremental_spiller_matches_the_from_scratch_reference_victim_sequence() {
 #[test]
 fn incremental_spiller_matches_the_reference_on_module_functions() {
     for f in module_functions(5) {
-        let maxlive = Liveness::compute(&f).maxlive_precise(&f);
-        let k = (maxlive / 2).max(3);
+        let k = spill::tight_k(Liveness::compute(&f).maxlive_precise(&f));
         let mut flat_f = f.clone();
         let flat = spill::spill_to_pressure(&mut flat_f, k);
         let mut ref_f = f.clone();
         let reference = reference_spill_to_pressure(&mut ref_f, k);
         assert_eq!(flat.spilled, reference.spilled);
         assert_eq!(flat.reloads, reference.reloads);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The spill-and-measure path, pinned to the hand-wired sequence it replaced.
+// ---------------------------------------------------------------------------
+
+/// What a spill-and-measure caller reports, plus the rewritten function
+/// (compared through its `Debug` rendering).
+#[derive(Debug, PartialEq)]
+struct Measured {
+    maxlive: usize,
+    k: usize,
+    spilled: Vec<Var>,
+    reloads: usize,
+    spill_weight: u64,
+    maxlive_after: usize,
+    function: String,
+}
+
+/// The six-step sequence the experiments, the verifier harness and the
+/// service each wired by hand before `SpillInput`/`SpillRun`, verbatim.
+fn hand_wired_spill(f: &Function, kind: SpillerKind) -> Measured {
+    let maxlive = Liveness::compute(f).maxlive_precise(f);
+    let k = spill::tight_k(maxlive);
+    let costs = spill::spill_costs(f);
+    let mut spilled_f = f.clone();
+    let result = kind.run(&mut spilled_f, k);
+    let spill_weight = result.spilled.iter().map(|v| costs[v.index()]).sum::<u64>();
+    let maxlive_after = Liveness::compute(&spilled_f).maxlive_precise(&spilled_f);
+    Measured {
+        maxlive,
+        k,
+        spilled: result.spilled,
+        reloads: result.reloads,
+        spill_weight,
+        maxlive_after,
+        function: format!("{spilled_f:?}"),
+    }
+}
+
+fn assert_spill_run_matches_hand_wired(f: &Function) {
+    let input = SpillInput::analyze(f);
+    let k = spill::tight_k(input.maxlive());
+    for kind in SpillerKind::ALL {
+        let run = input.spill(kind, k);
+        let measured = Measured {
+            maxlive: run.maxlive,
+            k: run.k,
+            maxlive_after: run.maxlive_after(),
+            function: format!("{:?}", run.function),
+            spilled: run.spilled,
+            reloads: run.reloads,
+            spill_weight: run.spill_weight,
+        };
+        assert_eq!(measured, hand_wired_spill(f, kind), "{}", kind.name());
+    }
+    let (mut from, mut plain) = (f.clone(), f.clone());
+    let reused =
+        spill::spill_to_pressure_from(&mut from, k, Liveness::compute(f), &spill::spill_costs(f));
+    let solved = spill::spill_to_pressure(&mut plain, k);
+    assert_eq!(
+        (reused.spilled, reused.reloads),
+        (solved.spilled, solved.reloads)
+    );
+    assert_eq!(format!("{from:?}"), format!("{plain:?}"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `SpillInput::analyze(f).spill(kind, k)` reproduces the hand-wired
+    /// sequence field for field on module-drawn functions.
+    #[test]
+    fn spill_run_matches_the_hand_wired_sequence_on_module_functions(seed in 0u64..48) {
+        for f in module_functions(seed * 37 + 7) {
+            assert_spill_run_matches_hand_wired(&f);
+        }
+    }
+}
+
+/// The same pin over the E13 workload grid.
+#[test]
+fn spill_run_matches_the_hand_wired_sequence_on_the_e13_grid() {
+    for profile in ShapeProfile::ALL {
+        for pressure in PressureLevel::ALL {
+            assert_spill_run_matches_hand_wired(&workload_program(42, profile, pressure));
+        }
+    }
+}
+
+/// `SpillRun` prices victims by indexing the pre-spill costs, so every
+/// spiller must name only pre-spill variables as victims (`SpillResult`'s
+/// documented contract) — checked over the E17 grid and module slice.
+#[test]
+fn every_victim_is_a_pre_spill_variable() {
+    let grid = ShapeProfile::ALL.into_iter().flat_map(|profile| {
+        PressureLevel::ALL
+            .into_iter()
+            .map(move |pressure| workload_program(42, profile, pressure))
+    });
+    let slice = e16_specs(42)
+        .into_iter()
+        .take(E17_MODULE_FUNCTIONS)
+        .map(|spec| spec.generate());
+    for f in grid.chain([windowed_program(42)]).chain(slice) {
+        let k = spill::tight_k(Liveness::compute(&f).maxlive_precise(&f));
+        for kind in SpillerKind::ALL {
+            let result = kind.run(&mut f.clone(), k);
+            assert!(
+                result.spilled.iter().all(|v| v.index() < f.num_vars()),
+                "{} named a victim outside the {} pre-spill variables: {:?}",
+                kind.name(),
+                f.num_vars(),
+                result.spilled
+            );
+        }
     }
 }
