@@ -110,15 +110,21 @@ pub fn chordal_incremental(
 /// This is the building block behind both session types: a caller that
 /// mutates its working graph between queries (the chordal coalescing
 /// strategy merges vertices and adds fill edges) keeps the graph by value
-/// and re-prepares only when the graph actually changed, instead of paying
-/// a clique-tree construction per affinity.  The graph passed to
-/// [`PreparedChordal::query`] must be the one the session was prepared
-/// from (unchanged since), which the borrow-holding
-/// [`ChordalIncremental`] wrapper enforces statically.
+/// and calls [`PreparedChordal::rebuild`] only when the graph actually
+/// changed, which reuses the session's buffers instead of allocating a
+/// fresh tree.  The graph passed to [`PreparedChordal::query`] must be the
+/// one the session was last built from (unchanged since): the
+/// borrow-holding [`ChordalIncremental`] wrapper enforces that statically,
+/// and `query` checks the graph's live vertex and edge counts in debug
+/// builds.
 #[derive(Debug, Clone)]
 pub struct PreparedChordal {
     tree: CliqueTree,
     omega: usize,
+    chordal: bool,
+    /// Live vertex and edge counts of the graph the session was built from.
+    vertices: usize,
+    edges: usize,
 }
 
 impl PreparedChordal {
@@ -127,9 +133,25 @@ impl PreparedChordal {
     ///
     /// Returns `None` if `graph` is not chordal.
     pub fn prepare(graph: &Graph) -> Option<Self> {
-        let tree = CliqueTree::build(graph)?;
-        let omega = tree.clique_number();
-        Some(PreparedChordal { tree, omega })
+        let mut session = PreparedChordal {
+            tree: CliqueTree::default(),
+            omega: 0,
+            chordal: false,
+            vertices: 0,
+            edges: 0,
+        };
+        session.rebuild(graph).then_some(session)
+    }
+
+    /// Re-prepares the session in place for `graph` (one MCS sweep into
+    /// the session's own buffers).  Returns `false` if `graph` is not
+    /// chordal; every query then answers `None` until a rebuild succeeds.
+    pub fn rebuild(&mut self, graph: &Graph) -> bool {
+        self.chordal = self.tree.rebuild(graph);
+        self.omega = self.tree.clique_number();
+        self.vertices = graph.num_vertices();
+        self.edges = graph.num_edges();
+        self.chordal
     }
 
     /// The clique number `ω(G)` of the prepared graph.
@@ -145,7 +167,7 @@ impl PreparedChordal {
     /// Answers one incremental query; same semantics as
     /// [`chordal_incremental`] (`None` when the instance is outside the
     /// theorem's hypotheses).  `graph` must be the exact graph this
-    /// session was prepared from.
+    /// session was last built from.
     pub fn query(
         &self,
         graph: &Graph,
@@ -153,7 +175,15 @@ impl PreparedChordal {
         x: VertexId,
         y: VertexId,
     ) -> Option<IncrementalAnswer> {
-        if !graph.is_live(x) || !graph.is_live(y) || x == y {
+        debug_assert!(
+            graph.num_vertices() == self.vertices && graph.num_edges() == self.edges,
+            "stale session: prepared for {} vertices / {} edges, queried on {} / {}",
+            self.vertices,
+            self.edges,
+            graph.num_vertices(),
+            graph.num_edges()
+        );
+        if !self.chordal || !graph.is_live(x) || !graph.is_live(y) || x == y {
             return None;
         }
         if k < self.omega {
@@ -169,43 +199,36 @@ impl PreparedChordal {
 
         // Trim the path: start at the last node containing x, end at the first
         // node containing y after that.
+        let contains = |n: usize, v: VertexId| tree.clique(n).binary_search(&v).is_ok();
         let last_x = full_path
             .iter()
-            .rposition(|&n| tree.clique(n).contains(&x))
+            .rposition(|&n| contains(n, x))
             .expect("path starts in T_x");
         let first_y = full_path
             .iter()
-            .position(|&n| tree.clique(n).contains(&y))
+            .position(|&n| contains(n, y))
             .expect("path ends in T_y");
         if first_y <= last_x {
             // The subtrees touch a common clique: impossible since x and y do
             // not interfere; defensive fallback.
             return Some(IncrementalAnswer::NotCoalescible);
         }
-        let path: Vec<usize> = full_path[last_x..=first_y].to_vec();
+        let path = &full_path[last_x..=first_y];
         let len = path.len();
 
         // Intervals of every vertex restricted to the path.
-        let intervals = tree.intervals_on_path(&path);
+        let mut intervals = tree.intervals_on_path(path);
         // Occupancy per position (how many real intervals cross it).
         let mut occupancy = vec![0usize; len];
-        for &(_, start, end) in &intervals {
-            for slot in occupancy.iter_mut().take(end + 1).skip(start) {
+        let (mut ix, mut iy) = (None, None);
+        for &(v, start, end) in &intervals {
+            for slot in &mut occupancy[start..=end] {
                 *slot += 1;
             }
-        }
-
-        // Index intervals by starting position for the marking sweep.
-        let mut starting_at: Vec<Vec<(VertexId, usize, usize)>> = vec![Vec::new(); len];
-        let mut ix = None;
-        let mut iy = None;
-        for &(v, start, end) in &intervals {
             if v == x {
                 ix = Some((start, end));
             } else if v == y {
                 iy = Some((start, end));
-            } else {
-                starting_at[start].push((v, start, end));
             }
         }
         let (ix_start, ix_end) = ix.expect("x occurs on the trimmed path");
@@ -213,31 +236,37 @@ impl PreparedChordal {
         debug_assert_eq!(ix_start, 0);
         debug_assert_eq!(iy_end, len - 1);
 
-        // reachable[p] == Some(chain) means positions 0..p are covered by a chain
-        // of disjoint intervals starting with I_x; chain records the real
-        // vertices used (besides x).  To keep the sweep linear-ish we store the
-        // predecessor interval per boundary instead of full chains.
-        #[derive(Clone)]
+        // The other intervals by starting position (ties by vertex), for the
+        // marking sweep's cursor.
+        intervals.retain(|&(v, _, _)| v != x && v != y);
+        intervals.sort_unstable_by_key(|&(v, start, _)| (start, v));
+
+        // reach[p] is set when positions 0..p are covered by a chain of
+        // disjoint intervals starting with I_x.  To keep the sweep linear-ish
+        // we store the predecessor interval per boundary instead of full
+        // chains.
+        #[derive(Clone, Copy)]
         enum Via {
             Short,
             Vertex(VertexId, usize), // vertex and the boundary its interval started from
         }
         let mut reach: Vec<Option<Via>> = vec![None; len + 1];
         reach[ix_end + 1] = Some(Via::Vertex(x, 0));
-        for p in ix_end + 1..=len {
+        let mut next = 0;
+        for p in ix_end + 1..len {
+            // Intervals starting before p can no longer be taken.
+            while intervals.get(next).is_some_and(|&(_, start, _)| start < p) {
+                next += 1;
+            }
             if reach[p].is_none() {
                 continue;
-            }
-            if p == len {
-                break;
             }
             // Cross position p with a virtual short interval (capacity permitting).
             if occupancy[p] < k && reach[p + 1].is_none() {
                 reach[p + 1] = Some(Via::Short);
             }
             // Or take a real interval starting exactly at p.
-            for &(v, start, end) in &starting_at[p] {
-                debug_assert_eq!(start, p);
+            for &(v, _, end) in intervals[next..].iter().take_while(|&&(_, s, _)| s == p) {
                 if reach[end + 1].is_none() {
                     reach[end + 1] = Some(Via::Vertex(v, p));
                 }
@@ -256,10 +285,7 @@ impl PreparedChordal {
         class.insert(y);
         let mut boundary = iy_start;
         while boundary > 0 {
-            match reach[boundary]
-                .clone()
-                .expect("reachable boundary has a predecessor")
-            {
+            match reach[boundary].expect("reachable boundary has a predecessor") {
                 Via::Short => boundary -= 1,
                 Via::Vertex(v, started_from) => {
                     if v != x {
@@ -281,7 +307,7 @@ impl PreparedChordal {
 /// sweeps query the same thousand-vertex graph dozens of times) prepare a
 /// session once and run [`ChordalIncremental::query`] per pair instead.
 /// Strategies that mutate their working graph between queries use the
-/// underlying [`PreparedChordal`] directly and re-prepare after a change.
+/// underlying [`PreparedChordal`] directly and rebuild it after a change.
 #[derive(Debug, Clone)]
 pub struct ChordalIncremental<'g> {
     graph: &'g Graph,
@@ -371,6 +397,27 @@ mod tests {
             chordal_incremental(&g, 4, v(0), v(1)),
             Some(IncrementalAnswer::NotCoalescible)
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale session")]
+    fn querying_a_session_after_the_graph_changed_panics_in_debug_builds() {
+        let mut g = Graph::with_edges(3, [(v(0), v(1))]);
+        let session = PreparedChordal::prepare(&g).expect("a path is chordal");
+        g.add_edge(v(1), v(2));
+        session.query(&g, 2, v(0), v(2));
+    }
+
+    #[test]
+    fn a_failed_rebuild_answers_nothing_until_a_rebuild_succeeds() {
+        let path = Graph::with_edges(3, [(v(0), v(1)), (v(1), v(2))]);
+        let c4 = Graph::with_edges(4, [(v(0), v(1)), (v(1), v(2)), (v(2), v(3)), (v(3), v(0))]);
+        let mut session = PreparedChordal::prepare(&path).expect("a path is chordal");
+        assert!(!session.rebuild(&c4));
+        assert_eq!(session.query(&c4, 2, v(0), v(2)), None);
+        assert!(session.rebuild(&path));
+        assert!(session.query(&path, 2, v(0), v(2)).is_some());
     }
 
     #[test]

@@ -19,192 +19,272 @@ use crate::coloring::Coloring;
 use crate::graph::{Graph, VertexId};
 use std::collections::BTreeSet;
 
-/// The result of one [`mcs_clique_forest`] pass: the MCS visit order, the
+/// "No vertex / no position" sentinel of the `u32` sweep arrays.
+const NONE: u32 = u32::MAX;
+
+/// The result of one [`CliqueForest::sweep`]: the MCS visit order, the
 /// chordality verdict, and the Blair–Peyton clique-tree skeleton derived
-/// from the same run.
+/// from the same run, stored flat.
 ///
 /// Everything is computed in a single `O(V + E)` sweep (the adjacency
 /// rows are flat sorted slices, so the neighbor scans carry no
 /// per-element set overhead), which is what
 /// makes [`chordal_maximal_cliques`] and
 /// [`crate::cliquetree::CliqueTree::build`] linear instead of quadratic.
+/// A forest swept again reuses every buffer, so re-sweeping a graph of a
+/// size seen before allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CliqueForest {
     /// Vertices in MCS **visit** order (first visited first).  The reverse
     /// is the elimination order [`maximum_cardinality_search`] returns.
     pub visit_order: Vec<VertexId>,
     /// `true` iff the reverse of `visit_order` is a perfect elimination
-    /// ordering, i.e. iff the graph is chordal.  When `false` the clique
-    /// and edge fields are meaningless and must not be used.
+    /// ordering, i.e. iff the graph is chordal.  When `false` the forest
+    /// holds no cliques.
     pub chordal: bool,
-    /// The maximal cliques, in discovery order (at most one per vertex).
-    pub cliques: Vec<BTreeSet<VertexId>>,
-    /// Clique-tree edges: the Blair–Peyton parent links, plus one
-    /// (empty-separator) stitch edge per extra connected component so the
-    /// node set always forms a single tree.
-    pub tree_edges: Vec<(usize, usize)>,
+    /// The maximal cliques in discovery order (at most one per vertex),
+    /// stored contiguously: clique `i` is `members[starts[i]..starts[i + 1]]`,
+    /// in ascending vertex order.
+    members: Vec<VertexId>,
+    starts: Vec<usize>,
+    /// Clique-tree parent of each clique (`parent[0] == 0`): the
+    /// Blair–Peyton parent link, or the previous clique for the first
+    /// clique of each further connected component (an empty-separator
+    /// stitch, so the node set always forms a single tree).  Every parent
+    /// precedes its child, so the tree is rooted at clique 0.
+    pub parent: Vec<usize>,
+    scratch: McsScratch,
 }
 
-/// Runs MCS with a bucket queue and derives the maximal cliques and the
-/// clique-tree edges directly from the run, following Blair & Peyton's
-/// clique-tree algorithm (*An Introduction to Chordal Graphs and Clique
-/// Trees*, Fig. 4; the MCS treatment is Golumbic's, the paper's reference
-/// [20]).
-///
-/// The visit loop is the classical lazy-deletion bucket queue: every
-/// unvisited vertex has a valid entry in `buckets[weight(v)]`, stale
-/// entries are skipped on pop, and the running maximum only ever rises by
-/// one per visit, so the whole selection costs `O(V + E)`.
-///
-/// A vertex *starts a new clique* exactly when its visited-neighbor count
-/// fails to grow past the previous vertex's (Blair–Peyton); its visited
-/// neighborhood `M(v)` seeds the clique and the tree edge goes to the
-/// clique of the most recently visited vertex of `M(v)`.  Chordality is
-/// then verified by a Tarjan–Yannakakis pass over the elimination order
-/// (timestamped neighborhood bitmap, no per-edge set lookups), so the
-/// whole routine does `O(V + E)` work, slice scans included.
-pub(crate) fn mcs_clique_forest(g: &Graph) -> CliqueForest {
-    let cap = g.capacity();
-    let n = g.num_vertices();
-    let mut weight = vec![0usize; cap];
-    let mut visited = vec![false; cap];
-    let mut visit_pos = vec![usize::MAX; cap];
-    let mut clique_of = vec![usize::MAX; cap];
-    let mut visit_order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut cliques: Vec<BTreeSet<VertexId>> = Vec::new();
-    let mut tree_edges: Vec<(usize, usize)> = Vec::new();
+/// The per-vertex arrays of the MCS visit loop and of the
+/// Tarjan–Yannakakis check, kept between sweeps.
+#[derive(Debug, Clone, Default)]
+struct McsScratch {
+    weight: Vec<u32>,
+    /// Visit position, [`NONE`] while unvisited.
+    visit_pos: Vec<u32>,
+    clique_of: Vec<u32>,
+    /// `buckets[w]` holds candidates whose weight may be `w`; only the
+    /// first `len` of a sweep are in use, the rest keep their capacity.
+    buckets: Vec<Vec<VertexId>>,
+    mark: Vec<u32>,
+    /// The deferred neighborhoods of the chordality check as one linked
+    /// arena: `deferred_head[v]` starts `v`'s list of `(vertex, next)`
+    /// entries in `deferred`.
+    deferred_head: Vec<u32>,
+    deferred: Vec<(VertexId, u32)>,
+}
 
-    // buckets[w] holds candidates whose weight may be w; a vertex's entry
-    // in buckets[weight(v)] is always valid, older entries are stale.
-    let mut buckets: Vec<Vec<VertexId>> = vec![g.vertices().collect()];
-    let mut max_w = 0usize;
-    // Visited-neighbor count of the previously visited vertex; MAX is the
-    // "no previous vertex" sentinel so the first vertex starts a clique.
-    let mut prev_card = usize::MAX;
-    // Pops (valid and stale) plus pushes; reported once at the end so the
-    // hot loop only touches a local.
-    let mut bucket_ops: u64 = 0;
+/// Clears `v` and refills it with `len` copies of `value`, reusing its
+/// allocation.
+fn reset(v: &mut Vec<u32>, len: usize, value: u32) {
+    v.clear();
+    v.resize(len, value);
+}
 
-    while visit_order.len() < n {
-        let v = loop {
-            match buckets[max_w].pop() {
-                Some(c) if !visited[c.index()] && weight[c.index()] == max_w => {
-                    bucket_ops += 1;
-                    break c;
+impl CliqueForest {
+    /// Sweeps `g` into a fresh forest.
+    pub(crate) fn of(g: &Graph) -> Self {
+        let mut forest = CliqueForest::default();
+        forest.sweep(g);
+        forest
+    }
+
+    /// Number of maximal cliques found.
+    pub(crate) fn num_cliques(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Clique `i`, in ascending vertex order.
+    pub(crate) fn clique(&self, i: usize) -> &[VertexId] {
+        &self.members[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// The cliques in discovery order.
+    pub(crate) fn cliques(&self) -> impl Iterator<Item = &[VertexId]> + Clone + '_ {
+        self.starts.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+
+    /// Runs MCS with a bucket queue over `g` and derives the maximal
+    /// cliques and the clique-tree parents directly from the run,
+    /// following Blair & Peyton's clique-tree algorithm (*An Introduction
+    /// to Chordal Graphs and Clique Trees*, Fig. 4; the MCS treatment is
+    /// Golumbic's, the paper's reference [20]).  Overwrites the previous
+    /// contents.
+    ///
+    /// The visit loop is the classical lazy-deletion bucket queue: every
+    /// unvisited vertex has a valid entry in `buckets[weight(v)]`, stale
+    /// entries are skipped on pop, and the running maximum only ever rises
+    /// by one per visit, so the whole selection costs `O(V + E)`.
+    ///
+    /// A vertex *starts a new clique* exactly when its visited-neighbor
+    /// count fails to grow past the previous vertex's (Blair–Peyton); its
+    /// visited neighborhood `M(v)` seeds the clique and the tree edge goes
+    /// to the clique of the most recently visited vertex of `M(v)`.
+    /// Chordality is then verified by a Tarjan–Yannakakis pass over the
+    /// elimination order (timestamped neighborhood bitmap, no per-edge set
+    /// lookups), so the whole routine does `O(V + E)` work, slice scans
+    /// included.
+    pub(crate) fn sweep(&mut self, g: &Graph) {
+        let cap = g.capacity();
+        let n = g.num_vertices();
+        // Vertex ids are u32; the deferred arena holds at most one entry
+        // per edge, so its u32 links cannot wrap either.
+        debug_assert!(g.num_edges() < NONE as usize);
+        let s = &mut self.scratch;
+        reset(&mut s.weight, cap, 0);
+        reset(&mut s.visit_pos, cap, NONE);
+        reset(&mut s.clique_of, cap, NONE);
+        self.visit_order.clear();
+        self.members.clear();
+        self.starts.clear();
+        self.parent.clear();
+
+        for bucket in &mut s.buckets {
+            bucket.clear();
+        }
+        if s.buckets.is_empty() {
+            s.buckets.push(Vec::new());
+        }
+        s.buckets[0].extend(g.vertices());
+        // Buckets in use: one past the largest weight reached so far.
+        let mut num_buckets = 1usize;
+        let mut max_w = 0usize;
+        // Visited-neighbor count of the previously visited vertex; MAX is the
+        // "no previous vertex" sentinel so the first vertex starts a clique.
+        let mut prev_card = usize::MAX;
+        // Pops (valid and stale) plus pushes; reported once at the end so the
+        // hot loop only touches a local.
+        let mut bucket_ops: u64 = 0;
+
+        while self.visit_order.len() < n {
+            let v = loop {
+                match s.buckets[max_w].pop() {
+                    Some(c)
+                        if s.visit_pos[c.index()] == NONE
+                            && s.weight[c.index()] as usize == max_w =>
+                    {
+                        bucket_ops += 1;
+                        break c;
+                    }
+                    Some(_) => {
+                        bucket_ops += 1;
+                        continue; // stale entry
+                    }
+                    None => max_w -= 1, // bucket exhausted; the max can only drop
                 }
-                Some(_) => {
-                    bucket_ops += 1;
-                    continue; // stale entry
+            };
+            let pos = self.visit_order.len() as u32;
+            s.visit_pos[v.index()] = pos;
+            self.visit_order.push(v);
+            let card = s.weight[v.index()] as usize;
+
+            if prev_card == usize::MAX || card <= prev_card {
+                // v begins a new clique C_s = M(v) ∪ {v}: M(v), the
+                // already-visited neighbors, seeds it (ascending, as the
+                // row is sorted).
+                let clique = self.starts.len();
+                self.starts.push(self.members.len());
+                let mut m_last: Option<VertexId> = None;
+                for &u in g.neighbor_row(v) {
+                    let u_pos = s.visit_pos[u.index()];
+                    if u_pos != NONE {
+                        self.members.push(u);
+                        if m_last.is_none_or(|l| u_pos > s.visit_pos[l.index()]) {
+                            m_last = Some(u);
+                        }
+                    }
                 }
-                None => max_w -= 1, // bucket exhausted; the max can only drop
+                debug_assert_eq!(self.members.len() - self.starts[clique], card);
+                self.parent.push(match m_last {
+                    // Tree edge to the clique of the most recent M(v) member;
+                    // M(v) (the separator) is contained in that clique.
+                    Some(last) => s.clique_of[last.index()] as usize,
+                    // New connected component (or the first clique): stitch
+                    // it to the previous clique so the forest stays one tree.
+                    None => clique.saturating_sub(1),
+                });
             }
-        };
-        visited[v.index()] = true;
-        visit_pos[v.index()] = visit_order.len();
-        visit_order.push(v);
-        let card = weight[v.index()];
+            // v joins the clique under construction, in sorted position.
+            let start = self.starts[self.starts.len() - 1];
+            let at = start + self.members[start..].partition_point(|&u| u < v);
+            self.members.insert(at, v);
+            s.clique_of[v.index()] = (self.starts.len() - 1) as u32;
+            prev_card = card;
 
-        if prev_card == usize::MAX || card <= prev_card {
-            // M(v): the already-visited neighbors, and the one visited
-            // last (only clique starters need the set materialised).
-            let mut m_last: Option<VertexId> = None;
-            let mut m_v: Vec<VertexId> = Vec::with_capacity(card);
-            for u in g.neighbors(v) {
-                if visited[u.index()] && u != v {
-                    m_v.push(u);
-                    if m_last.is_none_or(|l| visit_pos[u.index()] > visit_pos[l.index()]) {
-                        m_last = Some(u);
+            // Bump the unvisited neighbors' weights into their new buckets.
+            for &u in g.neighbor_row(v) {
+                if s.visit_pos[u.index()] == NONE {
+                    let w = s.weight[u.index()] as usize + 1;
+                    s.weight[u.index()] = w as u32;
+                    if w == num_buckets {
+                        num_buckets += 1;
+                        if s.buckets.len() < num_buckets {
+                            s.buckets.push(Vec::new());
+                        }
+                    }
+                    s.buckets[w].push(u);
+                    bucket_ops += 1;
+                }
+            }
+            // The maximum weight can rise by at most one per visit.
+            if max_w + 1 < num_buckets {
+                max_w += 1;
+            }
+        }
+        self.starts.push(self.members.len());
+
+        // Tarjan–Yannakakis chordality test over the elimination order (the
+        // reverse of the visit order).  Each vertex defers its later
+        // (earlier-visited) neighborhood minus its parent to that parent,
+        // which must contain the deferred set in its own neighborhood; a
+        // timestamped bitmap makes every membership test O(1), so the whole
+        // pass is O(V + E) with no per-edge set lookups.
+        let mut chordal = true;
+        reset(&mut s.mark, cap, NONE);
+        reset(&mut s.deferred_head, cap, NONE);
+        s.deferred.clear();
+        'elimination: for i in (0..n).rev() {
+            let v = self.visit_order[i];
+            let i = i as u32;
+            // Mark N(v) and find the parent: the most recently visited
+            // member of M(v).
+            let mut parent: Option<VertexId> = None;
+            for &u in g.neighbor_row(v) {
+                s.mark[u.index()] = i;
+                let u_pos = s.visit_pos[u.index()];
+                if u_pos < i && parent.is_none_or(|p| u_pos > s.visit_pos[p.index()]) {
+                    parent = Some(u);
+                }
+            }
+            let mut entry = s.deferred_head[v.index()];
+            while entry != NONE {
+                let (w, next) = s.deferred[entry as usize];
+                if s.mark[w.index()] != i {
+                    chordal = false;
+                    break 'elimination;
+                }
+                entry = next;
+            }
+            if let Some(p) = parent {
+                for &u in g.neighbor_row(v) {
+                    if s.visit_pos[u.index()] < i && u != p {
+                        let head = &mut s.deferred_head[p.index()];
+                        s.deferred.push((u, *head));
+                        *head = (s.deferred.len() - 1) as u32;
                     }
                 }
             }
-            debug_assert_eq!(m_v.len(), card);
-            // v begins a new clique C_s = M(v) ∪ {v}.
-            let s = cliques.len();
-            match m_last {
-                // Tree edge to the clique of the most recent M(v) member;
-                // M(v) (the separator) is contained in that clique.
-                Some(last) => tree_edges.push((s, clique_of[last.index()])),
-                // New connected component: stitch it to the previous
-                // clique so the forest stays one tree (empty separator).
-                None if s > 0 => tree_edges.push((s, s - 1)),
-                None => {}
-            }
-            let mut clique: BTreeSet<VertexId> = m_v.iter().copied().collect();
-            clique.insert(v);
-            cliques.push(clique);
-        } else {
-            // v joins the clique under construction.
-            cliques
-                .last_mut()
-                .expect("a clique exists once a vertex was visited")
-                .insert(v);
         }
-        clique_of[v.index()] = cliques.len() - 1;
-        prev_card = card;
 
-        // Bump the unvisited neighbors' weights into their new buckets.
-        for u in g.neighbors(v) {
-            if !visited[u.index()] {
-                let w = weight[u.index()] + 1;
-                weight[u.index()] = w;
-                if w >= buckets.len() {
-                    buckets.resize(w + 1, Vec::new());
-                }
-                buckets[w].push(u);
-                bucket_ops += 1;
-            }
+        coalesce_stats::counter!("mcs.bucket_ops", bucket_ops);
+        coalesce_stats::counter!("cliquetree.nodes", self.num_cliques() as u64);
+        self.chordal = chordal;
+        if !chordal {
+            self.members.clear();
+            self.starts.truncate(1);
+            self.parent.clear();
         }
-        // The maximum weight can rise by at most one per visit.
-        if max_w + 1 < buckets.len() {
-            max_w += 1;
-        }
-    }
-
-    // Tarjan–Yannakakis chordality test over the elimination order (the
-    // reverse of the visit order).  Each vertex defers its later
-    // (earlier-visited) neighborhood minus its parent to that parent,
-    // which must contain the deferred set in its own neighborhood; a
-    // timestamped bitmap makes every membership test O(1), so the whole
-    // pass is O(V + E) with no per-edge set lookups.
-    let mut chordal = true;
-    let mut mark = vec![usize::MAX; cap];
-    let mut deferred: Vec<Vec<VertexId>> = vec![Vec::new(); cap];
-    'elimination: for i in (0..n).rev() {
-        let v = visit_order[i];
-        for u in g.neighbors(v) {
-            mark[u.index()] = i;
-        }
-        for w in deferred[v.index()].drain(..) {
-            if mark[w.index()] != i {
-                chordal = false;
-                break 'elimination;
-            }
-        }
-        // Parent: the most recently visited member of M(v).
-        let mut parent: Option<VertexId> = None;
-        for u in g.neighbors(v) {
-            if visit_pos[u.index()] < i
-                && parent.is_none_or(|p| visit_pos[u.index()] > visit_pos[p.index()])
-            {
-                parent = Some(u);
-            }
-        }
-        if let Some(p) = parent {
-            for u in g.neighbors(v) {
-                if visit_pos[u.index()] < i && u != p {
-                    deferred[p.index()].push(u);
-                }
-            }
-        }
-    }
-
-    coalesce_stats::counter!("mcs.bucket_ops", bucket_ops);
-    coalesce_stats::counter!("cliquetree.nodes", cliques.len() as u64);
-
-    CliqueForest {
-        visit_order,
-        chordal,
-        cliques,
-        tree_edges,
     }
 }
 
@@ -224,7 +304,7 @@ pub(crate) fn mcs_clique_forest(g: &Graph) -> CliqueForest {
 /// assert_eq!(order.len(), 3);
 /// ```
 pub fn maximum_cardinality_search(g: &Graph) -> Vec<VertexId> {
-    let mut order = mcs_clique_forest(g).visit_order;
+    let mut order = CliqueForest::of(g).visit_order;
     order.reverse();
     order
 }
@@ -272,7 +352,7 @@ pub fn is_perfect_elimination_ordering(g: &Graph, order: &[VertexId]) -> bool {
 /// chordal.  `O(V + E)`: the chordality verdict comes out of the same MCS
 /// sweep that produces the order.
 pub fn perfect_elimination_ordering(g: &Graph) -> Option<Vec<VertexId>> {
-    let forest = mcs_clique_forest(g);
+    let forest = CliqueForest::of(g);
     forest.chordal.then(|| {
         let mut order = forest.visit_order;
         order.reverse();
@@ -316,10 +396,10 @@ pub fn find_simplicial_vertex(g: &Graph) -> Option<VertexId> {
 /// Returns `None` if `g` is not chordal (use [`crate::cliques`] for general
 /// graphs).
 pub fn chordal_clique_number(g: &Graph) -> Option<usize> {
-    let forest = mcs_clique_forest(g);
+    let forest = CliqueForest::of(g);
     forest
         .chordal
-        .then(|| forest.cliques.iter().map(BTreeSet::len).max().unwrap_or(0))
+        .then(|| forest.cliques().map(<[VertexId]>::len).max().unwrap_or(0))
 }
 
 /// Enumerates the maximal cliques of a **chordal** graph, in `O(V + E)`.
@@ -331,8 +411,13 @@ pub fn chordal_clique_number(g: &Graph) -> Option<usize> {
 ///
 /// Returns `None` if `g` is not chordal.
 pub fn chordal_maximal_cliques(g: &Graph) -> Option<Vec<BTreeSet<VertexId>>> {
-    let forest = mcs_clique_forest(g);
-    forest.chordal.then_some(forest.cliques)
+    let forest = CliqueForest::of(g);
+    forest.chordal.then(|| {
+        forest
+            .cliques()
+            .map(|c| c.iter().copied().collect())
+            .collect()
+    })
 }
 
 /// Returns one maximum clique of a **chordal** graph — a witness for the
@@ -342,13 +427,12 @@ pub fn chordal_maximal_cliques(g: &Graph) -> Option<Vec<BTreeSet<VertexId>>> {
 ///
 /// Returns `None` if `g` is not chordal.
 pub fn chordal_max_clique(g: &Graph) -> Option<Vec<VertexId>> {
-    let forest = mcs_clique_forest(g);
+    let forest = CliqueForest::of(g);
     forest.chordal.then(|| {
         forest
-            .cliques
-            .iter()
+            .cliques()
             .max_by_key(|c| c.len())
-            .map(|c| c.iter().copied().collect())
+            .map(<[VertexId]>::to_vec)
             .unwrap_or_default()
     })
 }

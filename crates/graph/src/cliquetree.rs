@@ -10,7 +10,7 @@
 //! Theorem 5's polynomial incremental conservative coalescing algorithm
 //! works on a path of this tree; [`CliqueTree::path_between`] provides it.
 
-use crate::chordal;
+use crate::chordal::CliqueForest;
 use crate::graph::{Graph, VertexId};
 use std::collections::BTreeSet;
 
@@ -22,82 +22,136 @@ use std::collections::BTreeSet;
 /// structure is always a single tree, which keeps path queries total; the
 /// induced-subtree property per vertex is unaffected because a vertex only
 /// appears in cliques of its own component.
-#[derive(Debug, Clone)]
+///
+/// Everything is stored flat: the cliques back to back, the tree adjacency
+/// and the vertex→node index as CSR arrays.  [`CliqueTree::rebuild`]
+/// refills them in place, so rebuilding over graphs of a size seen before
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct CliqueTree {
-    cliques: Vec<BTreeSet<VertexId>>,
-    adjacency: Vec<Vec<usize>>,
+    /// The sweep's cliques and parent links (plus its reusable scratch).
+    /// The tree is rooted at node 0: every other node's parent has a
+    /// smaller index.
+    forest: CliqueForest,
+    /// Depth of each node below node 0.
+    depth: Vec<usize>,
+    /// Tree neighbors of node `i`: `adjacency[adjacency_start[i]..adjacency_start[i + 1]]`,
+    /// its parent first, then its children in ascending order.
+    adjacency_start: Vec<usize>,
+    adjacency: Vec<usize>,
     /// For each vertex index, the (ascending) tree nodes whose clique
     /// contains it — the subtree `T_v`, precomputed so the per-vertex
-    /// queries on the Theorem-5 hot path don't scan every clique.
-    containing: Vec<Vec<usize>>,
-    capacity: usize,
+    /// queries on the Theorem-5 hot path don't scan every clique; laid
+    /// out like `adjacency`.
+    containing_start: Vec<usize>,
+    containing: Vec<usize>,
+}
+
+/// Fills the CSR pair `(start, items)` with `rows` rows from `(row,
+/// item)` pairs, keeping each row's items in iteration order.
+fn fill_csr(
+    start: &mut Vec<usize>,
+    items: &mut Vec<usize>,
+    rows: usize,
+    pairs: impl Iterator<Item = (usize, usize)> + Clone,
+) {
+    start.clear();
+    start.resize(rows + 2, 0);
+    for (row, _) in pairs.clone() {
+        start[row + 2] += 1;
+    }
+    for i in 2..start.len() {
+        start[i] += start[i - 1];
+    }
+    // start[row + 1] is now where row begins; placing an item advances it,
+    // so it ends where row + 1 begins.
+    items.clear();
+    items.resize(start[rows + 1], 0);
+    for (row, item) in pairs {
+        items[start[row + 1]] = item;
+        start[row + 1] += 1;
+    }
+    start.pop();
 }
 
 impl CliqueTree {
     /// Builds a clique tree of the live part of `g` in `O(V + E)`: the
     /// maximal cliques *and* the tree edges both come out of a single
-    /// Blair–Peyton MCS sweep ([`chordal`]'s clique-forest machinery), so
-    /// no pairwise clique intersections or spanning-tree search is needed.
+    /// Blair–Peyton MCS sweep ([`crate::chordal`]'s clique-forest
+    /// machinery), so no pairwise clique intersections or spanning-tree
+    /// search is needed.
     ///
     /// Returns `None` if `g` is not chordal.
     pub fn build(g: &Graph) -> Option<Self> {
-        let forest = chordal::mcs_clique_forest(g);
-        if !forest.chordal {
-            return None;
+        let mut tree = CliqueTree::default();
+        tree.rebuild(g).then_some(tree)
+    }
+
+    /// Rebuilds the tree in place for `g`, reusing every buffer; the
+    /// result equals [`CliqueTree::build`]'s.  Returns `false` (leaving an
+    /// empty tree) if `g` is not chordal.
+    pub fn rebuild(&mut self, g: &Graph) -> bool {
+        self.forest.sweep(g);
+        let forest = &self.forest;
+        let nodes = forest.num_cliques();
+        self.depth.clear();
+        for i in 0..nodes {
+            let depth = if i == 0 {
+                0
+            } else {
+                self.depth[forest.parent[i]] + 1
+            };
+            self.depth.push(depth);
         }
-        let cliques = forest.cliques;
-        let mut adjacency = vec![Vec::new(); cliques.len()];
-        for &(a, b) in &forest.tree_edges {
-            adjacency[a].push(b);
-            adjacency[b].push(a);
-        }
-        let mut containing = vec![Vec::new(); g.capacity()];
-        for (i, clique) in cliques.iter().enumerate() {
-            for &v in clique {
-                containing[v.index()].push(i);
-            }
-        }
-        Some(CliqueTree {
-            cliques,
-            adjacency,
-            containing,
-            capacity: g.capacity(),
-        })
+        let parent = &forest.parent;
+        let edges = (1..nodes).flat_map(|i| [(i, parent[i]), (parent[i], i)]);
+        fill_csr(&mut self.adjacency_start, &mut self.adjacency, nodes, edges);
+        let memberships = forest
+            .cliques()
+            .enumerate()
+            .flat_map(|(i, clique)| clique.iter().map(move |v| (v.index(), i)));
+        fill_csr(
+            &mut self.containing_start,
+            &mut self.containing,
+            g.capacity(),
+            memberships,
+        );
+        forest.chordal
     }
 
     /// Number of tree nodes (maximal cliques).
     pub fn num_nodes(&self) -> usize {
-        self.cliques.len()
+        self.forest.num_cliques()
     }
 
-    /// The maximal clique carried by node `i`.
-    pub fn clique(&self, i: usize) -> &BTreeSet<VertexId> {
-        &self.cliques[i]
-    }
-
-    /// All cliques, indexed by node.
-    pub fn cliques(&self) -> &[BTreeSet<VertexId>] {
-        &self.cliques
+    /// The maximal clique carried by node `i`, in ascending vertex order.
+    pub fn clique(&self, i: usize) -> &[VertexId] {
+        self.forest.clique(i)
     }
 
     /// Tree neighbors of node `i`.
     pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.adjacency[i]
+        &self.adjacency[self.adjacency_start[i]..self.adjacency_start[i + 1]]
     }
 
     /// Clique number of the underlying graph: size of the largest clique
     /// (0 for the empty graph).
     pub fn clique_number(&self) -> usize {
-        self.cliques.iter().map(BTreeSet::len).max().unwrap_or(0)
+        self.forest
+            .cliques()
+            .map(<[VertexId]>::len)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Nodes whose clique contains vertex `v` (the subtree `T_v`), in
     /// ascending node order.  `O(1)`: served from the precomputed
     /// vertex→node index.
     pub fn nodes_containing(&self, v: VertexId) -> &[usize] {
-        self.containing
-            .get(v.index())
-            .map_or(&[], |nodes| nodes.as_slice())
+        match self.containing_start.get(v.index() + 1) {
+            Some(&end) => &self.containing[self.containing_start[v.index()]..end],
+            None => &[],
+        }
     }
 
     /// Some node whose clique contains `v`, if any.  `O(1)`.
@@ -105,40 +159,39 @@ impl CliqueTree {
         self.nodes_containing(v).first().copied()
     }
 
-    /// The unique tree path from node `from` to node `to` (inclusive).
+    /// The unique tree path from node `from` to node `to` (inclusive),
+    /// walked up the parent links to the nearest common ancestor.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
     pub fn path_between(&self, from: usize, to: usize) -> Vec<usize> {
         assert!(from < self.num_nodes() && to < self.num_nodes());
-        if from == to {
-            return vec![from];
+        let parent = &self.forest.parent;
+        let (mut a, mut b) = (from, to);
+        while self.depth[a] > self.depth[b] {
+            a = parent[a];
         }
-        // BFS parent pointers.
-        let mut parent = vec![usize::MAX; self.num_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        parent[from] = from;
-        queue.push_back(from);
-        while let Some(n) = queue.pop_front() {
-            if n == to {
-                break;
-            }
-            for &m in &self.adjacency[n] {
-                if parent[m] == usize::MAX {
-                    parent[m] = n;
-                    queue.push_back(m);
-                }
-            }
+        while self.depth[b] > self.depth[a] {
+            b = parent[b];
         }
-        assert!(parent[to] != usize::MAX, "clique tree must be connected");
-        let mut path = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = parent[cur];
-            path.push(cur);
+        while a != b {
+            a = parent[a];
+            b = parent[b];
         }
-        path.reverse();
+        let up = self.depth[from] - self.depth[a];
+        let down = self.depth[to] - self.depth[a];
+        let mut path = vec![0; up + down + 1];
+        let mut node = from;
+        for slot in &mut path[..=up] {
+            *slot = node;
+            node = parent[node];
+        }
+        let mut node = to;
+        for slot in path[up..].iter_mut().rev() {
+            *slot = node;
+            node = parent[node];
+        }
         path
     }
 
@@ -146,7 +199,7 @@ impl CliqueTree {
     /// nodes containing it form a connected subtree.  Mostly useful in tests
     /// and debug assertions.
     pub fn has_junction_property(&self) -> bool {
-        for v in 0..self.capacity {
+        for v in 0..self.containing_start.len().saturating_sub(1) {
             let v = VertexId::new(v);
             let nodes = self.nodes_containing(v);
             if nodes.len() <= 1 {
@@ -159,7 +212,7 @@ impl CliqueTree {
             queue.push_back(nodes[0]);
             seen.insert(nodes[0]);
             while let Some(n) = queue.pop_front() {
-                for &m in &self.adjacency[n] {
+                for &m in self.neighbors(n) {
                     if node_set.contains(&m) && seen.insert(m) {
                         queue.push_back(m);
                     }
@@ -178,22 +231,25 @@ impl CliqueTree {
     /// positions whose cliques contain it.
     ///
     /// By the junction property the occurrences of a vertex along a tree
-    /// path are contiguous, so the interval fully describes them.
+    /// path are contiguous, so the interval fully describes them.  The
+    /// intervals come in ascending vertex order.
     pub fn intervals_on_path(&self, path: &[usize]) -> Vec<(VertexId, usize, usize)> {
-        use std::collections::BTreeMap;
-        let mut first_last: BTreeMap<VertexId, (usize, usize)> = BTreeMap::new();
-        for (pos, &node) in path.iter().enumerate() {
-            for &v in &self.cliques[node] {
-                first_last
-                    .entry(v)
-                    .and_modify(|fl| fl.1 = pos)
-                    .or_insert((pos, pos));
+        // Every (vertex, position) occurrence, sorted; each vertex's run
+        // then collapses to its first and last position.
+        let mut intervals: Vec<(VertexId, usize, usize)> = path
+            .iter()
+            .enumerate()
+            .flat_map(|(pos, &node)| self.clique(node).iter().map(move |&v| (v, pos, pos)))
+            .collect();
+        intervals.sort_unstable();
+        intervals.dedup_by(|later, first| {
+            let same = later.0 == first.0;
+            if same {
+                first.2 = later.2;
             }
-        }
-        first_last
-            .into_iter()
-            .map(|(v, (a, b))| (v, a, b))
-            .collect()
+            same
+        });
+        intervals
     }
 }
 
