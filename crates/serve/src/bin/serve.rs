@@ -70,7 +70,8 @@ const FLAGS: &[FlagSpec] = &[
         metavar: Some("<LEVEL>"),
         help: &[
             "Re-verify every answer before responding and tag it",
-            "with `verified` (off, boundaries, paranoid; default: off)",
+            "with `verified` (off, boundaries, paranoid; default: off;",
+            "paranoid does what boundaries does here)",
         ],
     },
     FlagSpec {

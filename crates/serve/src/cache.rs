@@ -1,20 +1,18 @@
-//! Bounded LRU caches for the server's hot state.
+//! A bounded LRU cache for the server's hot state.
 //!
-//! Long-lived servers must cap memory: prepared chordal sessions (clique
-//! trees) and interned module corpora are cached per graph/seed
-//! fingerprint in a strict least-recently-used structure with a fixed
+//! Long-lived servers must cap memory: interned module corpora are cached
+//! per module seed in a strict least-recently-used structure with a fixed
 //! capacity.  Eviction affects only *latency*, never *answers* — every
 //! cached value is a pure function of its key — so worker scheduling (and
 //! therefore hit/miss patterns) cannot leak into response bytes.
 
-use coalesce_graph::Graph;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A small bounded LRU map.
 ///
 /// Operations are O(capacity) in the worst case (the recency list is a
-/// plain vector); capacities here are double digits, where that beats
+/// plain vector); capacities here are single digits, where that beats
 /// pointer-chasing.
 #[derive(Debug)]
 pub struct Lru<K: Eq + Hash + Clone, V> {
@@ -76,33 +74,9 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     }
 }
 
-/// A structural fingerprint of a graph (FNV-1a over the vertex count and
-/// the sorted edge list): the key prepared-chordal sessions are cached
-/// under.  Not cryptographic — a collision would at worst serve a wrong
-/// *cached* clique tree, so the engine stores the `(capacity, num_edges)`
-/// pair alongside and rebuilds on mismatch.
-pub fn graph_fingerprint(g: &Graph) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(g.capacity() as u64);
-    for (u, v) in g.edges() {
-        mix(u.index() as u64);
-        mix(v.index() as u64);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coalesce_graph::VertexId;
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -125,16 +99,5 @@ mod tests {
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.get(&1), Some(&"b"));
         assert!(!lru.is_empty());
-    }
-
-    #[test]
-    fn fingerprints_distinguish_structure() {
-        let v = VertexId::new;
-        let a = Graph::with_edges(3, [(v(0), v(1))]);
-        let b = Graph::with_edges(3, [(v(0), v(2))]);
-        let c = Graph::with_edges(4, [(v(0), v(1))]);
-        assert_eq!(graph_fingerprint(&a), graph_fingerprint(&a.clone()));
-        assert_ne!(graph_fingerprint(&a), graph_fingerprint(&b));
-        assert_ne!(graph_fingerprint(&a), graph_fingerprint(&c));
     }
 }

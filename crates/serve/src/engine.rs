@@ -6,7 +6,7 @@
 //! | rung         | graph requests                    | CFG / module requests |
 //! |--------------|-----------------------------------|-----------------------|
 //! | `exact`      | exact search ([`ExactSolver`])    | Belady MIN spiller    |
-//! | `chordal_irc`| clique-tree session + IRC         | pressure-greedy spill |
+//! | `chordal_irc`| MCS sweep (ω) + IRC               | pressure-greedy spill |
 //! | `greedy`     | DSATUR / spill-everywhere         | spill-everywhere      |
 //!
 //! Each rung has a *deterministic* cost estimate; a rung runs only when
@@ -23,17 +23,17 @@
 //! sizes, collected counters of uncached work — is a pure function of the
 //! request, so for a fixed request line the chosen rung and every response
 //! byte are identical across runs, worker counts, and cache states.
-//! Caches (see [`crate::cache`]) are charged by *structural proxy* rather
-//! than measured counters, so a cache hit cannot shift a later budget
-//! decision.
+//! The module-corpus cache (see [`crate::cache`]) is charged by
+//! *structural proxy* rather than measured counters, so a cache hit cannot
+//! shift a later budget decision.
 
 use crate::budget::{Budget, Exhausted};
-use crate::cache::{graph_fingerprint, Lru};
+use crate::cache::Lru;
 use crate::protocol::{ErrorCode, Request, RequestKind, Response, Rung};
-use coalesce_core::{allocate, Affinity, AffinityGraph, PreparedChordal};
+use coalesce_core::{allocate, Affinity, AffinityGraph, IrcResult};
 use coalesce_gen::cfg::{PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, FunctionSpec, ModuleParams};
-use coalesce_graph::chordal::chordal_coloring;
+use coalesce_graph::chordal::{chordal_clique_number, chordal_coloring};
 use coalesce_graph::coloring::dsatur;
 use coalesce_graph::format::{
     from_challenge_limited, from_dimacs_limited, ParseError, ParseErrorKind, ParseLimits,
@@ -46,26 +46,26 @@ use coalesce_verify::VerifyLevel;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Exact-rung size gate: maximum vertices.
+pub const EXACT_MAX_VERTICES: usize = 48;
+/// Exact-rung size gate: maximum edges.
+pub const EXACT_MAX_EDGES: usize = 1_024;
+/// Maximum `count` of a `module_slice` request.
+pub const MAX_SLICE: usize = 64;
+/// Capacity of the interned module-corpus LRU.
+pub const MODULE_CAPACITY: usize = 8;
+
 /// Engine policy knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Size caps applied to inline DIMACS/challenge instances.
     pub parse_limits: ParseLimits,
-    /// Exact-rung size gate: maximum vertices.
-    pub exact_max_vertices: usize,
-    /// Exact-rung size gate: maximum edges.
-    pub exact_max_edges: usize,
     /// Work budget applied when a request does not carry one
     /// (`None` = unlimited).
     pub default_budget: Option<u64>,
-    /// Re-verify answers before responding (`boundaries` or stricter).
+    /// Re-verify answers before responding (`boundaries` or stricter;
+    /// `paranoid` checks nothing more than `boundaries` here).
     pub verify: VerifyLevel,
-    /// Capacity of the prepared-chordal session LRU.
-    pub session_capacity: usize,
-    /// Capacity of the interned module-corpus LRU.
-    pub module_capacity: usize,
-    /// Maximum `count` of a `module_slice` request.
-    pub max_slice: usize,
     /// Honour `panic` requests (chaos testing only).
     pub chaos: bool,
 }
@@ -80,45 +80,26 @@ impl Default for EngineConfig {
                 max_edges: 2_000_000,
                 max_affinities: 200_000,
             },
-            exact_max_vertices: 48,
-            exact_max_edges: 1_024,
             default_budget: None,
             verify: VerifyLevel::Off,
-            session_capacity: 64,
-            module_capacity: 8,
-            max_slice: 64,
             chaos: false,
         }
     }
 }
 
-/// A cached prepared-chordal session: the structural sizes double-check
-/// the (non-cryptographic) fingerprint; `prepared` is `None` for graphs
-/// that turned out not to be chordal (negative results are worth caching
-/// too).
-struct Session {
-    vertices: usize,
-    edges: usize,
-    prepared: Option<Arc<PreparedChordal>>,
-}
-
-/// The shared request engine: configuration plus the bounded hot-state
-/// caches.  One engine is shared (via `Arc`) by every worker.
+/// The shared request engine: configuration plus the bounded
+/// module-corpus cache.  One engine is shared (via `Arc`) by every worker.
 pub struct Engine {
     config: EngineConfig,
-    sessions: Mutex<Lru<u64, Session>>,
     modules: Mutex<Lru<u64, Arc<Vec<FunctionSpec>>>>,
 }
 
 impl Engine {
     /// Creates an engine.
     pub fn new(config: EngineConfig) -> Self {
-        let sessions = Mutex::new(Lru::new(config.session_capacity));
-        let modules = Mutex::new(Lru::new(config.module_capacity));
         Engine {
             config,
-            sessions,
-            modules,
+            modules: Mutex::new(Lru::new(MODULE_CAPACITY)),
         }
     }
 
@@ -184,32 +165,6 @@ impl Engine {
         }
     }
 
-    /// Looks up (or prepares and caches) the chordal session for `g`.
-    /// Deterministic in the *answer*: eviction or hits change latency only.
-    fn chordal_session(&self, g: &Graph) -> Option<Arc<PreparedChordal>> {
-        let key = graph_fingerprint(g);
-        if let Ok(mut cache) = self.sessions.lock() {
-            if let Some(s) = cache.get(&key) {
-                if s.vertices == g.capacity() && s.edges == g.num_edges() {
-                    return s.prepared.clone();
-                }
-                // Fingerprint collision: fall through and rebuild.
-            }
-        }
-        let prepared = PreparedChordal::prepare(g).map(Arc::new);
-        if let Ok(mut cache) = self.sessions.lock() {
-            cache.insert(
-                key,
-                Session {
-                    vertices: g.capacity(),
-                    edges: g.num_edges(),
-                    prepared: prepared.clone(),
-                },
-            );
-        }
-        prepared
-    }
-
     fn serve_dimacs(&self, req: &Request, text: &str, budget: &mut Budget) -> Response {
         let graph = match from_dimacs_limited(text, &self.config.parse_limits) {
             Ok(g) => g,
@@ -220,8 +175,7 @@ impl Engine {
         // Registers beyond n never change a coloring answer; clamping here
         // keeps hostile `k` values from sizing allocations.
         let k = req.k.map(|k| k.clamp(1, n.max(1)));
-        let exact_eligible =
-            n <= self.config.exact_max_vertices && m <= self.config.exact_max_edges;
+        let exact_eligible = n <= EXACT_MAX_VERTICES && m <= EXACT_MAX_EDGES;
         let exact_est = (n as u64) * (m as u64) + n as u64 + 1;
         let chordal_est = (n + m + 1) as u64;
 
@@ -230,7 +184,7 @@ impl Engine {
             match rung_allowed(budget, exact_est) {
                 Ok(()) => {
                     let mut solver = ExactSolver::new();
-                    let (payload, verified) = exact_graph_payload(&mut solver, &graph, k);
+                    let (payload, verified) = self.exact_graph_payload(&mut solver, &graph, k);
                     budget.charge(solver.stats().nodes_expanded + n as u64 + 1);
                     return Self::ok(req, "dimacs", Rung::Exact, None, verified, payload);
                 }
@@ -239,16 +193,17 @@ impl Engine {
         }
         match rung_allowed(budget, chordal_est) {
             Ok(()) => {
-                if let Some(session) = self.chordal_session(&graph) {
-                    budget.charge(chordal_est);
-                    let omega = session.omega();
-                    let coloring = chordal_coloring(&graph);
-                    let colors = coloring.as_ref().map_or(omega, |c| c.num_colors());
-                    let verified = self.verify_coloring(&graph, coloring.as_ref(), None);
+                // One MCS sweep: `None` means not chordal; otherwise the
+                // perfect-elimination coloring uses exactly ω colors.
+                let coloring = chordal_coloring(&graph);
+                budget.charge(chordal_est);
+                if let Some(coloring) = coloring {
+                    let omega = coloring.num_colors();
+                    let verified = self.verify(|| coloring.is_proper(&graph));
                     let mut payload = graph_payload(&graph);
                     payload.push(("chordal".to_string(), Json::Bool(true)));
                     payload.push(("omega".to_string(), Json::from(omega)));
-                    payload.push(("colors".to_string(), Json::from(colors)));
+                    payload.push(("colors".to_string(), Json::from(omega)));
                     if let Some(k) = k {
                         payload.push(("k".to_string(), Json::from(k)));
                         payload.push(("colorable".to_string(), Json::Bool(omega <= k)));
@@ -258,7 +213,6 @@ impl Engine {
                 }
                 // Not chordal: the rung cannot answer; this is structure,
                 // not degradation.
-                budget.charge(chordal_est);
             }
             Err(e) => degrade = Some(degrade.unwrap_or(e)),
         }
@@ -266,7 +220,7 @@ impl Engine {
         let coloring = dsatur(&graph);
         budget.charge(n as u64 + 1);
         let colors = coloring.num_colors();
-        let verified = self.verify_coloring(&graph, Some(&coloring), None);
+        let verified = self.verify(|| coloring.is_proper(&graph));
         let mut payload = graph_payload(&graph);
         payload.push(("chordal".to_string(), Json::Bool(false)));
         payload.push(("colors".to_string(), Json::from(colors)));
@@ -312,8 +266,7 @@ impl Engine {
             .iter()
             .map(|&(u, v, w)| Affinity::weighted(u, v, w))
             .collect();
-        let exact_eligible =
-            n <= self.config.exact_max_vertices && m <= self.config.exact_max_edges && a <= 256;
+        let exact_eligible = n <= EXACT_MAX_VERTICES && m <= EXACT_MAX_EDGES && a <= 256;
         let exact_est = (n as u64) * (m as u64) + a as u64 + 1;
         let irc_est = (n + m + a + 1) as u64;
 
@@ -337,7 +290,7 @@ impl Engine {
                     let ag = AffinityGraph::new(file.graph.clone(), affinities);
                     let irc = allocate(&ag, k);
                     budget.charge(irc_est);
-                    let verified = self.verify_irc(&ag, k, &irc);
+                    let verified = self.verify(|| irc_is_valid(&ag, k, &irc));
                     let mut payload = base_payload(&ag.graph);
                     payload.push(("colorable".to_string(), Json::Bool(colorable)));
                     payload.push(("irc_spills".to_string(), Json::from(irc.spilled.len())));
@@ -352,17 +305,17 @@ impl Engine {
         }
         match rung_allowed(budget, irc_est) {
             Ok(()) => {
-                let session = self.chordal_session(&file.graph);
+                let omega = chordal_clique_number(&file.graph);
                 budget.charge((n + m + 1) as u64);
                 let ag = AffinityGraph::new(file.graph.clone(), affinities);
                 let irc = allocate(&ag, k);
                 budget.charge(irc_est);
-                let verified = self.verify_irc(&ag, k, &irc);
+                let verified = self.verify(|| irc_is_valid(&ag, k, &irc));
                 let mut payload = base_payload(&ag.graph);
-                payload.push(("chordal".to_string(), Json::Bool(session.is_some())));
-                if let Some(session) = &session {
-                    payload.push(("omega".to_string(), Json::from(session.omega())));
-                    payload.push(("colorable".to_string(), Json::Bool(session.omega() <= k)));
+                payload.push(("chordal".to_string(), Json::Bool(omega.is_some())));
+                if let Some(omega) = omega {
+                    payload.push(("omega".to_string(), Json::from(omega)));
+                    payload.push(("colorable".to_string(), Json::Bool(omega <= k)));
                 }
                 payload.push(("irc_spills".to_string(), Json::from(irc.spilled.len())));
                 payload.push((
@@ -391,7 +344,7 @@ impl Engine {
                     .is_some_and(|c| c >= k)
             })
             .count();
-        let verified = self.verify_coloring(&file.graph, Some(&coloring), None);
+        let verified = self.verify(|| coloring.is_proper(&file.graph));
         let mut payload = base_payload(&file.graph);
         payload.push(("colors".to_string(), Json::from(coloring.num_colors())));
         payload.push(("spilled_estimate".to_string(), Json::from(spilled)));
@@ -428,11 +381,11 @@ impl Engine {
         budget: &mut Budget,
     ) -> Response {
         let params = ModuleParams::default();
-        if count == 0 || count > self.config.max_slice {
+        if count == 0 || count > MAX_SLICE {
             return Response::Error {
                 id: Some(req.id),
                 code: ErrorCode::InvalidRequest,
-                message: format!("count must be in 1..={}", self.config.max_slice),
+                message: format!("count must be in 1..={MAX_SLICE}"),
             };
         }
         if start.saturating_add(count) > params.functions {
@@ -454,7 +407,7 @@ impl Engine {
         let mut reloads = 0usize;
         let mut spill_weight = 0u64;
         let mut maxlive_max = 0usize;
-        let mut verified = self.verify_bool(true);
+        let mut verified = self.verify(|| true);
         for spec in &specs[start..start + count] {
             let function = spec.generate();
             let (rung, fn_reason, outcome) = self.spill_ladder(&function, req.k, budget);
@@ -555,7 +508,7 @@ impl Engine {
                 reloads: run.reloads,
                 spill_weight: run.spill_weight,
                 maxlive_after,
-                verified: self.verify_bool(maxlive_after <= run.maxlive.max(k)),
+                verified: self.verify(|| maxlive_after <= run.maxlive.max(k)),
             }
         });
         // Uncached per-request work: the measured counters are
@@ -565,53 +518,41 @@ impl Engine {
         outcome
     }
 
-    /// `Some(outcome)` at `boundaries` and above, `None` when verification
-    /// is off.
-    fn verify_bool(&self, ok: bool) -> Option<bool> {
-        self.config.verify.is_on().then_some(ok)
+    /// The one verification gate: `Some(check())` at `boundaries` and
+    /// above, `None` (no `verified` key) when verification is off.
+    fn verify(&self, check: impl FnOnce() -> bool) -> Option<bool> {
+        self.config.verify.is_on().then(check)
     }
 
-    /// Verifies an IRC allocation against the *original* graph: no
-    /// interfering pair shares a color, and every non-spilled vertex got
-    /// a color below `k`.  Colors are read through the class
-    /// representatives (`IrcResult::color_of`), since the raw coloring
-    /// only assigns representatives.
-    fn verify_irc(
+    /// The exact graph rung: with a `k`, an exact `k`-coloring (witnessed);
+    /// without one, the chromatic number.  Witness-less answers (a
+    /// non-colorable verdict, a chromatic number) carry no `verified` key.
+    fn exact_graph_payload(
         &self,
-        ag: &AffinityGraph,
-        k: usize,
-        irc: &coalesce_core::IrcResult,
-    ) -> Option<bool> {
-        if !self.config.verify.is_on() {
-            return None;
-        }
-        let proper = ag
-            .graph
-            .edges()
-            .all(|(a, b)| match (irc.color_of(a), irc.color_of(b)) {
-                (Some(ca), Some(cb)) => ca != cb,
-                _ => true,
-            });
-        let complete = ag.graph.vertices().all(|v| {
-            irc.spilled.binary_search(&v).is_ok() || irc.color_of(v).is_some_and(|c| c < k)
-        });
-        Some(proper && complete)
-    }
-
-    /// Verifies a coloring answer: proper, and within `bound` colors when
-    /// a bound is claimed.
-    fn verify_coloring(
-        &self,
+        solver: &mut ExactSolver,
         graph: &Graph,
-        coloring: Option<&coalesce_graph::Coloring>,
-        bound: Option<usize>,
-    ) -> Option<bool> {
-        if !self.config.verify.is_on() {
-            return None;
+        k: Option<usize>,
+    ) -> (Vec<(String, Json)>, Option<bool>) {
+        let mut payload = graph_payload(graph);
+        match k {
+            Some(k) => {
+                let witness = solver.k_coloring(graph, k, &[]);
+                payload.push(("k".to_string(), Json::from(k)));
+                payload.push(("colorable".to_string(), Json::Bool(witness.is_some())));
+                if let Some(c) = &witness {
+                    payload.push(("colors".to_string(), Json::from(c.num_colors())));
+                }
+                let verified =
+                    witness.and_then(|c| self.verify(|| c.is_proper(graph) && c.num_colors() <= k));
+                (payload, verified)
+            }
+            None => {
+                let chi = solver.chromatic_number(graph);
+                payload.push(("chromatic_number".to_string(), Json::from(chi)));
+                payload.push(("colors".to_string(), Json::from(chi)));
+                (payload, None)
+            }
         }
-        let ok = coloring
-            .is_some_and(|c| c.is_proper(graph) && bound.is_none_or(|b| c.num_colors() <= b));
-        Some(ok)
     }
 
     fn ok(
@@ -683,35 +624,24 @@ fn degrade_reason(degrade: Option<Exhausted>, eligible: bool) -> Option<&'static
     }
 }
 
-/// The exact graph rung: with a `k`, an exact `k`-coloring (witnessed);
-/// without one, the chromatic number.
-fn exact_graph_payload(
-    solver: &mut ExactSolver,
-    graph: &Graph,
-    k: Option<usize>,
-) -> (Vec<(String, Json)>, Option<bool>) {
-    let mut payload = graph_payload(graph);
-    match k {
-        Some(k) => {
-            let witness = solver.k_coloring(graph, k, &[]);
-            let colorable = witness.is_some();
-            payload.push(("k".to_string(), Json::from(k)));
-            payload.push(("colorable".to_string(), Json::Bool(colorable)));
-            if let Some(c) = &witness {
-                payload.push(("colors".to_string(), Json::from(c.num_colors())));
-            }
-            let verified = witness
-                .as_ref()
-                .map(|c| c.is_proper(graph) && c.num_colors() <= k);
-            (payload, verified)
-        }
-        None => {
-            let chi = solver.chromatic_number(graph);
-            payload.push(("chromatic_number".to_string(), Json::from(chi)));
-            payload.push(("colors".to_string(), Json::from(chi)));
-            (payload, None)
-        }
-    }
+/// Checks an IRC allocation against the *original* graph: no interfering
+/// pair shares a color, and every non-spilled vertex got a color below
+/// `k`.  Colors are read through the class representatives
+/// (`IrcResult::color_of`), since the raw coloring only assigns
+/// representatives.
+fn irc_is_valid(ag: &AffinityGraph, k: usize, irc: &IrcResult) -> bool {
+    let proper = ag
+        .graph
+        .edges()
+        .all(|(a, b)| match (irc.color_of(a), irc.color_of(b)) {
+            (Some(ca), Some(cb)) => ca != cb,
+            _ => true,
+        });
+    let complete = ag
+        .graph
+        .vertices()
+        .all(|v| irc.spilled.binary_search(&v).is_ok() || irc.color_of(v).is_some_and(|c| c < k));
+    proper && complete
 }
 
 fn graph_payload(graph: &Graph) -> Vec<(String, Json)> {

@@ -18,10 +18,11 @@
 //! * **panic isolation** — a poisoned request is caught per-worker and
 //!   answered with `internal_error` echoing the offending line for
 //!   replay; the pool keeps serving;
-//! * **bounded hot state** — prepared chordal sessions and interned
-//!   module corpora in strict LRU caches ([`cache`]);
+//! * **bounded hot state** — interned module corpora in a strict LRU
+//!   cache ([`cache`]); each chordal rung reads ω from the one linear
+//!   MCS sweep it needs, so no graph state is worth keeping;
 //! * optional **re-verification** of answers before they are sent
-//!   (`--verify boundaries`).
+//!   (`--verify boundaries`; `paranoid` does the same in the service).
 //!
 //! The E18 chaos soak (in `coalesce-bench`) replays a seeded mixed
 //! workload with fault injection through this crate and asserts the

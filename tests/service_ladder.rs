@@ -2,12 +2,20 @@
 //! end-to-end through the public engine API: every rung is reachable by
 //! budget alone, rung selection is deterministic (budgets are charged
 //! against *structural* cost estimates, never wall clock), shrinking the
-//! budget never climbs the ladder, and the answer from every rung still
-//! passes re-verification.
+//! budget never climbs the ladder, the answer from every rung still
+//! passes re-verification (and carries no `verified` label when
+//! verification is off), and the chordal rung serves the library's ω.
 
+use coalesce_gen::graphs::{random_graph, random_interval_graph};
+use coalesce_graph::chordal::{chordal_clique_number, is_chordal};
+use coalesce_graph::format::{from_dimacs, to_dimacs};
+use coalesce_graph::Graph;
+use coalesce_serve::engine::EXACT_MAX_VERTICES;
 use coalesce_serve::{parse_request, Engine, EngineConfig, Response, Rung};
 use coalesce_stats::json::Json;
 use coalesce_verify::VerifyLevel;
+use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 fn verifying_engine() -> Engine {
@@ -133,7 +141,7 @@ fn rung_selection_is_monotone_in_budget_and_deterministic() {
 #[test]
 fn size_gated_instances_answer_ungraded_at_the_chordal_rung() {
     let engine = verifying_engine();
-    let n = engine.config().exact_max_vertices + 12;
+    let n = EXACT_MAX_VERTICES + 12;
     let mut text = format!("p edge {n} {}\\n", n - 1);
     for i in 1..n {
         text.push_str(&format!("e {i} {}\\n", i + 1));
@@ -158,4 +166,126 @@ fn size_gated_instances_answer_ungraded_at_the_chordal_rung() {
 fn the_ladder_is_ordered_most_precise_first() {
     assert_eq!(Rung::LADDER, [Rung::Exact, Rung::ChordalIrc, Rung::Greedy]);
     assert!(Rung::Exact < Rung::ChordalIrc && Rung::ChordalIrc < Rung::Greedy);
+}
+
+/// With verification off (the default), no answer carries a `verified`
+/// key, whichever rung of whichever request kind gave it: the label
+/// claims that re-verification ran.
+#[test]
+fn verification_off_answers_carry_no_verified_key() {
+    let engine = Engine::new(EngineConfig::default());
+    let requests = [
+        ("dimacs with k", dimacs_line(5, None)),
+        (
+            "dimacs without k",
+            format!(r#"{{"id":6,"kind":"dimacs","text":"{DIMACS}"}}"#),
+        ),
+        ("challenge", challenge_line(7, None)),
+        (
+            "cfg",
+            r#"{"id":8,"kind":"cfg","profile":"fp-loopnest","pressure":"high","seed":7}"#
+                .to_string(),
+        ),
+        (
+            "module_slice",
+            r#"{"id":9,"kind":"module_slice","seed":42,"start":0,"count":1}"#.to_string(),
+        ),
+    ];
+    // Unlimited, then every power of two down to 1: each ladder's rung
+    // estimates fall between two of them.
+    let budgets = std::iter::once(None).chain((0..32).rev().map(|i| Some(1u64 << i)));
+    for (what, line) in &requests {
+        let mut rungs = BTreeSet::new();
+        for budget in budgets.clone() {
+            let line = match budget {
+                Some(b) => format!(r#"{},"budget":{b}}}"#, &line[..line.len() - 1]),
+                None => line.clone(),
+            };
+            let resp = run(&engine, &line);
+            let (rung, _, _) = ok_fields(&resp);
+            rungs.insert(rung);
+            assert_eq!(resp.to_json().get("verified"), None, "{line}");
+        }
+        assert_eq!(rungs.len(), Rung::LADDER.len(), "{what} reached {rungs:?}");
+    }
+}
+
+/// The request lines that send `g` to its chordal rung: as DIMACS and as
+/// an affinity-free challenge, each with a budget of that rung's estimate
+/// (`n + m + 1`), which falls short of the exact estimate once `n >= 4`
+/// and `m >= 3`.
+fn chordal_rung_lines(g: &Graph, k: usize) -> [String; 2] {
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let edges: String = g
+        .edges()
+        .map(|(u, v)| format!("e {} {}\\n", u.index() + 1, v.index() + 1))
+        .collect();
+    let budget = n + m + 1;
+    [
+        format!(
+            r#"{{"id":1,"kind":"dimacs","text":"p edge {n} {m}\n{edges}","k":{k},"budget":{budget}}}"#
+        ),
+        format!(
+            r#"{{"id":2,"kind":"challenge","text":"p coalesce {n} {m} 0\nk {k}\n{edges}","budget":{budget}}}"#
+        ),
+    ]
+}
+
+/// Checks the chordal-rung answers for `g` (from [`chordal_rung_lines`])
+/// against the library's verdict and clique number of the parsed graph.
+fn assert_serves_library_omega(g: &Graph, k: usize, [dimacs, challenge]: &[Response; 2]) {
+    let parsed = from_dimacs(&to_dimacs(g)).expect("generated graphs serialize");
+    let omega = chordal_clique_number(&parsed);
+    assert_eq!(omega.is_some(), is_chordal(&parsed));
+    let k = k.min(parsed.num_vertices());
+    let (json, rung) = (dimacs.to_json(), ok_fields(dimacs).0);
+    let uint = |json: &Json, key: &str| json.get(key).and_then(Json::as_u64).map(|v| v as usize);
+    let flag = |json: &Json, key: &str| json.get(key).and_then(Json::as_bool);
+    assert_eq!(flag(&json, "chordal"), Some(omega.is_some()));
+    assert_eq!(uint(&json, "omega"), omega);
+    if let Some(omega) = omega {
+        // A non-chordal graph falls to DSATUR, whose colors are not ω.
+        assert_eq!(rung, Rung::ChordalIrc);
+        assert_eq!(uint(&json, "colors"), Some(omega));
+        assert_eq!(flag(&json, "colorable"), Some(omega <= k));
+    } else {
+        assert_eq!(rung, Rung::Greedy);
+    }
+    let json = challenge.to_json();
+    assert_eq!(ok_fields(challenge).0, Rung::ChordalIrc);
+    assert_eq!(flag(&json, "chordal"), Some(omega.is_some()));
+    assert_eq!(uint(&json, "omega"), omega);
+    assert_eq!(flag(&json, "colorable"), omega.map(|omega| omega <= k));
+}
+
+proptest! {
+    /// The chordal rung serves the library's chordality verdict and ω for
+    /// interval graphs (always chordal) and arbitrary small graphs, as
+    /// DIMACS and as challenge, and re-sending a line after a different
+    /// graph returns the identical bytes.
+    #[test]
+    fn chordal_rung_serves_the_library_omega(
+        seed in 0u64..1_000_000,
+        n in 4usize..14,
+        k in 1usize..8,
+    ) {
+        let mut rng = coalesce_gen::rng(seed);
+        let (interval, _) = random_interval_graph(n, n, 4, &mut rng);
+        let arbitrary = random_graph(n, 0.5, &mut rng);
+        prop_assume!(interval.num_edges() >= 3 && arbitrary.num_edges() >= 3);
+
+        let engine = Engine::new(EngineConfig::default());
+        let lines = [chordal_rung_lines(&interval, k), chordal_rung_lines(&arbitrary, k)];
+        let serve = |lines: &[String; 2]| lines.clone().map(|line| run(&engine, &line));
+        let first = lines.clone().map(|l| serve(&l));
+        assert_serves_library_omega(&interval, k, &first[0]);
+        assert_serves_library_omega(&arbitrary, k, &first[1]);
+        // Each replay follows the other graph's requests.
+        for (lines, first) in lines.iter().zip(&first) {
+            let again = serve(lines);
+            for (a, b) in again.iter().zip(first) {
+                prop_assert_eq!(a.to_json().to_compact_string(), b.to_json().to_compact_string());
+            }
+        }
+    }
 }
