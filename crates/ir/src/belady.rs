@@ -58,6 +58,215 @@ pub const LOOP_EXIT_DISTANCE: u64 = 100_000;
 /// Sentinel distance for "no further use on any path".
 const INFINITE: u64 = u64::MAX;
 
+/// Rows of a compressed (CSR) per-block table: row `i` is
+/// `items[start[i]..start[i + 1]]`.
+struct Rows<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    fn new() -> Self {
+        Rows {
+            start: vec![0],
+            items: Vec::new(),
+        }
+    }
+
+    /// Ends the current row at the items pushed so far.
+    fn close_row(&mut self) {
+        self.start.push(self.items.len() as u32);
+    }
+
+    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
+        self.items.extend(row);
+        self.close_row();
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// A dense `Var`-indexed map over one function's variables, emptied in
+/// O(1) by bumping a generation stamp.
+struct StampedMap {
+    stamp: Vec<u32>,
+    value: Vec<u64>,
+    /// The keys inserted since the last [`StampedMap::clear`].
+    keys: Vec<Var>,
+    now: u32,
+}
+
+impl StampedMap {
+    fn new(num_vars: usize) -> Self {
+        StampedMap {
+            stamp: vec![0; num_vars],
+            value: vec![0; num_vars],
+            keys: Vec::new(),
+            now: 1,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.now = self.now.wrapping_add(1);
+        if self.now == 0 {
+            self.stamp.fill(0);
+            self.now = 1;
+        }
+    }
+
+    fn get(&self, v: Var) -> Option<u64> {
+        (self.stamp[v.index()] == self.now).then(|| self.value[v.index()])
+    }
+
+    fn insert(&mut self, v: Var, x: u64) {
+        if self.stamp[v.index()] != self.now {
+            self.stamp[v.index()] = self.now;
+            self.keys.push(v);
+        }
+        self.value[v.index()] = x;
+    }
+
+    /// Lowers the value of `v` to `x` (inserting it if absent).
+    fn lower(&mut self, v: Var, x: u64) {
+        match self.get(v) {
+            Some(old) if old <= x => {}
+            _ => self.insert(v, x),
+        }
+    }
+
+    /// Replaces `out` with the entries, sorted by variable.
+    fn sorted_into(&mut self, out: &mut Vec<(Var, u64)>) {
+        self.keys.sort_unstable();
+        out.clear();
+        out.extend(self.keys.iter().map(|&v| (v, self.value[v.index()])));
+    }
+}
+
+/// Variables a terminator uses, borrowed.
+fn terminator_uses(t: &Terminator) -> &[Var] {
+    match t {
+        Terminator::Jump(_) => &[],
+        Terminator::Branch { cond, .. } => std::slice::from_ref(cond),
+        Terminator::Return { uses } => uses,
+    }
+}
+
+/// What the decision phase reads of each block, extracted once per
+/// function (the function does not change until the rewrite).
+struct BlockFacts {
+    /// Successors with the loop-exit penalty of the edge, in terminator
+    /// order.
+    succs: Rows<(BlockId, u64)>,
+    /// `(v, i)`: the first use `i` of `v` not preceded by a definition of
+    /// `v` in the block (`n` for the terminator), sorted by variable.
+    gen: Rows<(Var, u64)>,
+    /// The variables the block defines, sorted.
+    kill: Rows<Var>,
+    /// φ-arguments toward the successors, each with its edge's penalty.
+    phi_args: Rows<(Var, u64)>,
+    /// The variables the block uses (ordinarily, at its terminator, or as
+    /// a φ-argument toward a successor), sorted.  The `j`-th entry of
+    /// block `b` owns row `used.start[b] + j` of `use_pos`.
+    used: Rows<Var>,
+    /// Distinct use positions per (block, used variable), increasing:
+    /// instruction index, or `n` for terminator uses and φ-arguments.
+    use_pos: Rows<u32>,
+}
+
+impl BlockFacts {
+    fn of(f: &Function) -> Self {
+        let mut facts = BlockFacts {
+            succs: Rows::new(),
+            gen: Rows::new(),
+            kill: Rows::new(),
+            phi_args: Rows::new(),
+            used: Rows::new(),
+            use_pos: Rows::new(),
+        };
+        // A variable is marked once it is defined or used in the block.
+        let mut seen = StampedMap::new(f.num_vars());
+        let mut gen: Vec<(Var, u64)> = Vec::new();
+        let mut kill: Vec<Var> = Vec::new();
+        let mut uses: Vec<(Var, u32)> = Vec::new();
+        for b in f.block_ids() {
+            let n = f.num_instrs(b);
+            let mut add_succ = |s: BlockId| {
+                let penalty = if f.loop_depth(s) < f.loop_depth(b) {
+                    LOOP_EXIT_DISTANCE
+                } else {
+                    0
+                };
+                facts.succs.items.push((s, penalty));
+            };
+            match f.terminator(b) {
+                Terminator::Jump(s) => add_succ(*s),
+                Terminator::Branch {
+                    then_block,
+                    else_block,
+                    ..
+                } => {
+                    add_succ(*then_block);
+                    add_succ(*else_block);
+                }
+                Terminator::Return { .. } => {}
+            }
+            facts.succs.close_row();
+
+            seen.clear();
+            gen.clear();
+            kill.clear();
+            uses.clear();
+            for (i, instr) in f.block_instrs(b).enumerate() {
+                for &u in instr.local_uses() {
+                    uses.push((u, i as u32));
+                    if seen.get(u).is_none() {
+                        seen.insert(u, 0);
+                        gen.push((u, i as u64));
+                    }
+                }
+                if let Some(d) = instr.def() {
+                    seen.insert(d, 0);
+                    kill.push(d);
+                }
+            }
+            for &u in terminator_uses(f.terminator(b)) {
+                uses.push((u, n as u32));
+                if seen.get(u).is_none() {
+                    seen.insert(u, 0);
+                    gen.push((u, n as u64));
+                }
+            }
+            for &(s, penalty) in facts.succs.row(b.index()) {
+                for phi in f.phis(s) {
+                    if let InstrView::Phi { args, .. } = phi {
+                        for a in args.iter().filter(|a| a.pred == b) {
+                            facts.phi_args.items.push((a.value, penalty));
+                            uses.push((a.value, n as u32));
+                        }
+                    }
+                }
+            }
+            facts.phi_args.close_row();
+            gen.sort_unstable();
+            facts.gen.push_row(gen.iter().copied());
+            kill.sort_unstable();
+            kill.dedup();
+            facts.kill.push_row(kill.iter().copied());
+            uses.sort_unstable();
+            uses.dedup();
+            for group in uses.chunk_by(|a, b| a.0 == b.0) {
+                facts.used.items.push(group[0].0);
+                facts.use_pos.push_row(group.iter().map(|&(_, p)| p));
+            }
+            facts.used.close_row();
+        }
+        facts
+    }
+}
+
 /// Next-use distances at block boundaries, in instruction slots.
 ///
 /// Distances follow the conventions of the per-block scan: inside a block
@@ -66,90 +275,99 @@ const INFINITE: u64 = u64::MAX;
 /// slots.  A φ-argument toward a successor counts as a use at distance 0
 /// past the predecessor's exit (plus the loop-exit penalty of the edge, if
 /// any); φ-results are definitions at their block's entry and therefore
-/// never appear in that block's entry map.
+/// never appear in that block's entry list.
 #[derive(Debug, Clone)]
 pub struct NextUse {
-    /// `entry[b][v]` — distance from the entry of block `b` to the nearest
-    /// use of `v`.  For strict SSA input the key set is exactly the
-    /// live-in set of `b`.
-    pub entry: Vec<BTreeMap<Var, u64>>,
-    /// `exit[b][v]` — distance from the exit of block `b` (past its
-    /// terminator) to the nearest use of `v` on any outgoing path.
-    pub exit: Vec<BTreeMap<Var, u64>>,
-}
-
-fn merge_min(m: &mut BTreeMap<Var, u64>, v: Var, d: u64) {
-    let e = m.entry(v).or_insert(u64::MAX);
-    if d < *e {
-        *e = d;
-    }
+    entry: Vec<Vec<(Var, u64)>>,
+    exit: Vec<Vec<(Var, u64)>>,
 }
 
 impl NextUse {
-    /// Computes the boundary next-use distances of `f` by a backward
-    /// min-plus fixpoint (a shortest-distance problem: all block lengths
-    /// are positive, so the iteration converges).
+    /// Computes the boundary next-use distances of `f`: a backward min-plus
+    /// fixpoint (a shortest-distance problem: all block lengths are
+    /// positive, so it has exactly one solution).
     pub fn compute(f: &Function) -> NextUse {
+        NextUse::solve(f, &BlockFacts::of(f))
+    }
+
+    /// `(v, d)` pairs sorted by variable: `d` is the distance from the
+    /// entry of block `b` to the nearest use of `v`.  For strict SSA input
+    /// the variables are exactly the live-in set of `b`.
+    pub fn entry(&self, b: BlockId) -> &[(Var, u64)] {
+        &self.entry[b.index()]
+    }
+
+    /// `(v, d)` pairs sorted by variable: `d` is the distance from the exit
+    /// of block `b` (past its terminator) to the nearest use of `v` on any
+    /// outgoing path.  For strict SSA input the variables are exactly the
+    /// live-out set of `b`.
+    pub fn exit(&self, b: BlockId) -> &[(Var, u64)] {
+        &self.exit[b.index()]
+    }
+
+    /// The fixpoint, by a predecessor worklist seeded in reverse block
+    /// order: a block is revisited only when a successor's entry list
+    /// changed, and its entry list is recomputed only when its exit list
+    /// did.  The solution is unique, so the visit order cannot change it.
+    fn solve(f: &Function, facts: &BlockFacts) -> NextUse {
         let nb = f.num_blocks();
-        let mut entry: Vec<BTreeMap<Var, u64>> = vec![BTreeMap::new(); nb];
-        let mut exit: Vec<BTreeMap<Var, u64>> = vec![BTreeMap::new(); nb];
-        loop {
-            let mut changed = false;
-            for bi in (0..nb).rev() {
-                let b = BlockId::new(bi);
-                let n = f.num_instrs(b) as u64;
-                // Exit map: best distance over all outgoing edges.
-                let mut out: BTreeMap<Var, u64> = BTreeMap::new();
-                for s in f.successors(b) {
-                    let penalty = if f.loop_depth(s) < f.loop_depth(b) {
-                        LOOP_EXIT_DISTANCE
-                    } else {
-                        0
-                    };
-                    for (&v, &d) in &entry[s.index()] {
-                        merge_min(&mut out, v, d.saturating_add(penalty));
-                    }
-                    // φ-arguments along this edge are used right at the
-                    // predecessor's exit.
-                    for phi in f.phis(s) {
-                        if let InstrView::Phi { args, .. } = phi {
-                            for a in args {
-                                if a.pred == b {
-                                    merge_min(&mut out, a.value, penalty);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Entry map: local backward transfer over the block.
-                let mut m: BTreeMap<Var, u64> = BTreeMap::new();
-                for (&v, &d) in &out {
-                    m.insert(v, (n + 1).saturating_add(d));
-                }
-                for u in f.terminator(b).uses() {
-                    merge_min(&mut m, u, n);
-                }
-                for (i, instr) in f.block_instrs(b).enumerate().rev() {
-                    if let Some(d) = instr.def() {
-                        m.remove(&d);
-                    }
-                    for &u in instr.local_uses() {
-                        m.insert(u, i as u64);
-                    }
-                }
-                if out != exit[bi] {
-                    exit[bi] = out;
-                    changed = true;
-                }
-                if m != entry[bi] {
-                    entry[bi] = m;
-                    changed = true;
+        let mut entry: Vec<Vec<(Var, u64)>> = vec![Vec::new(); nb];
+        let mut exit: Vec<Vec<(Var, u64)>> = vec![Vec::new(); nb];
+        let preds = f.predecessors();
+        let mut best = StampedMap::new(f.num_vars());
+        let (mut out, mut m) = (Vec::new(), Vec::new());
+        let mut visited = vec![false; nb];
+        let mut queued = vec![true; nb];
+        let mut work: Vec<usize> = (0..nb).collect();
+        while let Some(bi) = work.pop() {
+            queued[bi] = false;
+            // Exit list: best distance over all outgoing edges; φ-arguments
+            // along an edge are used right at the predecessor's exit.
+            best.clear();
+            for &(s, penalty) in facts.succs.row(bi) {
+                for &(v, d) in &entry[s.index()] {
+                    best.lower(v, d.saturating_add(penalty));
                 }
             }
-            if !changed {
-                return NextUse { entry, exit };
+            for &(v, penalty) in facts.phi_args.row(bi) {
+                best.lower(v, penalty);
+            }
+            best.sorted_into(&mut out);
+            if visited[bi] && out == exit[bi] {
+                continue;
+            }
+            visited[bi] = true;
+            std::mem::swap(&mut exit[bi], &mut out);
+            // Entry list: a local first use wins; otherwise a value live
+            // past the exit and not defined here is `n + 1` slots further.
+            let n = f.num_instrs(BlockId::new(bi)) as u64;
+            let (gen, kill) = (facts.gen.row(bi), facts.kill.row(bi));
+            let mut gi = 0;
+            m.clear();
+            for &(v, d) in &exit[bi] {
+                while gi < gen.len() && gen[gi].0 < v {
+                    m.push(gen[gi]);
+                    gi += 1;
+                }
+                if gi < gen.len() && gen[gi].0 == v {
+                    m.push(gen[gi]);
+                    gi += 1;
+                } else if kill.binary_search(&v).is_err() {
+                    m.push((v, (n + 1).saturating_add(d)));
+                }
+            }
+            m.extend_from_slice(&gen[gi..]);
+            if m != entry[bi] {
+                std::mem::swap(&mut entry[bi], &mut m);
+                for &p in &preds[bi] {
+                    if !queued[p.index()] {
+                        queued[p.index()] = true;
+                        work.push(p.index());
+                    }
+                }
             }
         }
+        NextUse { entry, exit }
     }
 }
 
@@ -214,19 +432,24 @@ pub fn spill_belady(f: &mut Function, k: usize) -> SpillResult {
     rewrite_spilled(f, decisions)
 }
 
-/// What phase 1 decided: the victims in decision order, plus — per (block,
-/// victim) — the position of the first use the model had to serve from
-/// memory in that block (`n` for a block of `n` instructions when the
-/// first such use is the terminator or an outgoing φ-argument).  The
-/// rewrite places each reload temporary exactly there; uses before that
-/// point were served by the still-resident original value and keep it.
-struct BeladyDecisions {
-    order: Vec<Var>,
-    reloads: BTreeMap<(usize, Var), u64>,
+/// What the decision phase decided: the victims in decision order, plus —
+/// per (block index, victim) — the position of the first use the model
+/// had to serve from memory in that block (`n` for a block of `n`
+/// instructions when the first such use is the terminator or an outgoing
+/// φ-argument).  The rewrite places each reload temporary exactly there;
+/// uses before that point were served by the still-resident original
+/// value and keep it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BeladyDecisions {
+    /// The spilled variables, in decision order.
+    pub order: Vec<Var>,
+    /// First reload position per `(block index, victim)`.
+    pub reloads: BTreeMap<(usize, Var), u64>,
 }
 
-/// Phase 1 (analysis only): which values end up in memory, in the order
-/// the decisions were made, and where each block first reloads them.
+/// Phase 1 (analysis only) of [`spill_belady`]: which values end up in
+/// memory, in the order the decisions were made, and where each block
+/// first reloads them.
 ///
 /// The per-block scans are iterated to a fixpoint of the global spill
 /// set.  A single pass is not enough: the blocks are scanned in index
@@ -238,74 +461,121 @@ struct BeladyDecisions {
 /// makes every block see the same memory-resident set; at the fixpoint
 /// every surviving direct use is a resident use, which is what lets the
 /// modelled register file bound the rewritten pressure.
-fn belady_decisions(f: &Function, k: usize) -> BeladyDecisions {
-    let next_use = NextUse::compute(f);
+pub fn belady_decisions(f: &Function, k: usize) -> BeladyDecisions {
+    let facts = BlockFacts::of(f);
+    let next_use = NextUse::solve(f, &facts);
+    let mut scan = BlockScan {
+        f,
+        k,
+        facts: &facts,
+        next_use: &next_use,
+        slot: StampedMap::new(f.num_vars()),
+        exit: StampedMap::new(f.num_vars()),
+        w: Vec::new(),
+        entries: Vec::new(),
+        uses: Vec::new(),
+        end_uses: Vec::new(),
+    };
     let mut spilled = vec![false; f.num_vars()];
     let mut order: Vec<Var> = Vec::new();
+    let mut reloads: Vec<(usize, Var, u64)> = Vec::new();
     loop {
         let victims_before = order.len();
-        let reloads = belady_scan(f, k, &next_use, &mut spilled, &mut order);
-        if order.len() == victims_before {
-            return BeladyDecisions { order, reloads };
+        reloads.clear();
+        for b in f.block_ids() {
+            scan.block(b, &mut spilled, &mut order, &mut reloads);
         }
+        if order.len() == victims_before {
+            break;
+        }
+    }
+    // Within a block, reload positions are recorded in increasing order,
+    // so the first record of a (block, victim) pair is its reload point.
+    let mut first = BTreeMap::new();
+    for (bi, v, p) in reloads {
+        first.entry((bi, v)).or_insert(p);
+    }
+    BeladyDecisions {
+        order,
+        reloads: first,
     }
 }
 
-/// One decision round: scans every block against the current global spill
-/// set (extending it), and returns the reload positions this round would
-/// imply.
-fn belady_scan(
-    f: &Function,
+/// The per-block scan of one decision round, with the buffers it reuses
+/// across blocks and rounds.
+struct BlockScan<'a> {
+    f: &'a Function,
     k: usize,
-    next_use: &NextUse,
-    spilled: &mut [bool],
-    order: &mut Vec<Var>,
-) -> BTreeMap<(usize, Var), u64> {
-    let mut reloads: BTreeMap<(usize, Var), u64> = BTreeMap::new();
-    for b in f.block_ids() {
-        let n = f.num_instrs(b);
+    facts: &'a BlockFacts,
+    next_use: &'a NextUse,
+    /// The block's `use_pos` row of each variable it uses.
+    slot: StampedMap,
+    /// The block's exit distances.
+    exit: StampedMap,
+    w: Vec<Resident>,
+    entries: Vec<(u64, Var)>,
+    uses: Vec<Var>,
+    end_uses: Vec<Var>,
+}
+
+impl BlockScan<'_> {
+    /// Scans block `b` against the current global spill set (extending it)
+    /// and appends the `(block, victim, position)` reloads it implies.
+    fn block(
+        &mut self,
+        b: BlockId,
+        spilled: &mut [bool],
+        order: &mut Vec<Var>,
+        reloads: &mut Vec<(usize, Var, u64)>,
+    ) {
+        let BlockScan {
+            f,
+            k,
+            facts,
+            next_use,
+            slot,
+            exit,
+            w,
+            entries,
+            uses,
+            end_uses,
+        } = self;
+        let (f, k, facts) = (*f, *k, *facts);
+        let (bi, n) = (b.index(), f.num_instrs(b) as u64);
         // Local use positions per variable, in increasing order:
         // instruction index for ordinary uses, `n` for terminator uses and
         // φ-arguments toward successors (both happen at the block's end
         // and are served by the same per-block reload temporary).
-        let mut use_pos: BTreeMap<Var, Vec<u64>> = BTreeMap::new();
-        for (i, instr) in f.block_instrs(b).enumerate() {
-            for &u in instr.local_uses() {
-                use_pos.entry(u).or_default().push(i as u64);
+        let first_row = facts.used.start[bi] as usize;
+        slot.clear();
+        end_uses.clear();
+        for (j, &v) in facts.used.row(bi).iter().enumerate() {
+            slot.insert(v, (first_row + j) as u64);
+            if facts.use_pos.row(first_row + j).last() == Some(&(n as u32)) {
+                end_uses.push(v);
             }
         }
-        for u in f.terminator(b).uses() {
-            use_pos.entry(u).or_default().push(n as u64);
+        exit.clear();
+        for &(v, d) in next_use.exit(b) {
+            exit.insert(v, d);
         }
-        for s in f.successors(b) {
-            for phi in f.phis(s) {
-                if let InstrView::Phi { args, .. } = phi {
-                    for a in args {
-                        if a.pred == b {
-                            use_pos.entry(a.value).or_default().push(n as u64);
-                        }
-                    }
-                }
-            }
-        }
-        let exit_b = &next_use.exit[b.index()];
-        // Next use of `v` strictly after position `pos`; `local_only`
-        // stops at the block's end (the horizon of a reload temporary),
+        let (slot, exit) = (&*slot, &*exit);
+        // Next use of `v` at or after position `from`; `local_only` stops
+        // at the block's end (the horizon of a reload temporary),
         // otherwise the exit distance extends the search across the
         // boundary.
-        let next_after = |v: Var, pos: i64, local_only: bool| -> u64 {
-            if let Some(ps) = use_pos.get(&v) {
-                for &p in ps {
-                    if (p as i64) > pos {
-                        return p;
-                    }
+        let next_after = |v: Var, from: u64, local_only: bool| -> u64 {
+            if let Some(row) = slot.get(v) {
+                let ps = facts.use_pos.row(row as usize);
+                if let Some(&p) = ps.iter().find(|&&p| u64::from(p) >= from) {
+                    return u64::from(p);
                 }
             }
             if local_only {
                 return INFINITE;
             }
-            match exit_b.get(&v) {
-                Some(&d) => (n as u64 + 1).saturating_add(d),
+            match exit.get(v) {
+                Some(d) => (n + 1).saturating_add(d),
                 None => INFINITE,
             }
         };
@@ -316,7 +586,7 @@ fn belady_scan(
         // so they consume entry capacity without entering `W`.  Then the
         // nearest-used live-in values fill the remaining capacity; the
         // rest start (or stay) in memory.
-        let mut w: Vec<Resident> = Vec::new();
+        w.clear();
         let mut entry_overhead = 0usize;
         for phi in f.phis(b) {
             if let Some(d) = phi.def() {
@@ -324,7 +594,7 @@ fn belady_scan(
                     entry_overhead += 1;
                     continue;
                 }
-                let nu = next_after(d, -1, false);
+                let nu = next_after(d, 0, false);
                 if nu == INFINITE {
                     entry_overhead += 1;
                     continue;
@@ -337,15 +607,18 @@ fn belady_scan(
             }
         }
         let entry_capacity = k.saturating_sub(entry_overhead);
-        let mut entries: Vec<(u64, Var)> = next_use.entry[b.index()]
-            .iter()
-            .filter(|(v, _)| !spilled[v.index()])
-            .map(|(&v, &d)| (d, v))
-            .collect();
+        entries.clear();
+        entries.extend(
+            next_use
+                .entry(b)
+                .iter()
+                .filter(|(v, _)| !spilled[v.index()])
+                .map(|&(v, d)| (d, v)),
+        );
         entries.sort_unstable();
-        for (_, v) in entries {
+        for &(_, v) in entries.iter() {
             if w.len() < entry_capacity {
-                let nu = next_after(v, -1, false);
+                let nu = next_after(v, 0, false);
                 w.push(Resident {
                     var: v,
                     next_use: nu,
@@ -363,12 +636,14 @@ fn belady_scan(
             if instr.is_phi() {
                 continue;
             }
-            let mut uses: Vec<Var> = instr.local_uses().to_vec();
+            let i = i as u64;
+            uses.clear();
+            uses.extend_from_slice(instr.local_uses());
             uses.sort_unstable();
             uses.dedup();
             // Every operand must be resident; spilled (or evicted-here)
             // operands enter as pinned reload temporaries.
-            for &u in &uses {
+            for &u in uses.iter() {
                 if w.iter().any(|r| r.var == u) {
                     continue;
                 }
@@ -377,17 +652,17 @@ fn belady_scan(
                     order.push(u);
                 }
                 if w.len() >= k {
-                    if let Some(evicted) = evict_furthest(&mut w, &uses) {
+                    if let Some(evicted) = evict_furthest(w, uses) {
                         if !spilled[evicted.var.index()] {
                             spilled[evicted.var.index()] = true;
                             order.push(evicted.var);
                         }
                     }
                 }
-                reloads.entry((b.index(), u)).or_insert(i as u64);
+                reloads.push((bi, u, i));
                 w.push(Resident {
                     var: u,
-                    next_use: next_after(u, i as i64, true),
+                    next_use: next_after(u, i + 1, true),
                     pinned: true,
                 });
             }
@@ -396,7 +671,7 @@ fn belady_scan(
                 if !uses.contains(&r.var) {
                     return true;
                 }
-                r.next_use = next_after(r.var, i as i64, r.pinned);
+                r.next_use = next_after(r.var, i + 1, r.pinned);
                 r.next_use != INFINITE
             });
             // The result takes a register of its own — unless its own next
@@ -405,19 +680,18 @@ fn belady_scan(
             // reload at its distant uses).
             if let Some(d) = instr.def() {
                 if !spilled[d.index()] && !w.iter().any(|r| r.var == d) {
-                    let nu = next_after(d, i as i64, false);
+                    let nu = next_after(d, i + 1, false);
                     if nu != INFINITE {
                         let mut insert = true;
                         if w.len() >= k {
-                            let protect = uses.clone();
                             let best = w
                                 .iter()
-                                .filter(|r| !r.pinned && !protect.contains(&r.var))
+                                .filter(|r| !r.pinned && !uses.contains(&r.var))
                                 .map(|r| (r.next_use, r.var))
                                 .max();
                             match best {
                                 Some(b) if b > (nu, d) => {
-                                    let evicted = evict_furthest(&mut w, &protect)
+                                    let evicted = evict_furthest(w, uses)
                                         .expect("a furthest evictable resident exists");
                                     if !spilled[evicted.var.index()] {
                                         spilled[evicted.var.index()] = true;
@@ -446,21 +720,7 @@ fn belady_scan(
             }
         }
         // Block end: terminator uses and φ-arguments toward successors.
-        let mut end_uses: Vec<Var> = f.terminator(b).uses();
-        for s in f.successors(b) {
-            for phi in f.phis(s) {
-                if let InstrView::Phi { args, .. } = phi {
-                    for a in args {
-                        if a.pred == b {
-                            end_uses.push(a.value);
-                        }
-                    }
-                }
-            }
-        }
-        end_uses.sort_unstable();
-        end_uses.dedup();
-        for &u in &end_uses {
+        for &u in end_uses.iter() {
             if w.iter().any(|r| r.var == u) {
                 continue;
             }
@@ -469,24 +729,23 @@ fn belady_scan(
                 order.push(u);
             }
             if w.len() >= k {
-                if let Some(evicted) = evict_furthest(&mut w, &end_uses) {
+                if let Some(evicted) = evict_furthest(w, end_uses) {
                     if !spilled[evicted.var.index()] {
                         spilled[evicted.var.index()] = true;
                         order.push(evicted.var);
                     }
                 }
             }
-            reloads.entry((b.index(), u)).or_insert(n as u64);
+            reloads.push((bi, u, n));
             w.push(Resident {
                 var: u,
-                next_use: n as u64,
+                next_use: n,
                 pinned: true,
             });
         }
         // W is discarded here: the next block rebuilds it from its own
         // entry state (live-range splitting at the boundary).
     }
-    reloads
 }
 
 /// Phase 2: rewrites the uses the model served from memory through one
@@ -648,8 +907,8 @@ mod tests {
         let nu = NextUse::compute(&f);
         // Nothing is live at the function entry, and the exit of the only
         // block has no successors.
-        assert!(nu.entry[0].is_empty());
-        assert!(nu.exit[0].is_empty());
+        assert!(nu.entry(entry).is_empty());
+        assert!(nu.exit(entry).is_empty());
     }
 
     #[test]
@@ -671,12 +930,15 @@ mod tests {
         b.ret(exit, &[]);
         let f = b.finish();
         let nu = NextUse::compute(&f);
-        let body_entry = &nu.entry[body.index()];
+        let distance = |v: Var| {
+            let e = nu.entry(body);
+            e.binary_search_by_key(&v, |&(u, _)| u).map(|i| e[i].1)
+        };
         // `near` is used at the body's first instruction; `far` only past
         // the loop exit, so its distance carries the penalty.
-        assert_eq!(body_entry.get(&near), Some(&0));
-        assert!(*body_entry.get(&far).unwrap() >= LOOP_EXIT_DISTANCE);
-        assert!(*body_entry.get(&far).unwrap() < INFINITE);
+        assert_eq!(distance(near), Ok(0));
+        assert!(distance(far).unwrap() >= LOOP_EXIT_DISTANCE);
+        assert!(distance(far).unwrap() < INFINITE);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! PR 7 adds the Belady spiller: its boundary next-use distances are
 //! pinned to an independent per-variable Dijkstra reference (the pass
-//! itself uses a min-plus fixpoint over whole maps), and every
+//! itself solves a min-plus worklist over per-block lists), and every
 //! [`spill::SpillerKind`] is held to the common pressure contract
 //! `Maxlive ≤ max(k, structural floor)`.
 //!
@@ -411,18 +411,25 @@ fn reference_spill_to_pressure(f: &mut Function, k: usize) -> SpillResult {
 // Reference next-use distances: per-variable Dijkstra over block exits.
 // ---------------------------------------------------------------------------
 
+/// Boundary next-use distances as per-block maps.
+struct RefNextUse {
+    entry: Vec<BTreeMap<Var, u64>>,
+    exit: Vec<BTreeMap<Var, u64>>,
+}
+
 /// An independent implementation of the [`NextUse`] boundary distances.
 ///
-/// Where `NextUse::compute` iterates whole `BTreeMap`s to a min-plus
-/// fixpoint, this reference treats each variable separately as a
-/// shortest-path problem over block exits: the local summaries
-/// (entry-visible first use, kill set) are extracted per block from the
-/// owned layout, and the exit distances are settled by Dijkstra with the
-/// block-crossing cost `n + 1` and the loop-exit penalty as edge weights.
+/// Where `NextUse::compute` solves all variables at once by a min-plus
+/// worklist over per-block distance lists, this reference treats each
+/// variable separately as a shortest-path problem over block exits: the
+/// local summaries (entry-visible first use, kill set) are extracted per
+/// block from the owned layout, and the exit distances are settled by
+/// Dijkstra with the block-crossing cost `n + 1` and the loop-exit penalty
+/// as edge weights.
 /// Same conventions: ordinary use at its instruction index, terminator at
 /// `n`, φ-arguments toward a successor at distance 0 past the
 /// predecessor's exit.
-fn reference_next_use(f: &Function, owned: &OwnedBlocks) -> NextUse {
+fn reference_next_use(f: &Function, owned: &OwnedBlocks) -> RefNextUse {
     let nb = f.num_blocks();
     let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); nb];
     for b in f.block_ids() {
@@ -545,7 +552,29 @@ fn reference_next_use(f: &Function, owned: &OwnedBlocks) -> NextUse {
             }
         }
     }
-    NextUse { entry, exit }
+    RefNextUse { entry, exit }
+}
+
+/// Compares every `(block, variable, distance)` triple of both boundary
+/// lists of `NextUse::compute` with [`reference_next_use`].
+fn assert_next_use_matches_the_reference(f: &Function) {
+    let fixpoint = NextUse::compute(f);
+    let reference = reference_next_use(f, &OwnedBlocks::of(f));
+    let triples = |m: &BTreeMap<Var, u64>| m.iter().map(|(&v, &d)| (v, d)).collect::<Vec<_>>();
+    for b in f.block_ids() {
+        assert_eq!(
+            fixpoint.entry(b),
+            triples(&reference.entry[b.index()]),
+            "entry list of {b:?} diverged in {}",
+            f.name
+        );
+        assert_eq!(
+            fixpoint.exit(b),
+            triples(&reference.exit[b.index()]),
+            "exit list of {b:?} diverged in {}",
+            f.name
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -626,21 +655,7 @@ proptest! {
     #[test]
     fn next_use_fixpoint_matches_the_dijkstra_reference(seed in 0u64..32) {
         for f in module_functions(seed * 13 + 11) {
-            let owned = OwnedBlocks::of(&f);
-            let fixpoint = NextUse::compute(&f);
-            let reference = reference_next_use(&f, &owned);
-            for b in f.block_ids() {
-                prop_assert_eq!(
-                    &fixpoint.entry[b.index()],
-                    &reference.entry[b.index()],
-                    "entry map of {:?} diverged", b
-                );
-                prop_assert_eq!(
-                    &fixpoint.exit[b.index()],
-                    &reference.exit[b.index()],
-                    "exit map of {:?} diverged", b
-                );
-            }
+            assert_next_use_matches_the_reference(&f);
         }
     }
 
@@ -685,6 +700,15 @@ proptest! {
                 prop_assert_eq!(result.reloads, result2.reloads);
             }
         }
+    }
+}
+
+/// The next-use pin of the proptest above, on every CFG profile of
+/// [`workload_functions`].
+#[test]
+fn next_use_fixpoint_matches_the_dijkstra_reference_on_cfg_profiles() {
+    for f in workload_functions() {
+        assert_next_use_matches_the_reference(&f);
     }
 }
 
