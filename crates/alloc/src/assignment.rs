@@ -4,16 +4,17 @@
 //! register (a color `0..k`) or to memory (spilled).  The module also
 //! provides the two cost metrics the experiments report:
 //!
-//! * **move cost** — the total weight (`10^loop_depth`) of the copy
-//!   instructions whose source and destination ended up in *different*
-//!   registers (or in memory), i.e. the moves that coalescing + biased
-//!   coloring failed to remove;
+//! * **move cost** — the total weight ([`loop_weight`] of the loop depth)
+//!   of the copy instructions whose source and destination ended up in
+//!   *different* registers (or in memory), i.e. the moves that
+//!   coalescing + biased coloring failed to remove;
 //! * **spill cost** — the number of spilled values and of reload
 //!   temporaries the allocator had to introduce.
 
 use coalesce_ir::function::{Function, InstrView, Var};
 use coalesce_ir::interference::InterferenceGraph;
 use coalesce_ir::liveness::Liveness;
+use coalesce_ir::spill::loop_weight;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -128,7 +129,7 @@ impl RegisterAssignment {
     pub fn move_costs(&self, f: &Function) -> MoveCosts {
         let mut costs = MoveCosts::default();
         for b in f.block_ids() {
-            let weight = 10u64.saturating_pow(f.loop_depth(b));
+            let weight = loop_weight(f.loop_depth(b));
             for instr in f.block_instrs(b) {
                 if let InstrView::Copy { dst, src } = instr {
                     costs.total_moves += 1;
@@ -203,7 +204,7 @@ pub struct MoveCosts {
     pub total_moves: usize,
     /// Copies whose source and destination share a register (removable).
     pub eliminated_moves: usize,
-    /// Total weight (`Σ 10^depth`) of all copies.
+    /// Total weight (`Σ loop_weight(depth)`) of all copies.
     pub total_weight: u64,
     /// Weight of the removable copies.
     pub eliminated_weight: u64,
@@ -244,6 +245,40 @@ mod tests {
         let z = b.op(entry, "z", &[y]);
         b.ret(entry, &[z, x]);
         (b.finish(), x, y, z)
+    }
+
+    #[test]
+    fn deep_loop_moves_weigh_the_clamped_loop_weight() {
+        // A copy and a φ argument at loop depth 25, past where `10^depth`
+        // overflows: the copy and φ affinities and the move cost all weigh
+        // the one clamped `loop_weight`.
+        let mut b = FunctionBuilder::new("deep");
+        let entry = b.entry_block();
+        let deep = b.new_block();
+        let exit = b.new_block();
+        b.set_loop_depth(deep, 25);
+        let x = b.def(entry, "x");
+        b.jump(entry, deep);
+        let y = b.copy(deep, "y", x);
+        let z = b.def(deep, "z");
+        b.jump(deep, exit);
+        let p = b.phi(exit, "p", &[(deep, z)]);
+        b.ret(exit, &[p, y]);
+        let f = b.finish();
+
+        let ig = InterferenceGraph::build(&f, &Liveness::compute(&f));
+        let weight_of = |a: Var, b: Var| {
+            ig.affinities
+                .iter()
+                .find(|aff| (aff.a, aff.b) == (a.min(b), a.max(b)))
+                .expect("affinity present")
+                .weight
+        };
+        assert_eq!(weight_of(y, x), loop_weight(25));
+        assert_eq!(weight_of(p, z), loop_weight(25));
+        let costs = RegisterAssignment::new().move_costs(&f);
+        assert_eq!(costs.total_moves, 1);
+        assert_eq!(costs.total_weight, loop_weight(25));
     }
 
     #[test]

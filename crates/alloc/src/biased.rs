@@ -10,13 +10,16 @@
 //! useful complement to (not a replacement for) conservative coalescing.
 //!
 //! The entry point [`biased_select`] colors an [`AffinityGraph`] along a
-//! caller-provided elimination order (typically the reverse of the
-//! simplify order, i.e. the classic Chaitin select order), with `k` colors,
-//! and reports which vertices could not be colored.
+//! caller-provided select order (the two-phase allocator passes
+//! [`coalesce_graph::greedy::smallest_last_order`]), with `k` colors, and
+//! reports which vertices could not be colored.  Each vertex reads its
+//! preferences from its own `(partner, weight)` list and its forbidden
+//! colors from the shared [`ColorScratch`] of the first-fit sweeps, so a
+//! step costs its degree plus its affinity count.
 
 use coalesce_core::affinity::AffinityGraph;
-use coalesce_graph::{greedy, Coloring, VertexId};
-use std::collections::BTreeSet;
+use coalesce_graph::coloring::ColorScratch;
+use coalesce_graph::{Coloring, VertexId};
 
 /// Result of a biased select pass.
 #[derive(Debug, Clone)]
@@ -25,114 +28,97 @@ pub struct BiasedSelect {
     pub coloring: Coloring,
     /// Vertices that could not receive any of the `k` colors.
     pub uncolored: Vec<VertexId>,
-    /// Number of affinities whose endpoints ended up with equal colors.
-    pub moves_eliminated: usize,
-    /// Number of affinities where the bias had to be overridden (the
-    /// preferred color was forbidden by an interference).
-    pub bias_blocked: usize,
 }
 
 /// Colors the vertices of `ag.graph` in `select_order` with at most `k`
 /// colors, preferring for each vertex a color already used by one of its
 /// affinity partners.
 ///
+/// The preferred color is the one with the largest total affinity weight
+/// towards the vertex's colored partners (ties to the smaller color) that
+/// no neighbor holds; without one, the vertex takes the first free color.
 /// Vertices for which no color is free are left uncolored and reported in
 /// [`BiasedSelect::uncolored`]; callers treat them as spills.
 pub fn biased_select(ag: &AffinityGraph, k: usize, select_order: &[VertexId]) -> BiasedSelect {
     let graph = &ag.graph;
     let mut coloring = Coloring::new(graph.capacity());
     let mut uncolored = Vec::new();
-    let mut bias_blocked = 0usize;
 
-    // Affinity partners of each vertex.
-    let mut partners: Vec<Vec<VertexId>> = vec![Vec::new(); graph.capacity()];
+    // Affinity partners of each vertex, with the affinity weight (a
+    // self-affinity lists its vertex once).
+    let mut partners: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); graph.capacity()];
     for aff in &ag.affinities {
-        partners[aff.a.index()].push(aff.b);
-        partners[aff.b.index()].push(aff.a);
+        partners[aff.a.index()].push((aff.b, aff.weight));
+        if aff.b != aff.a {
+            partners[aff.b.index()].push((aff.a, aff.weight));
+        }
     }
 
+    let mut forbidden = ColorScratch::new();
+    let mut preference: Vec<(u64, usize)> = Vec::new();
     for &v in select_order {
-        let forbidden: BTreeSet<usize> = graph
-            .neighbors(v)
-            .filter_map(|n| coloring.color_of(n))
-            .collect();
+        forbidden.begin();
+        for n in graph.neighbors(v) {
+            if let Some(c) = coloring.color_of(n) {
+                forbidden.mark(c);
+            }
+        }
         // Preferred colors: those of already-colored affinity partners, by
         // decreasing total affinity weight towards that color.
-        let mut preference: Vec<(u64, usize)> = Vec::new();
-        for aff in &ag.affinities {
-            let other = if aff.a == v {
-                Some(aff.b)
-            } else if aff.b == v {
-                Some(aff.a)
-            } else {
-                None
-            };
-            if let Some(other) = other {
-                if let Some(c) = coloring.color_of(other) {
-                    if let Some(entry) = preference.iter_mut().find(|(_, pc)| *pc == c) {
-                        entry.0 += aff.weight;
-                    } else {
-                        preference.push((aff.weight, c));
-                    }
+        preference.clear();
+        for &(other, weight) in &partners[v.index()] {
+            if let Some(c) = coloring.color_of(other) {
+                match preference.iter_mut().find(|(_, pc)| *pc == c) {
+                    Some(entry) => entry.0 += weight,
+                    None => preference.push((weight, c)),
                 }
             }
         }
-        preference.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        let mut chosen = None;
-        for &(_, c) in &preference {
-            if c < k && !forbidden.contains(&c) {
-                chosen = Some(c);
-                break;
-            }
-        }
-        if chosen.is_none() && !preference.is_empty() {
-            bias_blocked += 1;
-        }
-        if chosen.is_none() {
-            chosen = (0..k).find(|c| !forbidden.contains(c));
-        }
+        let chosen = preference
+            .iter()
+            .filter(|&&(_, c)| c < k && !forbidden.is_marked(c))
+            .min_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)))
+            .map(|&(_, c)| c)
+            .or_else(|| Some(forbidden.first_free()).filter(|&c| c < k));
         match chosen {
             Some(c) => coloring.assign(v, c),
             None => uncolored.push(v),
         }
     }
 
-    let moves_eliminated = ag
-        .affinities
-        .iter()
-        .filter(|aff| {
-            matches!(
-                (coloring.color_of(aff.a), coloring.color_of(aff.b)),
-                (Some(ca), Some(cb)) if ca == cb
-            )
-        })
-        .count();
-
     BiasedSelect {
         coloring,
         uncolored,
-        moves_eliminated,
-        bias_blocked,
     }
-}
-
-/// Convenience wrapper: colors `ag` with `k` colors in smallest-last
-/// select order (the order a Chaitin-style simplify phase pops its stack
-/// in, which uses at most `col(G)` colors), with biased color choice.
-pub fn biased_coloring(ag: &AffinityGraph, k: usize) -> BiasedSelect {
-    let order = greedy::smallest_last_order(&ag.graph);
-    biased_select(ag, k, &order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use coalesce_core::affinity::Affinity;
-    use coalesce_graph::Graph;
+    use coalesce_graph::{greedy, Graph};
 
     fn v(i: usize) -> VertexId {
         VertexId::new(i)
+    }
+
+    /// Biased select in smallest-last order, the order the two-phase
+    /// allocator uses.
+    fn biased_coloring(ag: &AffinityGraph, k: usize) -> BiasedSelect {
+        biased_select(ag, k, &greedy::smallest_last_order(&ag.graph))
+    }
+
+    /// Affinities whose two endpoints ended up with the same color.
+    fn moves_eliminated(ag: &AffinityGraph, result: &BiasedSelect) -> usize {
+        ag.affinities
+            .iter()
+            .filter(|aff| {
+                matches!(
+                    (result.coloring.color_of(aff.a), result.coloring.color_of(aff.b)),
+                    (Some(ca), Some(cb)) if ca == cb
+                )
+            })
+            .count()
     }
 
     #[test]
@@ -142,7 +128,7 @@ mod tests {
         let ag = AffinityGraph::new(g, vec![Affinity::new(v(0), v(2))]);
         let result = biased_coloring(&ag, 2);
         assert!(result.uncolored.is_empty());
-        assert_eq!(result.moves_eliminated, 1);
+        assert_eq!(moves_eliminated(&ag, &result), 1);
         assert_eq!(
             result.coloring.color_of(v(0)),
             result.coloring.color_of(v(2))
@@ -156,7 +142,7 @@ mod tests {
         let ag = AffinityGraph::new(g, vec![]);
         let result = biased_coloring(&ag, 3);
         assert!(result.uncolored.is_empty());
-        assert_eq!(result.moves_eliminated, 0);
+        assert_eq!(moves_eliminated(&ag, &result), 0);
         assert!(result.coloring.is_proper(&ag.graph));
     }
 
@@ -175,7 +161,7 @@ mod tests {
         // colored neighbor is 2 (uncolored), so the bias succeeds.
         assert_eq!(result.coloring.color_of(v(0)), Some(0));
         assert_eq!(result.coloring.color_of(v(3)), Some(0));
-        assert_eq!(result.moves_eliminated, 1);
+        assert_eq!(moves_eliminated(&ag, &result), 1);
         assert_eq!(result.uncolored, vec![v(2)]);
     }
 
@@ -219,6 +205,6 @@ mod tests {
             result.coloring.color_of(v(1)),
             result.coloring.color_of(v(4))
         );
-        assert_eq!(result.moves_eliminated, 1);
+        assert_eq!(moves_eliminated(&ag, &result), 1);
     }
 }

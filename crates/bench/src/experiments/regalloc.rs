@@ -8,7 +8,7 @@
 //! * **E13** sweeps every [`ShapeProfile`] × [`PressureLevel`] pair, pipes
 //!   each generated program through liveness/interference, checks the
 //!   Theorem 1 invariants (chordal SSA graph, chordal coloring with
-//!   exactly `Maxlive` colors) and runs every [`AllocatorKind`] at both a
+//!   exactly `Maxlive` colors) and runs every [`AllocatorKind`](coalesce_alloc::pipeline::AllocatorKind) at both a
 //!   generous (`k = Maxlive`) and a tight register count, reporting
 //!   spills, remaining move weight and colors vs. `Maxlive` per row;
 //! * **E14** lowers the same workloads into challenge-style coalescing

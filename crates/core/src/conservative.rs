@@ -54,26 +54,21 @@ pub struct ConservativeResult {
 /// Briggs' test on the *current* (partially coalesced) graph: the vertex
 /// obtained by merging `a` and `b` has fewer than `k` neighbors of
 /// significant degree (≥ `k`).
+///
+/// Each neighbor of the merged vertex is counted once: every neighbor of
+/// `a` other than `b`, then every neighbor of `b` other than `a` that `a`
+/// does not already reach.  A common neighbor loses one degree in the
+/// merged graph (its two edges become one).
 pub fn briggs_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
-    let mut significant = 0usize;
-    let mut counted: std::collections::BTreeSet<VertexId> = std::collections::BTreeSet::new();
-    for &x in [a, b].iter() {
-        for n in graph.neighbors(x) {
-            if n == a || n == b || !counted.insert(n) {
-                continue;
-            }
-            // Degree of n in the merged graph: if n is adjacent to both a and
-            // b, merging reduces its degree by one.
-            let mut degree = graph.degree(n);
-            if graph.has_edge(n, a) && graph.has_edge(n, b) {
-                degree -= 1;
-            }
-            if degree >= k {
-                significant += 1;
-            }
-        }
-    }
-    significant < k
+    let significant_of_a = graph
+        .neighbors(a)
+        .filter(|&n| n != b && graph.degree(n) - usize::from(graph.has_edge(n, b)) >= k)
+        .count();
+    let significant_of_b_only = graph
+        .neighbors(b)
+        .filter(|&n| n != a && !graph.has_edge(n, a) && graph.degree(n) >= k)
+        .count();
+    significant_of_a + significant_of_b_only < k
 }
 
 /// George's test on the current graph, in the direction "merge `a` into

@@ -10,8 +10,8 @@
 //!   Briggs/George tests;
 //! * **freeze** — when neither applies, give up the moves of a low-degree
 //!   move-related vertex so it becomes simplifiable;
-//! * **potential spill** — when everything has degree ≥ `k`, push a vertex
-//!   chosen by a spill metric and hope it still gets a color;
+//! * **potential spill** — when everything has degree ≥ `k`, push the
+//!   vertex of largest degree and hope it still gets a color;
 //! * **select** — pop the stack and assign colors; vertices that get no
 //!   color become **actual spills**.
 //!
@@ -21,8 +21,8 @@
 
 use crate::affinity::{AffinityGraph, Coalescing, CoalescingStats};
 use crate::conservative::{briggs_test, george_test};
-use coalesce_graph::{Coloring, VertexId};
-use std::collections::BTreeSet;
+use coalesce_graph::coloring::ColorScratch;
+use coalesce_graph::{Coloring, Graph, VertexId};
 
 /// Result of running the IRC-style allocator.
 #[derive(Debug, Clone)]
@@ -53,63 +53,59 @@ impl IrcResult {
 }
 
 /// Runs the IRC-style allocation with `k` registers.
+///
+/// Affinity endpoints must be live vertices of `ag.graph`.
 pub fn allocate(ag: &AffinityGraph, k: usize) -> IrcResult {
     let mut coalescing = Coalescing::identity(&ag.graph);
 
     // Move-related representative pairs (kept up to date lazily).
     let moves: Vec<(VertexId, VertexId)> = ag.affinities.iter().map(|a| (a.a, a.b)).collect();
 
-    // The select stack of class representatives, plus whether they were
-    // pushed as potential spills.
-    let mut stack: Vec<(VertexId, bool)> = Vec::new();
-    // Representatives already removed from the working graph.
-    let mut removed: BTreeSet<VertexId> = BTreeSet::new();
-    // Frozen moves no longer considered for coalescing.
-    let mut frozen: BTreeSet<usize> = BTreeSet::new();
+    // The select stack of class representatives.
+    let mut stack: Vec<VertexId> = Vec::new();
+    // Frozen moves no longer considered for coalescing, by move index.
+    let mut frozen = vec![false; moves.len()];
 
     // Working copy of the merged graph; vertices are physically removed as
-    // they are simplified so that degrees reflect the residual graph.
+    // they are simplified or spilled, so degrees reflect the residual graph
+    // and a class representative is still in play iff it is live here.
     let mut work = coalescing.merged_graph.clone();
 
-    let is_move_related = |moves: &[(VertexId, VertexId)],
-                           frozen: &BTreeSet<usize>,
-                           coalescing: &mut Coalescing,
-                           removed: &BTreeSet<VertexId>,
-                           v: VertexId| {
-        moves.iter().enumerate().any(|(i, &(a, b))| {
-            if frozen.contains(&i) {
-                return false;
-            }
-            let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
-            ra != rb && !removed.contains(&ra) && !removed.contains(&rb) && (ra == v || rb == v)
-        })
-    };
+    let is_move_related =
+        |frozen: &[bool], coalescing: &mut Coalescing, work: &Graph, v: VertexId| {
+            moves.iter().zip(frozen).any(|(&(a, b), &frozen)| {
+                if frozen {
+                    return false;
+                }
+                let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
+                ra != rb && work.is_live(ra) && work.is_live(rb) && (ra == v || rb == v)
+            })
+        };
 
     loop {
         // --- simplify ---
-        let simplifiable = work.vertices().find(|&v| {
-            work.degree(v) < k && !is_move_related(&moves, &frozen, &mut coalescing, &removed, v)
-        });
+        let simplifiable = work
+            .vertices()
+            .find(|&v| work.degree(v) < k && !is_move_related(&frozen, &mut coalescing, &work, v));
         if let Some(v) = simplifiable {
             work.remove_vertex(v);
-            removed.insert(v);
-            stack.push((v, false));
+            stack.push(v);
             continue;
         }
 
         // --- coalesce (Briggs, then George, both directions) ---
         let mut coalesced_something = false;
         for (i, &(a, b)) in moves.iter().enumerate() {
-            if frozen.contains(&i) {
+            if frozen[i] {
                 continue;
             }
             let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
-            if ra == rb || removed.contains(&ra) || removed.contains(&rb) {
+            if ra == rb || !work.is_live(ra) || !work.is_live(rb) {
                 continue;
             }
             if work.has_edge(ra, rb) {
                 // Constrained move: never coalescible; freeze it.
-                frozen.insert(i);
+                frozen[i] = true;
                 continue;
             }
             let ok = briggs_test(&work, k, ra, rb)
@@ -127,14 +123,14 @@ pub fn allocate(ag: &AffinityGraph, k: usize) -> IrcResult {
         }
 
         // --- freeze ---
-        let freezable = work.vertices().find(|&v| {
-            work.degree(v) < k && is_move_related(&moves, &frozen, &mut coalescing, &removed, v)
-        });
+        let freezable = work
+            .vertices()
+            .find(|&v| work.degree(v) < k && is_move_related(&frozen, &mut coalescing, &work, v));
         if let Some(v) = freezable {
             for (i, &(a, b)) in moves.iter().enumerate() {
                 let (ra, rb) = (coalescing.class_of(a), coalescing.class_of(b));
                 if ra == v || rb == v {
-                    frozen.insert(i);
+                    frozen[i] = true;
                 }
             }
             continue;
@@ -145,8 +141,7 @@ pub fn allocate(ag: &AffinityGraph, k: usize) -> IrcResult {
         match candidate {
             Some(v) => {
                 work.remove_vertex(v);
-                removed.insert(v);
-                stack.push((v, true));
+                stack.push(v);
             }
             None => break, // graph empty: done
         }
@@ -155,33 +150,27 @@ pub fn allocate(ag: &AffinityGraph, k: usize) -> IrcResult {
     // --- select ---
     let full_graph = &coalescing.merged_graph;
     let mut coloring = Coloring::new(full_graph.capacity());
-    let mut spilled_reps: Vec<VertexId> = Vec::new();
-    while let Some((v, _potential)) = stack.pop() {
-        let used: BTreeSet<usize> = full_graph
-            .neighbors(v)
-            .filter_map(|n| coloring.color_of(n))
-            .collect();
-        let color = (0..k).find(|c| !used.contains(c));
-        match color {
-            Some(c) => coloring.assign(v, c),
-            None => spilled_reps.push(v),
+    let mut spilled_rep = vec![false; full_graph.capacity()];
+    let mut used = ColorScratch::new();
+    while let Some(v) = stack.pop() {
+        used.begin();
+        for n in full_graph.neighbors(v) {
+            if let Some(c) = coloring.color_of(n) {
+                used.mark(c);
+            }
+        }
+        match used.first_free() {
+            c if c < k => coloring.assign(v, c),
+            _ => spilled_rep[v.index()] = true,
         }
     }
 
-    // Expand spilled representatives to original vertices.
-    let mut spilled: Vec<VertexId> = Vec::new();
-    for class in coalescing.classes() {
-        let rep = coalescing.class_of(*class.iter().next().expect("non-empty class"));
-        if spilled_reps.contains(&rep) {
-            for v in class {
-                if ag.graph.is_live(v) {
-                    spilled.push(v);
-                }
-            }
-        }
-    }
-    spilled.sort();
-    spilled.dedup();
+    // Expand spilled representatives to original vertices (ascending).
+    let spilled: Vec<VertexId> = ag
+        .graph
+        .vertices()
+        .filter(|&v| spilled_rep[coalescing.class_of(v).index()])
+        .collect();
 
     let stats = coalescing.stats(&ag.affinities);
     IrcResult {

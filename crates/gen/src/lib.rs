@@ -10,7 +10,7 @@
 //! * [`programs`] — random structured SSA programs (straight-line blocks and
 //!   if/else diamonds with φ-functions) with a configurable register
 //!   pressure;
-//! * [`cfg`] — SPEC-like structured CFGs: nested natural loops with
+//! * [`cfg`](mod@cfg) — SPEC-like structured CFGs: nested natural loops with
 //!   loop-carried φs, if/else and switch regions, call-clobber points and
 //!   shape profiles, reducible by construction (with an irreducible knob);
 //! * [`module`] — whole modules: 1000+-function translation units whose

@@ -114,6 +114,17 @@ mod tests {
     }
 
     #[test]
+    fn a_shorter_draw_is_a_prefix_of_the_full_module() {
+        // The service draws only the specs a slice needs; that is sound
+        // because one sequential stream fixes every spec in order.
+        let full = module_specs(&ModuleParams::default(), 42);
+        for functions in [0, 1, 68, 999] {
+            let short = module_specs(&ModuleParams { functions }, 42);
+            assert_eq!(short[..], full[..functions], "{functions} functions");
+        }
+    }
+
+    #[test]
     fn generated_module_functions_are_valid_strict_ssa() {
         let params = ModuleParams { functions: 12 };
         for spec in module_specs(&params, 42) {

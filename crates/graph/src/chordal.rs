@@ -13,9 +13,9 @@
 //! `vi` occurring **later** in the ordering form a clique.  Maximum
 //! Cardinality Search (MCS) produces such an ordering exactly when the
 //! graph is chordal (Golumbic, *Algorithmic Graph Theory and Perfect
-//! Graphs*, the reference [20] of the paper).
+//! Graphs*, the reference \[20\] of the paper).
 
-use crate::coloring::Coloring;
+use crate::coloring::{greedy_coloring_in_order, Coloring};
 use crate::graph::{Graph, VertexId};
 use std::collections::BTreeSet;
 
@@ -442,22 +442,9 @@ pub fn chordal_max_clique(g: &Graph) -> Option<Vec<VertexId>> {
 ///
 /// Returns `None` if `g` is not chordal.
 pub fn chordal_coloring(g: &Graph) -> Option<Coloring> {
-    let order = perfect_elimination_ordering(g)?;
-    let mut coloring = Coloring::new(g.capacity());
-    // Epoch-stamped used-color scratch shared across the sweep: same
-    // first-fit choice (hence byte-identical colorings) as the former
-    // per-vertex `BTreeSet`, without the per-vertex allocation.
-    let mut scratch = crate::coloring::ColorScratch::new();
-    for &v in order.iter().rev() {
-        scratch.begin();
-        for u in g.neighbors(v) {
-            if let Some(c) = coloring.color_of(u) {
-                scratch.mark(c);
-            }
-        }
-        coloring.assign(v, scratch.first_free());
-    }
-    Some(coloring)
+    let mut order = perfect_elimination_ordering(g)?;
+    order.reverse();
+    Some(greedy_coloring_in_order(g, &order))
 }
 
 #[cfg(test)]

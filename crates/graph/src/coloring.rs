@@ -4,14 +4,14 @@
 //! incremental conservative coalescing: "is there a `k`-coloring `f` with
 //! `f(x) = f(y)`?").
 //!
-//! The greedy sweeps (here and in [`crate::chordal`]) share the
-//! [`ColorScratch`] epoch-stamped "used colors" array: one `Vec<u32>` slot
-//! per color, stamped with the current vertex's epoch, replacing the
-//! per-vertex `BTreeSet<usize>` allocation of the original implementation.
-//! Marking a neighbor color and finding the first free color are O(1) and
-//! O(colors) array operations with no per-vertex allocation; on the E16
-//! module corpus this roughly halves chordal-coloring time (see the README
-//! for measured numbers), with byte-identical colorings.
+//! Every first-fit select shares the [`ColorScratch`] epoch-stamped "used
+//! colors" array: [`greedy_coloring_in_order`] (which
+//! [`crate::chordal::chordal_coloring`] runs over the reversed perfect
+//! elimination order), the IRC select phase and the biased select of the
+//! allocators: one `Vec<u32>` slot per color, stamped with the current
+//! vertex's epoch.  Marking a neighbor color and finding the first free
+//! color are O(1) and O(colors) array operations with no per-vertex
+//! allocation.
 
 use crate::graph::{Graph, VertexId};
 use std::collections::BTreeSet;
@@ -146,6 +146,11 @@ impl ColorScratch {
             self.stamp.resize(color + 1, 0);
         }
         self.stamp[color] = self.epoch;
+    }
+
+    /// Returns `true` if `color` is marked for the current vertex.
+    pub fn is_marked(&self, color: usize) -> bool {
+        self.stamp.get(color) == Some(&self.epoch)
     }
 
     /// Smallest color not marked for the current vertex (first fit).
@@ -289,6 +294,9 @@ mod tests {
         assert_eq!(s.first_free(), 0);
         s.mark(0);
         assert_eq!(s.first_free(), 1);
+        assert!(s.is_marked(0));
+        assert!(!s.is_marked(1));
+        assert!(!s.is_marked(7));
     }
 
     #[test]

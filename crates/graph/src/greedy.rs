@@ -7,7 +7,7 @@
 //! phase.  The smallest such `k` is the coloring number `col(G)`, computed
 //! by a *smallest-last* ordering: `col(G) = 1 + max_i δ(G_i)` where `G_i`
 //! is the graph after removing the `i` smallest-degree-last vertices
-//! (Jensen & Toft, reference [23] of the paper).
+//! (Jensen & Toft, reference \[23\] of the paper).
 //!
 //! Property 1 of the paper — a `k`-colorable chordal graph is
 //! greedy-k-colorable — is exercised by the property tests of this crate
@@ -15,6 +15,8 @@
 
 use crate::coloring::{greedy_coloring_in_order, Coloring};
 use crate::graph::{Graph, VertexId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The result of running the greedy elimination scheme with bound `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,62 +103,54 @@ pub fn is_greedy_k_colorable(g: &Graph, k: usize) -> bool {
 /// For the empty graph this is 0; for a graph with vertices but no edges it
 /// is 1.
 pub fn coloring_number(g: &Graph) -> usize {
-    if g.num_vertices() == 0 {
-        return 0;
-    }
-    let cap = g.capacity();
-    let mut degree = vec![0usize; cap];
-    let mut present = vec![false; cap];
-    for v in g.vertices() {
-        degree[v.index()] = g.degree(v);
-        present[v.index()] = true;
-    }
-    let mut col = 0usize;
-    for _ in 0..g.num_vertices() {
-        let v = g
-            .vertices()
-            .filter(|v| present[v.index()])
-            .min_by_key(|v| (degree[v.index()], v.index()))
-            .expect("live vertex remains");
-        col = col.max(degree[v.index()] + 1);
-        present[v.index()] = false;
-        for u in g.neighbors(v) {
-            if present[u.index()] {
-                degree[u.index()] -= 1;
-            }
-        }
-    }
-    col
+    smallest_last_peel(g).1
 }
 
 /// Returns a smallest-last ordering of the live vertices: the order in which
 /// [`coloring_number`] removes them, **reversed** (so that greedily coloring
 /// in this order uses at most `col(G)` colors).
 pub fn smallest_last_order(g: &Graph) -> Vec<VertexId> {
+    let mut removal = smallest_last_peel(g).0;
+    removal.reverse();
+    removal
+}
+
+/// The smallest-last peel shared by [`coloring_number`] and
+/// [`smallest_last_order`]: repeatedly removes the live vertex of minimum
+/// `(residual degree, id)`, returning the removal order and
+/// `1 + max` degree at removal (0 for the empty graph).
+///
+/// The candidates sit in a lazy-deletion min-heap keyed on
+/// `(degree, id)`: degrees only fall, so a popped entry whose degree is
+/// stale (or whose vertex is gone) is skipped, and the first current entry
+/// is the minimum over the remaining vertices.
+fn smallest_last_peel(g: &Graph) -> (Vec<VertexId>, usize) {
     let cap = g.capacity();
     let mut degree = vec![0usize; cap];
     let mut present = vec![false; cap];
+    let mut heap = BinaryHeap::with_capacity(g.num_vertices());
     for v in g.vertices() {
         degree[v.index()] = g.degree(v);
         present[v.index()] = true;
+        heap.push(Reverse((degree[v.index()], v)));
     }
     let mut removal = Vec::with_capacity(g.num_vertices());
-    for _ in 0..g.num_vertices() {
-        let v = g
-            .vertices()
-            .filter(|v| present[v.index()])
-            .min_by_key(|v| (degree[v.index()], v.index()))
-            .expect("live vertex remains");
+    let mut col = 0usize;
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if !present[v.index()] || d != degree[v.index()] {
+            continue;
+        }
+        col = col.max(d + 1);
         present[v.index()] = false;
         removal.push(v);
         for u in g.neighbors(v) {
             if present[u.index()] {
                 degree[u.index()] -= 1;
+                heap.push(Reverse((degree[u.index()], u)));
             }
         }
     }
-    removal.reverse();
-    removal
+    (removal, col)
 }
 
 /// Colors a greedy-k-colorable graph with at most `k` colors by coloring the

@@ -14,10 +14,12 @@
 //! from copy instructions and, optionally, from φ-functions: coalescing a
 //! φ-related pair removes the move that the out-of-SSA translation would
 //! otherwise have to insert on the incoming edge.  Affinity weights model
-//! dynamic execution counts as `10^loop_depth`.
+//! dynamic execution counts as `10^loop_depth`, clamped by
+//! [`crate::spill::loop_weight`].
 
 use crate::function::{Function, InstrView, Var};
 use crate::liveness::Liveness;
+use crate::spill::loop_weight;
 use coalesce_graph::{Graph, VertexId};
 
 /// Which notion of interference to use when building the graph.
@@ -87,7 +89,7 @@ impl InterferenceGraph {
         let mut affinities = Vec::new();
 
         for b in f.block_ids() {
-            let weight = 10u64.saturating_pow(f.loop_depth(b));
+            let weight = loop_weight(f.loop_depth(b));
 
             // Parallel φ definitions at the block entry are simultaneously
             // live; make them pairwise interfere.
@@ -143,7 +145,7 @@ impl InterferenceGraph {
                     InstrView::Phi { dst, args } if options.phi_affinities => {
                         for a in args {
                             if a.value != dst {
-                                let w = 10u64.saturating_pow(f.loop_depth(a.pred));
+                                let w = loop_weight(f.loop_depth(a.pred));
                                 affinities.push(Affinity {
                                     a: dst,
                                     b: a.value,

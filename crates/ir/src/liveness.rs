@@ -323,17 +323,6 @@ impl Liveness {
         points
     }
 
-    /// The register pressure (number of simultaneously live variables) at
-    /// the maximal program point of the whole function.
-    pub fn maxlive(&self) -> usize {
-        self.live_in
-            .iter()
-            .chain(self.live_out.iter())
-            .map(VarSet::len)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The precise `Maxlive` over every program point of `f`, including
     /// points between instructions inside blocks (where a freshly defined
     /// variable and the still-live variables overlap).
@@ -543,7 +532,7 @@ mod tests {
         assert!(live.is_live_in(body, iphi));
         assert!(live.is_live_in(exit, iphi));
         assert!(live.is_live_out(body, i1));
-        assert!(live.maxlive() >= 2);
+        assert!(live.maxlive_precise(&f) >= 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   a boundary are the φ-argument ones;
 //! * the per-block candidate statistics (precise per-block `Maxlive`,
 //!   per-variable live-point counts, over-pressure membership) are cached
-//!   in [`BlockSpillStats`] and recomputed only for the blocks a rewrite
+//!   in `BlockSpillStats` and recomputed only for the blocks a rewrite
 //!   actually touched or the victim contributed live points to — the
 //!   latter set comes from an inverted index (variable → contributing
 //!   blocks) maintained alongside the statistics, so no global liveness

@@ -20,19 +20,16 @@
 //! lower rung than this request was eligible for".
 //!
 //! Determinism: everything the ladder decides on — parses, structural
-//! sizes, collected counters of uncached work — is a pure function of the
-//! request, so for a fixed request line the chosen rung and every response
-//! byte are identical across runs, worker counts, and cache states.
-//! The module-corpus cache (see [`crate::cache`]) is charged by
-//! *structural proxy* rather than measured counters, so a cache hit cannot
-//! shift a later budget decision.
+//! sizes, collected counters — is a pure function of the request, and the
+//! engine keeps no state between requests, so for a fixed request line
+//! the chosen rung and every response byte are identical across runs and
+//! worker counts.
 
 use crate::budget::{Budget, Exhausted};
-use crate::cache::Lru;
 use crate::protocol::{ErrorCode, Request, RequestKind, Response, Rung};
 use coalesce_core::{allocate, Affinity, AffinityGraph, IrcResult};
 use coalesce_gen::cfg::{PressureLevel, ShapeProfile};
-use coalesce_gen::module::{module_specs, FunctionSpec, ModuleParams};
+use coalesce_gen::module::{module_specs, ModuleParams};
 use coalesce_graph::chordal::{chordal_clique_number, chordal_coloring};
 use coalesce_graph::coloring::dsatur;
 use coalesce_graph::format::{
@@ -43,7 +40,6 @@ use coalesce_ir::spill::{tight_k, SpillInput, SpillerKind};
 use coalesce_ir::Function;
 use coalesce_stats::json::Json;
 use coalesce_verify::VerifyLevel;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Exact-rung size gate: maximum vertices.
@@ -52,8 +48,6 @@ pub const EXACT_MAX_VERTICES: usize = 48;
 pub const EXACT_MAX_EDGES: usize = 1_024;
 /// Maximum `count` of a `module_slice` request.
 pub const MAX_SLICE: usize = 64;
-/// Capacity of the interned module-corpus LRU.
-pub const MODULE_CAPACITY: usize = 8;
 
 /// Engine policy knobs.
 #[derive(Debug, Clone)]
@@ -87,20 +81,17 @@ impl Default for EngineConfig {
     }
 }
 
-/// The shared request engine: configuration plus the bounded
-/// module-corpus cache.  One engine is shared (via `Arc`) by every worker.
+/// The shared request engine: its configuration and nothing else, so no
+/// request can see another's state.  One engine is shared (via `Arc`) by
+/// every worker.
 pub struct Engine {
     config: EngineConfig,
-    modules: Mutex<Lru<u64, Arc<Vec<FunctionSpec>>>>,
 }
 
 impl Engine {
     /// Creates an engine.
     pub fn new(config: EngineConfig) -> Self {
-        Engine {
-            config,
-            modules: Mutex::new(Lru::new(MODULE_CAPACITY)),
-        }
+        Engine { config }
     }
 
     /// The active configuration.
@@ -399,7 +390,14 @@ impl Engine {
                 ),
             };
         }
-        let specs = self.module_corpus(seed, params);
+        // One sequential stream draws the specs, so the prefix ending at
+        // the slice is exactly the corpus's first `start + count` specs.
+        let specs = module_specs(
+            &ModuleParams {
+                functions: start + count,
+            },
+            seed,
+        );
         budget.charge(count as u64);
         let mut worst_rung = Rung::Exact;
         let mut reason: Option<&'static str> = None;
@@ -431,21 +429,6 @@ impl Engine {
             ("spill_weight".to_string(), Json::from(spill_weight)),
         ];
         Self::ok(req, "module_slice", worst_rung, reason, verified, payload)
-    }
-
-    /// Looks up (or generates and caches) the interned spec corpus of a
-    /// module seed.
-    fn module_corpus(&self, seed: u64, params: ModuleParams) -> Arc<Vec<FunctionSpec>> {
-        if let Ok(mut cache) = self.modules.lock() {
-            if let Some(specs) = cache.get(&seed) {
-                return Arc::clone(specs);
-            }
-        }
-        let specs = Arc::new(module_specs(&params, seed));
-        if let Ok(mut cache) = self.modules.lock() {
-            cache.insert(seed, Arc::clone(&specs));
-        }
-        specs
     }
 
     /// Runs the spiller ladder on one function.  Rung mapping: Belady MIN
@@ -511,7 +494,7 @@ impl Engine {
                 verified: self.verify(|| maxlive_after <= run.maxlive.max(k)),
             }
         });
-        // Uncached per-request work: the measured counters are
+        // Per-request work: the measured counters are
         // deterministic, so charge exactly what the spiller reported
         // (`spill.victims`, liveness iterations, ...).
         budget.charge(counters.total().max(1));
@@ -699,7 +682,7 @@ mod tests {
         assert_eq!(rung, Rung::Greedy);
         assert!(degraded);
         assert_eq!(reason, Some("budget"));
-        // Same request, same bytes — cache warmth must not matter.
+        // Same request, same bytes — repeats must not matter.
         for _ in 0..3 {
             assert_eq!(run(&engine, &line), first);
         }

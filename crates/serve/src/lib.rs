@@ -18,9 +18,9 @@
 //! * **panic isolation** — a poisoned request is caught per-worker and
 //!   answered with `internal_error` echoing the offending line for
 //!   replay; the pool keeps serving;
-//! * **bounded hot state** — interned module corpora in a strict LRU
-//!   cache ([`cache`]); each chordal rung reads ω from the one linear
-//!   MCS sweep it needs, so no graph state is worth keeping;
+//! * **no hot state** — the engine keeps nothing between requests: a
+//!   `module_slice` draws only the spec prefix it needs, and each chordal
+//!   rung reads ω from the one linear MCS sweep it needs;
 //! * optional **re-verification** of answers before they are sent
 //!   (`--verify boundaries`; `paranoid` does the same in the service).
 //!
@@ -33,7 +33,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod budget;
-pub mod cache;
 pub mod engine;
 pub mod protocol;
 pub mod server;

@@ -12,7 +12,7 @@
 //! * a [`VerifyLevel`] knob — `off` (free), `boundaries` (structural and
 //!   local-equation checks, recompute sampled/size-gated), `paranoid`
 //!   (full independent recomputation of every analysis);
-//! * independent reference implementations ([`reference`]) — the verifier
+//! * independent reference implementations ([`reference`](mod@reference)) — the verifier
 //!   never calls the dominator tree, liveness solver, interference builder
 //!   or chordality machinery it audits; it recomputes from the defining
 //!   equations with its own data structures;

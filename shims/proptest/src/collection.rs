@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use rand::Rng;
 
-/// Length specification for [`vec`]: an exact length or a half-open range.
+/// Length specification for [`vec()`]: an exact length or a half-open range.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
     lo: usize,
