@@ -133,14 +133,14 @@ impl RegisterAssignment {
             for instr in f.block_instrs(b) {
                 if let InstrView::Copy { dst, src } = instr {
                     costs.total_moves += 1;
-                    costs.total_weight += weight;
+                    costs.total_weight = costs.total_weight.saturating_add(weight);
                     let same = match (self.register_of(dst), self.register_of(src)) {
                         (Some(rd), Some(rs)) => rd == rs,
                         _ => false,
                     };
                     if same {
                         costs.eliminated_moves += 1;
-                        costs.eliminated_weight += weight;
+                        costs.eliminated_weight = costs.eliminated_weight.saturating_add(weight);
                     }
                 }
             }

@@ -69,7 +69,7 @@ pub fn biased_select(ag: &AffinityGraph, k: usize, select_order: &[VertexId]) ->
         for &(other, weight) in &partners[v.index()] {
             if let Some(c) = coloring.color_of(other) {
                 match preference.iter_mut().find(|(_, pc)| *pc == c) {
-                    Some(entry) => entry.0 += weight,
+                    Some(entry) => entry.0 = entry.0.saturating_add(weight),
                     None => preference.push((weight, c)),
                 }
             }

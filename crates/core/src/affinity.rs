@@ -77,9 +77,11 @@ impl AffinityGraph {
         }
     }
 
-    /// Total weight of all affinities.
+    /// Total weight of all affinities (saturating at `u64::MAX`).
     pub fn total_weight(&self) -> u64 {
-        self.affinities.iter().map(|a| a.weight).sum()
+        self.affinities
+            .iter()
+            .fold(0, |sum, a| sum.saturating_add(a.weight))
     }
 
     /// Number of affinities.
@@ -182,10 +184,10 @@ impl Coalescing {
         let mut stats = CoalescingStats::default();
         for aff in affinities {
             stats.total += 1;
-            stats.total_weight += aff.weight;
+            stats.total_weight = stats.total_weight.saturating_add(aff.weight);
             if self.same_class(aff.a, aff.b) {
                 stats.coalesced += 1;
-                stats.coalesced_weight += aff.weight;
+                stats.coalesced_weight = stats.coalesced_weight.saturating_add(aff.weight);
             }
         }
         stats

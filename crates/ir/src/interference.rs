@@ -84,8 +84,16 @@ impl InterferenceGraph {
     }
 
     /// Builds the interference graph of `f` with explicit options.
+    ///
+    /// One pass over the blocks collects every interference edge into a
+    /// flat list — an edge may be emitted more than once, e.g. when a
+    /// non-SSA variable is defined several times while the other end is
+    /// live — and [`Graph::from_edges`] bulk-builds the sorted,
+    /// deduplicated rows at the end.  Affinities on the same unordered pair
+    /// are merged by one sort of the normalised `(a ≤ b)` pairs, their
+    /// weights summed with saturation; the result is ordered by pair.
     pub fn build_with(f: &Function, liveness: &Liveness, options: BuildOptions) -> Self {
-        let mut graph = Graph::new(f.num_vars());
+        let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
         let mut affinities = Vec::new();
 
         for b in f.block_ids() {
@@ -96,13 +104,13 @@ impl InterferenceGraph {
             let phi_defs: Vec<Var> = f.phis(b).filter_map(|p| p.def()).collect();
             for (i, &p) in phi_defs.iter().enumerate() {
                 for &q in &phi_defs[i + 1..] {
-                    add_edge(&mut graph, p, q);
+                    add_edge(&mut edges, p, q);
                 }
                 // φ results also interfere with everything live into the
                 // block (other than themselves).
                 for v in liveness.live_in(b).iter() {
                     if v != p {
-                        add_edge(&mut graph, p, v);
+                        add_edge(&mut edges, p, v);
                     }
                 }
             }
@@ -128,7 +136,7 @@ impl InterferenceGraph {
                                 }
                             }
                         }
-                        add_edge(&mut graph, d, v);
+                        add_edge(&mut edges, d, v);
                     }
                 }
             });
@@ -160,22 +168,24 @@ impl InterferenceGraph {
         }
 
         // Deduplicate affinities on the same unordered pair, summing weights.
-        let mut merged: std::collections::BTreeMap<(Var, Var), u64> =
-            std::collections::BTreeMap::new();
-        for aff in affinities {
-            let key = if aff.a <= aff.b {
-                (aff.a, aff.b)
-            } else {
-                (aff.b, aff.a)
-            };
-            *merged.entry(key).or_insert(0) += aff.weight;
+        for aff in &mut affinities {
+            if aff.a > aff.b {
+                std::mem::swap(&mut aff.a, &mut aff.b);
+            }
         }
-        let affinities = merged
-            .into_iter()
-            .map(|((a, b), weight)| Affinity { a, b, weight })
-            .collect();
+        affinities.sort_unstable_by_key(|aff| (aff.a, aff.b));
+        affinities.dedup_by(|later, kept| {
+            let same = (later.a, later.b) == (kept.a, kept.b);
+            if same {
+                kept.weight = kept.weight.saturating_add(later.weight);
+            }
+            same
+        });
 
-        InterferenceGraph { graph, affinities }
+        InterferenceGraph {
+            graph: Graph::from_edges(f.num_vars(), edges),
+            affinities,
+        }
     }
 
     /// The graph vertex corresponding to a variable.
@@ -194,9 +204,11 @@ impl InterferenceGraph {
             .has_edge(VertexId::new(a.index()), VertexId::new(b.index()))
     }
 
-    /// Total weight of all affinities.
+    /// Total weight of all affinities (saturating at `u64::MAX`).
     pub fn total_affinity_weight(&self) -> u64 {
-        self.affinities.iter().map(|a| a.weight).sum()
+        self.affinities
+            .iter()
+            .fold(0, |sum, a| sum.saturating_add(a.weight))
     }
 
     /// Affinities as vertex pairs with weights (for the coalescing crate).
@@ -214,9 +226,9 @@ impl InterferenceGraph {
     }
 }
 
-fn add_edge(graph: &mut Graph, a: Var, b: Var) {
+fn add_edge(edges: &mut Vec<(VertexId, VertexId)>, a: Var, b: Var) {
     if a != b {
-        graph.add_edge(VertexId::new(a.index()), VertexId::new(b.index()));
+        edges.push((VertexId::new(a.index()), VertexId::new(b.index())));
     }
 }
 

@@ -83,8 +83,7 @@
 //! (`Maxlive / 2`, at least 3) the experiments and the service spill to.
 
 use crate::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
-use crate::liveness::Liveness;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::liveness::{Liveness, VarSet};
 
 /// Largest loop depth that still gets its own `10^depth` weight.
 ///
@@ -143,6 +142,9 @@ pub struct SpillRewrite {
 /// delimited by its definition and last use, so one insert/remove event
 /// pair yields the whole count, and over-pressure membership reduces to
 /// comparing the segment against the latest over-pressured point index.
+/// A non-SSA block can close several segments of one variable, so a
+/// variable may appear in `contributions` (and `candidates`) more than
+/// once.
 #[derive(Debug, Clone, Default)]
 struct BlockSpillStats {
     contributions: Vec<(Var, u64)>,
@@ -150,23 +152,34 @@ struct BlockSpillStats {
     maxlive: usize,
 }
 
+/// Scratch reused across [`block_spill_stats`] calls: the segment start
+/// of every open variable (contents irrelevant between calls) and the
+/// live cursor of the backward walk.
+#[derive(Debug, Default)]
+struct StatsScratch {
+    birth: Vec<u32>,
+    live: VarSet,
+}
+
 /// Computes the [`BlockSpillStats`] of one block against the current
-/// liveness solution.  `birth` is a scratch array of at least `num_vars`
-/// entries (contents irrelevant between calls).
+/// liveness solution into `stats`, reusing its allocations.
 fn block_spill_stats(
     f: &Function,
     liveness: &Liveness,
     b: BlockId,
     k: usize,
-    birth: &mut Vec<u32>,
-) -> BlockSpillStats {
+    scratch: &mut StatsScratch,
+    stats: &mut BlockSpillStats,
+) {
     let n = f.num_instrs(b);
+    let StatsScratch { birth, live } = scratch;
     if birth.len() < f.num_vars() {
         birth.resize(f.num_vars(), 0);
     }
-    let mut stats = BlockSpillStats::default();
+    stats.contributions.clear();
+    stats.candidates.clear();
     // The walk starts at point n: live-out plus the terminator's uses.
-    let mut live = liveness.live_out(b).clone();
+    live.copy_from(liveness.live_out(b));
     for u in f.terminator(b).uses() {
         live.insert(u);
     }
@@ -221,7 +234,6 @@ fn block_spill_stats(
     if phi_defs > 0 {
         stats.maxlive = stats.maxlive.max(liveness.live_in(b).len() + phi_defs);
     }
-    stats
 }
 
 /// The tight register count the experiments and the service spill to:
@@ -287,7 +299,11 @@ impl<'f> SpillInput<'f> {
         };
         // Victims are pre-spill variables, so the pre-spill costs price
         // them: the weight of the chosen victims, not of the reload temps.
-        let spill_weight = result.spilled.iter().map(|v| self.costs[v.index()]).sum();
+        // The costs saturate at `u64::MAX`, and so does their sum.
+        let spill_weight = result
+            .spilled
+            .iter()
+            .fold(0u64, |sum, v| sum.saturating_add(self.costs[v.index()]));
         SpillRun {
             k,
             maxlive: self.maxlive,
@@ -340,6 +356,90 @@ pub fn spill_to_pressure(f: &mut Function, k: usize) -> SpillResult {
     spill_to_pressure_from(f, k, liveness, &costs)
 }
 
+/// The global aggregates of the cached per-block statistics, maintained by
+/// folding in and retracting one block's [`BlockSpillStats`] at a time:
+///
+/// * `occurrences[v]` — live points of `v` summed over all blocks;
+/// * `candidates` — the variables some block currently lists as an
+///   over-pressure candidate, in no particular order, with
+///   `candidate_refs[v]` counting the listings and `candidate_pos[v]` the
+///   position of a listed `v` (so a retract swap-removes it in O(1));
+/// * `blocks_of[v]` — the inverted contribution index: one entry per
+///   segment of `v` some block's statistics close, so a block appears once
+///   per segment (a non-SSA input can close several segments of one
+///   variable in one block).  For a victim its distinct entries are
+///   exactly the blocks whose statistics its removal can change, which
+///   replaces an O(blocks) boundary-liveness scan;
+/// * `pressure_count[m]` — the blocks whose cached precise Maxlive is `m`,
+///   with `cur_max` pointing at the top non-empty bucket (it only ever
+///   needs correcting downwards, so a whole pass scans each bucket level
+///   at most once).
+#[derive(Debug, Default)]
+struct PressureIndex {
+    occurrences: Vec<u64>,
+    candidate_refs: Vec<u32>,
+    candidate_pos: Vec<u32>,
+    candidates: Vec<Var>,
+    blocks_of: Vec<Vec<u32>>,
+    pressure_count: Vec<u32>,
+    cur_max: usize,
+}
+
+impl PressureIndex {
+    /// Makes room for variables `0..num_vars`.
+    fn grow(&mut self, num_vars: usize) {
+        self.occurrences.resize(num_vars, 0);
+        self.candidate_refs.resize(num_vars, 0);
+        self.candidate_pos.resize(num_vars, 0);
+        self.blocks_of.resize_with(num_vars, Vec::new);
+    }
+
+    /// Adds the statistics `s` of block `b`.
+    fn fold(&mut self, b: u32, s: &BlockSpillStats) {
+        for &(v, c) in &s.contributions {
+            self.occurrences[v.index()] += c;
+            self.blocks_of[v.index()].push(b);
+        }
+        for &v in &s.candidates {
+            self.candidate_refs[v.index()] += 1;
+            if self.candidate_refs[v.index()] == 1 {
+                self.candidate_pos[v.index()] = self.candidates.len() as u32;
+                self.candidates.push(v);
+            }
+        }
+        if s.maxlive >= self.pressure_count.len() {
+            self.pressure_count.resize(s.maxlive + 1, 0);
+        }
+        self.pressure_count[s.maxlive] += 1;
+        self.cur_max = self.cur_max.max(s.maxlive);
+    }
+
+    /// Removes the statistics `s` that [`PressureIndex::fold`] added for
+    /// block `b`.
+    fn retract(&mut self, b: u32, s: &BlockSpillStats) {
+        for &(v, c) in &s.contributions {
+            self.occurrences[v.index()] -= c;
+            let row = &mut self.blocks_of[v.index()];
+            let at = row
+                .iter()
+                .position(|&x| x == b)
+                .expect("inverted index out of sync with block statistics");
+            row.swap_remove(at);
+        }
+        for &v in &s.candidates {
+            self.candidate_refs[v.index()] -= 1;
+            if self.candidate_refs[v.index()] == 0 {
+                let at = self.candidate_pos[v.index()] as usize;
+                self.candidates.swap_remove(at);
+                if let Some(&moved) = self.candidates.get(at) {
+                    self.candidate_pos[moved.index()] = at as u32;
+                }
+            }
+        }
+        self.pressure_count[s.maxlive] -= 1;
+    }
+}
+
 /// [`spill_to_pressure`] starting from an already solved analysis of `f`:
 /// its `liveness` (patched in place as victims are rewritten) and its
 /// [`spill_costs`].
@@ -351,12 +451,12 @@ pub fn spill_to_pressure_from(
 ) -> SpillResult {
     let _span = coalesce_stats::span!("ir/spill/pressure");
     let mut result = SpillResult::default();
-    let mut not_spillable: BTreeSet<Var> = BTreeSet::new();
     // Every iteration patches the liveness solution in place via
     // `apply_spill_rewrite` (the patch is exact, see its docs).  Spill
     // costs only change for rewritten variables, and those are never
-    // reconsidered (`not_spillable`), so the up-front costs serve every
-    // iteration.
+    // reconsidered (`not_spillable`, which grows with `num_vars`), so the
+    // up-front costs serve every iteration.
+    let mut not_spillable: Vec<bool> = vec![false; f.num_vars()];
     // Block of each variable's definition (first definition for non-SSA
     // inputs): the one block whose statistics a rewrite can change even
     // when the victim is live at none of its boundaries.
@@ -367,46 +467,16 @@ pub fn spill_to_pressure_from(
         }
     }
     // Per-block candidate statistics plus the global aggregates derived
-    // from them: per-variable point counts, and the candidate set with a
-    // per-variable reference count (how many blocks currently list it).
-    //
-    // Two extra indices make accepting a victim sublinear:
-    //
-    // * `pressure_count[m]` counts the blocks whose cached precise Maxlive
-    //   is `m`, and `cur_max` points at the top non-empty bucket (it only
-    //   ever needs correcting downwards at the loop head, so the whole
-    //   pass scans each bucket level at most once);
-    // * `blocks_of[v]` is the inverted contribution index: the blocks
-    //   whose statistics currently mention `v`, with a reference count per
-    //   block (a non-SSA input can close several segments of one variable
-    //   in one block).  For a victim it is exactly the set of blocks whose
-    //   statistics its removal can change, which replaces the old
-    //   O(blocks) boundary-liveness scan.
-    let mut birth: Vec<u32> = Vec::new();
-    let mut occurrences: Vec<u64> = vec![0; f.num_vars()];
-    let mut candidate_refs: Vec<u32> = vec![0; f.num_vars()];
-    let mut candidates: BTreeSet<Var> = BTreeSet::new();
-    let mut blocks_of: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); f.num_vars()];
-    let mut pressure_count: Vec<u32> = Vec::new();
-    let mut cur_max: usize = 0;
+    // from them; a rebuild retracts a block's old statistics, refills
+    // them in place and folds them back in.
+    let mut scratch = StatsScratch::default();
+    let mut index = PressureIndex::default();
+    index.grow(f.num_vars());
     let mut stats: Vec<BlockSpillStats> = Vec::with_capacity(f.num_blocks());
     for b in f.block_ids() {
-        let s = block_spill_stats(f, &liveness, b, k, &mut birth);
-        for &(v, c) in &s.contributions {
-            occurrences[v.index()] += c;
-            *blocks_of[v.index()].entry(b.index() as u32).or_insert(0) += 1;
-        }
-        for &v in &s.candidates {
-            candidate_refs[v.index()] += 1;
-            if candidate_refs[v.index()] == 1 {
-                candidates.insert(v);
-            }
-        }
-        if s.maxlive >= pressure_count.len() {
-            pressure_count.resize(s.maxlive + 1, 0);
-        }
-        pressure_count[s.maxlive] += 1;
-        cur_max = cur_max.max(s.maxlive);
+        let mut s = BlockSpillStats::default();
+        block_spill_stats(f, &liveness, b, k, &mut scratch, &mut s);
+        index.fold(b.index() as u32, &s);
         stats.push(s);
     }
     // Epoch-stamped scratch replacing the per-victim `vec![false; blocks]`
@@ -424,20 +494,22 @@ pub fn spill_to_pressure_from(
         // Re-find the global Maxlive: per-block pressures retracted since
         // the last iteration can only have emptied buckets at or below
         // `cur_max`, so walking the pointer down is exact.
-        while cur_max > 0 && pressure_count[cur_max] == 0 {
-            cur_max -= 1;
+        while index.cur_max > 0 && index.pressure_count[index.cur_max] == 0 {
+            index.cur_max -= 1;
         }
-        if cur_max <= k {
+        if index.cur_max <= k {
             break;
         }
         // Pick the candidate minimizing cost/benefit (compared by cross
         // multiplication to stay in integers); ties fall to the higher
-        // benefit, then to the lower variable index, so the choice is
-        // deterministic.
-        let candidate = candidates
+        // benefit, then to the lower variable index.  The order is total,
+        // so the pick does not depend on the candidate list's order.
+        let occurrences = &index.occurrences;
+        let candidate = index
+            .candidates
             .iter()
             .copied()
-            .filter(|v| !not_spillable.contains(v))
+            .filter(|v| !not_spillable[v.index()])
             .min_by(|&a, &b| {
                 let (ca, cb) = (spill_cost[a.index()], spill_cost[b.index()]);
                 let (oa, ob) = (occurrences[a.index()], occurrences[b.index()]);
@@ -450,7 +522,7 @@ pub fn spill_to_pressure_from(
         if occurrences[victim.index()] <= 2 {
             // Already as short-lived as a reload temp; spilling it cannot
             // reduce pressure.  Mark and retry with another candidate.
-            not_spillable.insert(victim);
+            not_spillable[victim.index()] = true;
             continue;
         }
         // Blocks whose statistics the rewrite can change: the ones the
@@ -461,20 +533,16 @@ pub fn spill_to_pressure_from(
         // changed blocks is safe and yields identical statistics.
         affected_epoch += 1;
         affected.clear();
-        for &bi in blocks_of[victim.index()].keys() {
-            let bi = bi as usize;
+        let touched = index.blocks_of[victim.index()]
+            .iter()
+            .map(|&bi| bi as usize)
+            .chain(def_block[victim.index()].map(BlockId::index));
+        for bi in touched {
             if affected_stamp[bi] != affected_epoch {
                 affected_stamp[bi] = affected_epoch;
                 affected.push(bi);
             }
         }
-        if let Some(b) = def_block[victim.index()] {
-            if affected_stamp[b.index()] != affected_epoch {
-                affected_stamp[b.index()] = affected_epoch;
-                affected.push(b.index());
-            }
-        }
-        let vars_before = f.num_vars();
         let rewrite = spill_everywhere(f, victim, &mut result);
         liveness.apply_spill_rewrite(victim, &rewrite.phi_pred_reloads);
         for &b in &rewrite.modified_blocks {
@@ -483,58 +551,24 @@ pub fn spill_to_pressure_from(
                 affected.push(b.index());
             }
         }
-        occurrences.resize(f.num_vars(), 0);
-        candidate_refs.resize(f.num_vars(), 0);
-        blocks_of.resize(f.num_vars(), BTreeMap::new());
+        // Never re-spill a reload temporary (or the victim itself): reload
+        // temps of early spills can grow long again as later reloads are
+        // inserted between them and their use, and re-spilling them would
+        // loop forever without lowering the pressure.
+        not_spillable[victim.index()] = true;
+        not_spillable.resize(f.num_vars(), true);
+        index.grow(f.num_vars());
         // Retract the affected blocks' old statistics and fold in the
         // recomputed ones; everything else is untouched by construction.
         // The retract/fold pairs commute across blocks, but sort anyway so
         // the recomputation order is deterministic.
         affected.sort_unstable();
         for &bi in &affected {
-            let b = BlockId::new(bi);
-            let old = std::mem::take(&mut stats[bi]);
-            for (v, c) in old.contributions {
-                occurrences[v.index()] -= c;
-                let refs = blocks_of[v.index()]
-                    .get_mut(&(bi as u32))
-                    .expect("inverted index out of sync with block statistics");
-                *refs -= 1;
-                if *refs == 0 {
-                    blocks_of[v.index()].remove(&(bi as u32));
-                }
-            }
-            for v in old.candidates {
-                candidate_refs[v.index()] -= 1;
-                if candidate_refs[v.index()] == 0 {
-                    candidates.remove(&v);
-                }
-            }
-            pressure_count[old.maxlive] -= 1;
-            let s = block_spill_stats(f, &liveness, b, k, &mut birth);
-            for &(v, c) in &s.contributions {
-                occurrences[v.index()] += c;
-                *blocks_of[v.index()].entry(bi as u32).or_insert(0) += 1;
-            }
-            for &v in &s.candidates {
-                candidate_refs[v.index()] += 1;
-                if candidate_refs[v.index()] == 1 {
-                    candidates.insert(v);
-                }
-            }
-            if s.maxlive >= pressure_count.len() {
-                pressure_count.resize(s.maxlive + 1, 0);
-            }
-            pressure_count[s.maxlive] += 1;
-            cur_max = cur_max.max(s.maxlive);
-            stats[bi] = s;
+            let s = &mut stats[bi];
+            index.retract(bi as u32, s);
+            block_spill_stats(f, &liveness, BlockId::new(bi), k, &mut scratch, s);
+            index.fold(bi as u32, s);
         }
-        // Never re-spill a reload temporary (or the victim itself): reload
-        // temps of early spills can grow long again as later reloads are
-        // inserted between them and their use, and re-spilling them would
-        // loop forever without lowering the pressure.
-        not_spillable.insert(victim);
-        not_spillable.extend((vars_before..f.num_vars()).map(Var::new));
         result.spilled.push(victim);
         victims += 1;
         blocks_rebuilt += affected.len() as u64;
@@ -647,38 +681,45 @@ impl SpillerKind {
 pub fn spill_all_candidates(f: &mut Function, k: usize, mut liveness: Liveness) -> SpillResult {
     let _span = coalesce_stats::span!("ir/spill/everywhere");
     let mut result = SpillResult::default();
-    let mut not_spillable: BTreeSet<Var> = BTreeSet::new();
-    let mut birth: Vec<u32> = Vec::new();
+    let mut not_spillable: Vec<bool> = vec![false; f.num_vars()];
+    let mut scratch = StatsScratch::default();
+    let mut stats = BlockSpillStats::default();
+    let mut occurrences: Vec<u64> = Vec::new();
+    let mut is_candidate: Vec<bool> = Vec::new();
     loop {
-        let mut occurrences = vec![0u64; f.num_vars()];
-        let mut candidates: BTreeSet<Var> = BTreeSet::new();
+        occurrences.clear();
+        occurrences.resize(f.num_vars(), 0);
+        is_candidate.clear();
+        is_candidate.resize(f.num_vars(), false);
         let mut maxlive = 0usize;
         for b in f.block_ids() {
-            let s = block_spill_stats(f, &liveness, b, k, &mut birth);
-            for &(v, c) in &s.contributions {
+            block_spill_stats(f, &liveness, b, k, &mut scratch, &mut stats);
+            for &(v, c) in &stats.contributions {
                 occurrences[v.index()] += c;
             }
-            candidates.extend(s.candidates.iter().copied());
-            maxlive = maxlive.max(s.maxlive);
+            for &v in &stats.candidates {
+                is_candidate[v.index()] = true;
+            }
+            maxlive = maxlive.max(stats.maxlive);
         }
         if maxlive <= k {
             break;
         }
         // Same spillability rules as the incremental spiller: never touch
-        // reload temporaries or anything as short-lived as one.
-        let victims: Vec<Var> = candidates
-            .into_iter()
-            .filter(|v| !not_spillable.contains(v) && occurrences[v.index()] > 2)
+        // reload temporaries or anything as short-lived as one.  Victims
+        // are spilled in ascending variable order.
+        let victims: Vec<Var> = (0..f.num_vars())
+            .filter(|&i| is_candidate[i] && !not_spillable[i] && occurrences[i] > 2)
+            .map(Var::new)
             .collect();
         if victims.is_empty() {
             break;
         }
         coalesce_stats::counter!("spill.victims", victims.len() as u64);
         for victim in victims {
-            let vars_before = f.num_vars();
             spill_everywhere(f, victim, &mut result);
-            not_spillable.insert(victim);
-            not_spillable.extend((vars_before..f.num_vars()).map(Var::new));
+            not_spillable[victim.index()] = true;
+            not_spillable.resize(f.num_vars(), true);
             result.spilled.push(victim);
         }
         liveness = Liveness::compute(f);

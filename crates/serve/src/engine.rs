@@ -413,7 +413,7 @@ impl Engine {
             reason = reason.or(fn_reason);
             spilled += outcome.spilled;
             reloads += outcome.reloads;
-            spill_weight += outcome.spill_weight;
+            spill_weight = spill_weight.saturating_add(outcome.spill_weight);
             maxlive_max = maxlive_max.max(outcome.maxlive);
             if let (Some(v), Some(f)) = (&mut verified, outcome.verified) {
                 *v &= f;

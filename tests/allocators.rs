@@ -135,3 +135,87 @@ fn reports_expose_the_move_removal_ordering_of_the_paper() {
     assert!(weight_brute + weight_opt >= 2 * weight_none);
     assert!(weight_opt >= weight_briggs.saturating_sub(weight_briggs / 4));
 }
+
+/// 19 φ arguments of one value `x`, from 19 predecessors at loop depth 18,
+/// plus a chain of 19 copies at depth 18: `19 · 10^18` exceeds `u64::MAX`,
+/// so every weight sum over them must saturate instead of wrapping (or
+/// panicking under overflow checks).
+fn saturating_weights_program() -> coalesce_ir::Function {
+    use coalesce_ir::FunctionBuilder;
+    let mut b = FunctionBuilder::new("saturate");
+    let entry = b.entry_block();
+    let x = b.def(entry, "x");
+    let c = b.def(entry, "c");
+    let preds: Vec<_> = (0..19).map(|_| b.new_block()).collect();
+    let join = b.new_block();
+    let hot = b.new_block();
+    b.set_loop_depth(hot, 18);
+    b.jump(entry, preds[0]);
+    for (i, &p) in preds.iter().enumerate() {
+        b.set_loop_depth(p, 18);
+        match preds.get(i + 1) {
+            Some(&next) => b.branch(p, c, join, next),
+            None => b.jump(p, join),
+        }
+    }
+    let args: Vec<_> = preds.iter().map(|&p| (p, x)).collect();
+    let mut y = b.phi(join, "p", &args);
+    b.jump(join, hot);
+    for i in 0..19 {
+        y = b.copy(hot, format!("y{i}"), y);
+    }
+    b.ret(hot, &[y]);
+    b.finish()
+}
+
+#[test]
+fn weight_sums_saturate_instead_of_wrapping() {
+    use coalesce_alloc::biased::biased_select;
+    use coalesce_core::affinity::{Affinity, AffinityGraph, Coalescing};
+    use coalesce_graph::{Graph, VertexId};
+    use coalesce_ir::spill::{SpillInput, SpillerKind};
+    use coalesce_ir::{InterferenceGraph, Liveness, Var};
+
+    let f = saturating_weights_program();
+    let (x, c, p) = (Var::new(0), Var::new(1), Var::new(2));
+
+    // The 19 φ arguments merge into one saturated affinity.
+    let ig = InterferenceGraph::build(&f, &Liveness::compute(&f));
+    let phi = ig.affinities.iter().find(|a| (a.a, a.b) == (x, p)).unwrap();
+    assert_eq!(phi.weight, u64::MAX);
+    assert_eq!(ig.total_affinity_weight(), u64::MAX);
+
+    // Coalescing statistics over the saturated affinity.
+    let ag = AffinityGraph::from_interference(&ig);
+    assert_eq!(ag.total_weight(), u64::MAX);
+    let stats = Coalescing::identity(&ag.graph).stats(&ag.affinities);
+    assert_eq!(stats.total_weight, u64::MAX);
+    assert_eq!(stats.coalesced_weight, 0);
+
+    // x's spill cost saturates; spilling it with c sums past u64::MAX.
+    let run = SpillInput::analyze(&f).spill(SpillerKind::Everywhere, 0);
+    assert!(run.spilled.contains(&x) && run.spilled.contains(&c));
+    assert_eq!(run.spill_weight, u64::MAX);
+
+    // The lowered function's 19 φ copies and 19 chain copies all weigh
+    // 10^18: the move costs saturate, whatever the allocator removes.
+    for strategy in CoalescingStrategy::ALL {
+        let outcome = ssa_allocate(&f, 4, strategy);
+        let costs = outcome.assignment.move_costs(&outcome.function);
+        assert_eq!(costs.total_weight, u64::MAX, "{strategy:?}");
+        assert!(costs.eliminated_weight <= costs.total_weight);
+    }
+
+    // Biased select sums the weights of same-colored partners: vertex 2
+    // prefers color 0 with weight `u64::MAX + 5`, saturated.
+    let ag = AffinityGraph::new(
+        Graph::new(3),
+        vec![
+            Affinity::weighted(VertexId::new(0), VertexId::new(2), u64::MAX),
+            Affinity::weighted(VertexId::new(1), VertexId::new(2), 5),
+        ],
+    );
+    let order = [0, 1, 2].map(VertexId::new);
+    let select = biased_select(&ag, 2, &order);
+    assert_eq!(select.coloring.color_of(VertexId::new(2)), Some(0));
+}

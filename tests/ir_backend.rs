@@ -30,6 +30,7 @@ use coalesce_ir::belady::{NextUse, LOOP_EXIT_DISTANCE};
 use coalesce_ir::function::{BlockId, Function, Instr, Var};
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
 use coalesce_ir::liveness::Liveness;
+use coalesce_ir::out_of_ssa::destruct_ssa;
 use coalesce_ir::spill::{self, spill_everywhere, SpillInput, SpillResult, SpillerKind};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -599,6 +600,72 @@ fn module_functions(seed: u64) -> Vec<Function> {
         .collect()
 }
 
+/// The non-SSA forms the SSA allocator builds interference on: `f`
+/// spilled to its `tight_k` and lowered out of SSA, then after the
+/// corrective spill round at the same `k`.
+fn lowered_forms(f: &Function) -> [Function; 2] {
+    let input = SpillInput::analyze(f);
+    let k = spill::tight_k(input.maxlive());
+    let mut lowered = input.spill(SpillerKind::PressureGreedy, k).function;
+    destruct_ssa(&mut lowered);
+    let mut corrected = lowered.clone();
+    spill::spill_to_pressure(&mut corrected, k);
+    [lowered, corrected]
+}
+
+/// Number of variables of `f` with more than one definition.
+fn multiply_defined(f: &Function) -> usize {
+    let mut defs = vec![0usize; f.num_vars()];
+    for (_, _, instr) in f.instructions() {
+        if let Some(d) = instr.def() {
+            defs[d.index()] += 1;
+        }
+    }
+    defs.iter().filter(|&&n| n > 1).count()
+}
+
+/// Asserts that the flat interference build of `f` equals the
+/// owned-layout reference under both interference definitions: the edge
+/// set, the edge count, and the weight-summed affinities.
+fn assert_same_interference(f: &Function) {
+    let owned = OwnedBlocks::of(f);
+    let live = Liveness::compute(f);
+    let reference = RefLiveness::compute(f, &owned);
+    for kind in [InterferenceKind::Intersection, InterferenceKind::Chaitin] {
+        let ig = InterferenceGraph::build_with(
+            f,
+            &live,
+            BuildOptions {
+                kind,
+                ..Default::default()
+            },
+        );
+        let (ref_edges, ref_affinities) = reference_interference(f, &owned, &reference, kind);
+        assert_eq!(
+            ig.graph.num_edges(),
+            ref_edges.len(),
+            "{kind:?} edge count in {}",
+            f.name
+        );
+        assert_eq!(flat_edges(&ig), ref_edges, "{kind:?} edges in {}", f.name);
+        assert_eq!(
+            flat_affinities(&ig),
+            ref_affinities,
+            "{kind:?} affinities in {}",
+            f.name
+        );
+        // One affinity per unordered pair, normalised and ordered by pair.
+        assert!(
+            ig.affinities
+                .windows(2)
+                .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b))
+                && ig.affinities.iter().all(|a| a.a <= a.b),
+            "{kind:?} affinities not merged in {}",
+            f.name
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The equivalence tests.
 // ---------------------------------------------------------------------------
@@ -620,25 +687,19 @@ proptest! {
 
     /// Flat-arena interference equals the owned-layout reference — same
     /// edge set and the same weight-summed affinities — under both
-    /// interference definitions.
+    /// interference definitions, on the SSA input and on its lowered forms
+    /// ([`lowered_forms`]), where variables have several definitions and
+    /// the build emits the same edge more than once.
     #[test]
     fn flat_interference_matches_the_owned_layout_reference(seed in 0u64..32) {
+        let mut multi_def = 0;
         for f in module_functions(seed * 31 + 1) {
-            let owned = OwnedBlocks::of(&f);
-            let live = Liveness::compute(&f);
-            let reference = RefLiveness::compute(&f, &owned);
-            for kind in [InterferenceKind::Intersection, InterferenceKind::Chaitin] {
-                let ig = InterferenceGraph::build_with(
-                    &f,
-                    &live,
-                    BuildOptions { kind, ..Default::default() },
-                );
-                let (ref_edges, ref_affinities) =
-                    reference_interference(&f, &owned, &reference, kind);
-                prop_assert_eq!(flat_edges(&ig), ref_edges, "{:?} edges", kind);
-                prop_assert_eq!(flat_affinities(&ig), ref_affinities, "{:?} affinities", kind);
+            for g in std::iter::once(f.clone()).chain(lowered_forms(&f)) {
+                assert_same_interference(&g);
+                multi_def += multiply_defined(&g);
             }
         }
+        prop_assert!(multi_def > 0, "no lowered function redefines a variable");
     }
 
     /// Flat-arena spill costs equal the owned-layout reference.
