@@ -82,9 +82,10 @@ pub fn chordal_conservative_coalesce(
     // (plus fill-in) changes the working graph; rejected affinities reuse
     // it as is.  Acceptance is the common case on SSA interference graphs:
     // on regbench's `module-chordal` module at seed 42, 53 577 of 53 586
-    // queries (99.98%) accept, so 57 577 sweeps serve them and the
-    // in-place rebuild (no allocation once the buffers are warm) is what
-    // keeps the loop cheap.
+    // queries (99.98%) accept, so 57 577 sweeps serve them.  Each rebuild
+    // is one MCS sweep that reads every adjacency row once, certifies
+    // chordality from the cliques it builds and allocates nothing once the
+    // buffers are warm; that is what keeps the loop cheap.
     let mut session = PreparedChordal::prepare(&ag.graph)?;
     if session.omega() > k {
         return None;

@@ -19,20 +19,21 @@ use crate::coloring::{greedy_coloring_in_order, Coloring};
 use crate::graph::{Graph, VertexId};
 use std::collections::BTreeSet;
 
-/// "No vertex / no position" sentinel of the `u32` sweep arrays.
+/// "Unvisited / no clique" sentinel of the `u32` sweep arrays.
 const NONE: u32 = u32::MAX;
 
 /// The result of one [`CliqueForest::sweep`]: the MCS visit order, the
 /// chordality verdict, and the Blair–Peyton clique-tree skeleton derived
 /// from the same run, stored flat.
 ///
-/// Everything is computed in a single `O(V + E)` sweep (the adjacency
-/// rows are flat sorted slices, so the neighbor scans carry no
-/// per-element set overhead), which is what
-/// makes [`chordal_maximal_cliques`] and
+/// Everything comes out of a single `O(V + E)` sweep that reads each
+/// adjacency row once (the rows are flat sorted slices, so the scans carry
+/// no per-element set overhead), which is what makes
+/// [`chordal_maximal_cliques`] and
 /// [`crate::cliquetree::CliqueTree::build`] linear instead of quadratic.
-/// A forest swept again reuses every buffer, so re-sweeping a graph of a
-/// size seen before allocates nothing.
+/// The cliques double as the chordality certificate, so no separate
+/// perfect-elimination test runs.  A forest swept again reuses every
+/// buffer, so re-sweeping a graph of a size seen before allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CliqueForest {
     /// Vertices in MCS **visit** order (first visited first).  The reverse
@@ -56,23 +57,27 @@ pub(crate) struct CliqueForest {
     scratch: McsScratch,
 }
 
-/// The per-vertex arrays of the MCS visit loop and of the
-/// Tarjan–Yannakakis check, kept between sweeps.
+/// The per-vertex arrays of the MCS visit loop and the per-clique arrays
+/// of the seed check, kept between sweeps.
 #[derive(Debug, Clone, Default)]
 struct McsScratch {
     weight: Vec<u32>,
-    /// Visit position, [`NONE`] while unvisited.
-    visit_pos: Vec<u32>,
+    /// The clique each visited vertex joined, [`NONE`] while unvisited:
+    /// the first clique, in discovery order, that contains it.  It never
+    /// decreases along the visit order.
     clique_of: Vec<u32>,
+    /// The last clique each vertex was placed in, as a seed member or as a
+    /// joiner; `current[u] == c` for the clique `c` under construction iff
+    /// `u` is in it.
+    current: Vec<u32>,
     /// `buckets[w]` holds candidates whose weight may be `w`; only the
     /// first `len` of a sweep are in use, the rest keep their capacity.
     buckets: Vec<Vec<VertexId>>,
-    mark: Vec<u32>,
-    /// The deferred neighborhoods of the chordality check as one linked
-    /// arena: `deferred_head[v]` starts `v`'s list of `(vertex, next)`
-    /// entries in `deferred`.
-    deferred_head: Vec<u32>,
-    deferred: Vec<(VertexId, u32)>,
+    /// The cliques grouped by parent (a counting sort).  Once filled, the
+    /// children of clique `p` end at `child_start[p]` and start where those
+    /// of `p - 1` end (at 0 for `p == 0`).
+    child_start: Vec<u32>,
+    children: Vec<u32>,
 }
 
 /// Clears `v` and refills it with `len` copies of `value`, reusing its
@@ -105,6 +110,14 @@ impl CliqueForest {
         self.starts.windows(2).map(|w| &self.members[w[0]..w[1]])
     }
 
+    /// The first clique, in discovery order, that contains `v`: the one
+    /// `v` joined when it was visited.  `None` for a vertex outside the
+    /// swept graph or after a non-chordal sweep.
+    pub(crate) fn clique_of(&self, v: VertexId) -> Option<usize> {
+        let c = *self.scratch.clique_of.get(v.index())?;
+        (self.chordal && c != NONE).then_some(c as usize)
+    }
+
     /// Runs MCS with a bucket queue over `g` and derives the maximal
     /// cliques and the clique-tree parents directly from the run,
     /// following Blair & Peyton's clique-tree algorithm (*An Introduction
@@ -120,21 +133,37 @@ impl CliqueForest {
     /// A vertex *starts a new clique* exactly when its visited-neighbor
     /// count fails to grow past the previous vertex's (Blair–Peyton); its
     /// visited neighborhood `M(v)` seeds the clique and the tree edge goes
-    /// to the clique of the most recently visited vertex of `M(v)`.
-    /// Chordality is then verified by a Tarjan–Yannakakis pass over the
-    /// elimination order (timestamped neighborhood bitmap, no per-edge set
-    /// lookups), so the whole routine does `O(V + E)` work, slice scans
-    /// included.
+    /// to the clique of the most recently visited vertex `last` of `M(v)`.
+    /// Otherwise `v` *grows* the clique under construction `C`, which then
+    /// holds exactly `|M(v)|` vertices.
+    ///
+    /// The cliques certify chordality, so no Tarjan–Yannakakis pass runs.
+    /// The reverse visit order is a perfect elimination ordering iff every
+    /// `M(v)` is a clique, and two checks establish that by induction over
+    /// the cliques in discovery order:
+    ///
+    /// - a growing vertex needs `M(v) ⊆ C`, so `M(v) = C` (a clique by
+    ///   induction) and `C ∪ {v}` stays a clique; it is tested in the same
+    ///   row scan that bumps the weights, against the `current` stamps;
+    /// - a starting vertex needs its seed `M(v)` inside the parent clique
+    ///   `C[clique_of[last]]`, an earlier clique and so a clique by
+    ///   induction.
+    ///
+    /// On a chordal graph both hold, since MCS orders are perfect
+    /// elimination orderings: a growing vertex's `M(v)` is the clique it
+    /// grows (Blair–Peyton), and for a starting vertex `M(v) \ {last} ⊆
+    /// M(last)`, where `M(last)` lies in the clique `last` joined.  The seed check runs after the visit loop,
+    /// with the cliques grouped by parent so every parent is stamped once;
+    /// the whole routine does `O(V + E)` work.  A failed check does not
+    /// stop the visit loop, so the counters describe the whole sweep
+    /// whatever the verdict.
     pub(crate) fn sweep(&mut self, g: &Graph) {
         let cap = g.capacity();
         let n = g.num_vertices();
-        // Vertex ids are u32; the deferred arena holds at most one entry
-        // per edge, so its u32 links cannot wrap either.
-        debug_assert!(g.num_edges() < NONE as usize);
         let s = &mut self.scratch;
         reset(&mut s.weight, cap, 0);
-        reset(&mut s.visit_pos, cap, NONE);
         reset(&mut s.clique_of, cap, NONE);
+        reset(&mut s.current, cap, NONE);
         self.visit_order.clear();
         self.members.clear();
         self.starts.clear();
@@ -156,12 +185,13 @@ impl CliqueForest {
         // Pops (valid and stale) plus pushes; reported once at the end so the
         // hot loop only touches a local.
         let mut bucket_ops: u64 = 0;
+        let mut chordal = true;
 
         while self.visit_order.len() < n {
             let v = loop {
                 match s.buckets[max_w].pop() {
                     Some(c)
-                        if s.visit_pos[c.index()] == NONE
+                        if s.clique_of[c.index()] == NONE
                             && s.weight[c.index()] as usize == max_w =>
                     {
                         bucket_ops += 1;
@@ -174,47 +204,35 @@ impl CliqueForest {
                     None => max_w -= 1, // bucket exhausted; the max can only drop
                 }
             };
-            let pos = self.visit_order.len() as u32;
-            s.visit_pos[v.index()] = pos;
             self.visit_order.push(v);
             let card = s.weight[v.index()] as usize;
-
-            if prev_card == usize::MAX || card <= prev_card {
-                // v begins a new clique C_s = M(v) ∪ {v}: M(v), the
-                // already-visited neighbors, seeds it (ascending, as the
-                // row is sorted).
-                let clique = self.starts.len();
+            let starts_clique = prev_card == usize::MAX || card <= prev_card;
+            if starts_clique {
                 self.starts.push(self.members.len());
-                let mut m_last: Option<VertexId> = None;
-                for &u in g.neighbor_row(v) {
-                    let u_pos = s.visit_pos[u.index()];
-                    if u_pos != NONE {
-                        self.members.push(u);
-                        if m_last.is_none_or(|l| u_pos > s.visit_pos[l.index()]) {
-                            m_last = Some(u);
-                        }
-                    }
-                }
-                debug_assert_eq!(self.members.len() - self.starts[clique], card);
-                self.parent.push(match m_last {
-                    // Tree edge to the clique of the most recent M(v) member;
-                    // M(v) (the separator) is contained in that clique.
-                    Some(last) => s.clique_of[last.index()] as usize,
-                    // New connected component (or the first clique): stitch
-                    // it to the previous clique so the forest stays one tree.
-                    None => clique.saturating_sub(1),
-                });
+            } else {
+                // v joins the clique under construction, in sorted position.
+                let start = self.starts[self.starts.len() - 1];
+                debug_assert_eq!(self.members.len() - start, card);
+                let at = start + self.members[start..].partition_point(|&u| u < v);
+                self.members.insert(at, v);
             }
-            // v joins the clique under construction, in sorted position.
-            let start = self.starts[self.starts.len() - 1];
-            let at = start + self.members[start..].partition_point(|&u| u < v);
-            self.members.insert(at, v);
-            s.clique_of[v.index()] = (self.starts.len() - 1) as u32;
+            let clique = (self.starts.len() - 1) as u32;
+            s.clique_of[v.index()] = clique;
+            s.current[v.index()] = clique;
             prev_card = card;
 
-            // Bump the unvisited neighbors' weights into their new buckets.
+            // One scan of v's row: bump the unvisited neighbors' weights into
+            // their new buckets, and either seed the new clique C_s = M(v) ∪
+            // {v} with the visited ones (ascending, as the row is sorted) or
+            // check that they all lie in the clique v grows.
+            let mut placed = !starts_clique;
+            // The clique of the most recently visited M(v) member: as
+            // `clique_of` never decreases along the visit order, the largest
+            // over M(v).
+            let mut last_clique: Option<u32> = None;
             for &u in g.neighbor_row(v) {
-                if s.visit_pos[u.index()] == NONE {
+                let u_clique = s.clique_of[u.index()];
+                if u_clique == NONE {
                     let w = s.weight[u.index()] as usize + 1;
                     s.weight[u.index()] = w as u32;
                     if w == num_buckets {
@@ -225,7 +243,30 @@ impl CliqueForest {
                     }
                     s.buckets[w].push(u);
                     bucket_ops += 1;
+                } else if starts_clique {
+                    if !placed && u > v {
+                        self.members.push(v);
+                        placed = true;
+                    }
+                    self.members.push(u);
+                    s.current[u.index()] = clique;
+                    last_clique = last_clique.max(Some(u_clique));
+                } else {
+                    chordal &= s.current[u.index()] == clique;
                 }
+            }
+            if starts_clique {
+                if !placed {
+                    self.members.push(v);
+                }
+                debug_assert_eq!(self.members.len() - self.starts[clique as usize], card + 1);
+                self.parent.push(match last_clique {
+                    // Tree edge to the clique of the most recent M(v) member.
+                    Some(last) => last as usize,
+                    // New connected component (or the first clique): stitch
+                    // it to the previous clique so the forest stays one tree.
+                    None => (clique as usize).saturating_sub(1),
+                });
             }
             // The maximum weight can rise by at most one per visit.
             if max_w + 1 < num_buckets {
@@ -233,52 +274,57 @@ impl CliqueForest {
             }
         }
         self.starts.push(self.members.len());
+        let cliques = self.starts.len() - 1;
 
-        // Tarjan–Yannakakis chordality test over the elimination order (the
-        // reverse of the visit order).  Each vertex defers its later
-        // (earlier-visited) neighborhood minus its parent to that parent,
-        // which must contain the deferred set in its own neighborhood; a
-        // timestamped bitmap makes every membership test O(1), so the whole
-        // pass is O(V + E) with no per-edge set lookups.
-        let mut chordal = true;
-        reset(&mut s.mark, cap, NONE);
-        reset(&mut s.deferred_head, cap, NONE);
-        s.deferred.clear();
-        'elimination: for i in (0..n).rev() {
-            let v = self.visit_order[i];
-            let i = i as u32;
-            // Mark N(v) and find the parent: the most recently visited
-            // member of M(v).
-            let mut parent: Option<VertexId> = None;
-            for &u in g.neighbor_row(v) {
-                s.mark[u.index()] = i;
-                let u_pos = s.visit_pos[u.index()];
-                if u_pos < i && parent.is_none_or(|p| u_pos > s.visit_pos[p.index()]) {
-                    parent = Some(u);
-                }
+        // Seed check: every seed member of clique c (a member that joined an
+        // earlier clique) must lie in C[parent[c]].  Group the cliques by
+        // parent, stamp each parent once into `current` and test its
+        // children's seeds against the stamp.  Stale stamps are harmless:
+        // `current[u] == p` only if u was placed in C[p].
+        if chordal && cliques > 1 {
+            reset(&mut s.child_start, cliques + 1, 0);
+            for c in 1..cliques {
+                s.child_start[self.parent[c] + 1] += 1;
             }
-            let mut entry = s.deferred_head[v.index()];
-            while entry != NONE {
-                let (w, next) = s.deferred[entry as usize];
-                if s.mark[w.index()] != i {
-                    chordal = false;
-                    break 'elimination;
-                }
-                entry = next;
+            for p in 1..=cliques {
+                s.child_start[p] += s.child_start[p - 1];
             }
-            if let Some(p) = parent {
-                for &u in g.neighbor_row(v) {
-                    if s.visit_pos[u.index()] < i && u != p {
-                        let head = &mut s.deferred_head[p.index()];
-                        s.deferred.push((u, *head));
-                        *head = (s.deferred.len() - 1) as u32;
+            s.children.clear();
+            s.children.resize(cliques - 1, 0);
+            // Each placement advances child_start[p], which ends where the
+            // children of p end.
+            for c in 1..cliques {
+                let slot = &mut s.child_start[self.parent[c]];
+                s.children[*slot as usize] = c as u32;
+                *slot += 1;
+            }
+            let mut first = 0;
+            'seeds: for p in 0..cliques {
+                let last = s.child_start[p] as usize;
+                let kids = &s.children[first..last];
+                first = last;
+                if kids.is_empty() {
+                    continue;
+                }
+                for &u in &self.members[self.starts[p]..self.starts[p + 1]] {
+                    s.current[u.index()] = p as u32;
+                }
+                for &c in kids {
+                    let c = c as usize;
+                    for &u in &self.members[self.starts[c]..self.starts[c + 1]] {
+                        if s.clique_of[u.index()] as usize != c
+                            && s.current[u.index()] as usize != p
+                        {
+                            chordal = false;
+                            break 'seeds;
+                        }
                     }
                 }
             }
         }
 
         coalesce_stats::counter!("mcs.bucket_ops", bucket_ops);
-        coalesce_stats::counter!("cliquetree.nodes", self.num_cliques() as u64);
+        coalesce_stats::counter!("cliquetree.nodes", cliques as u64);
         self.chordal = chordal;
         if !chordal {
             self.members.clear();
@@ -372,7 +418,7 @@ pub fn perfect_elimination_ordering(g: &Graph) -> Option<Vec<VertexId>> {
 /// assert!(!chordal::is_chordal(&c4));
 /// ```
 pub fn is_chordal(g: &Graph) -> bool {
-    perfect_elimination_ordering(g).is_some()
+    CliqueForest::of(g).chordal
 }
 
 /// Returns `true` if `v` is a *simplicial* vertex of `g`, i.e. its

@@ -12,7 +12,6 @@
 
 use crate::chordal::CliqueForest;
 use crate::graph::{Graph, VertexId};
-use std::collections::BTreeSet;
 
 /// A clique tree of a chordal graph.
 ///
@@ -23,55 +22,19 @@ use std::collections::BTreeSet;
 /// induced-subtree property per vertex is unaffected because a vertex only
 /// appears in cliques of its own component.
 ///
-/// Everything is stored flat: the cliques back to back, the tree adjacency
-/// and the vertex→node index as CSR arrays.  [`CliqueTree::rebuild`]
-/// refills them in place, so rebuilding over graphs of a size seen before
-/// allocates nothing.
+/// The tree keeps only what the Theorem-5 query walks: the sweep's cliques
+/// back to back, each node's parent (every parent has a smaller index, so
+/// the tree is rooted at node 0), each node's depth, and for each vertex
+/// the first node containing it.  [`CliqueTree::rebuild`] refills them in
+/// place, so rebuilding over graphs of a size seen before allocates
+/// nothing.  Tree neighbors and whole subtrees `T_v` are derived on demand.
 #[derive(Debug, Clone, Default)]
 pub struct CliqueTree {
-    /// The sweep's cliques and parent links (plus its reusable scratch).
-    /// The tree is rooted at node 0: every other node's parent has a
-    /// smaller index.
+    /// The sweep's cliques, parent links and first-node array (plus its
+    /// reusable scratch).
     forest: CliqueForest,
     /// Depth of each node below node 0.
     depth: Vec<usize>,
-    /// Tree neighbors of node `i`: `adjacency[adjacency_start[i]..adjacency_start[i + 1]]`,
-    /// its parent first, then its children in ascending order.
-    adjacency_start: Vec<usize>,
-    adjacency: Vec<usize>,
-    /// For each vertex index, the (ascending) tree nodes whose clique
-    /// contains it — the subtree `T_v`, precomputed so the per-vertex
-    /// queries on the Theorem-5 hot path don't scan every clique; laid
-    /// out like `adjacency`.
-    containing_start: Vec<usize>,
-    containing: Vec<usize>,
-}
-
-/// Fills the CSR pair `(start, items)` with `rows` rows from `(row,
-/// item)` pairs, keeping each row's items in iteration order.
-fn fill_csr(
-    start: &mut Vec<usize>,
-    items: &mut Vec<usize>,
-    rows: usize,
-    pairs: impl Iterator<Item = (usize, usize)> + Clone,
-) {
-    start.clear();
-    start.resize(rows + 2, 0);
-    for (row, _) in pairs.clone() {
-        start[row + 2] += 1;
-    }
-    for i in 2..start.len() {
-        start[i] += start[i - 1];
-    }
-    // start[row + 1] is now where row begins; placing an item advances it,
-    // so it ends where row + 1 begins.
-    items.clear();
-    items.resize(start[rows + 1], 0);
-    for (row, item) in pairs {
-        items[start[row + 1]] = item;
-        start[row + 1] += 1;
-    }
-    start.pop();
 }
 
 impl CliqueTree {
@@ -92,31 +55,12 @@ impl CliqueTree {
     /// empty tree) if `g` is not chordal.
     pub fn rebuild(&mut self, g: &Graph) -> bool {
         self.forest.sweep(g);
-        let forest = &self.forest;
-        let nodes = forest.num_cliques();
         self.depth.clear();
-        for i in 0..nodes {
-            let depth = if i == 0 {
-                0
-            } else {
-                self.depth[forest.parent[i]] + 1
-            };
+        for (i, &p) in self.forest.parent.iter().enumerate() {
+            let depth = if i == 0 { 0 } else { self.depth[p] + 1 };
             self.depth.push(depth);
         }
-        let parent = &forest.parent;
-        let edges = (1..nodes).flat_map(|i| [(i, parent[i]), (parent[i], i)]);
-        fill_csr(&mut self.adjacency_start, &mut self.adjacency, nodes, edges);
-        let memberships = forest
-            .cliques()
-            .enumerate()
-            .flat_map(|(i, clique)| clique.iter().map(move |v| (v.index(), i)));
-        fill_csr(
-            &mut self.containing_start,
-            &mut self.containing,
-            g.capacity(),
-            memberships,
-        );
-        forest.chordal
+        self.forest.chordal
     }
 
     /// Number of tree nodes (maximal cliques).
@@ -129,9 +73,15 @@ impl CliqueTree {
         self.forest.clique(i)
     }
 
-    /// Tree neighbors of node `i`.
-    pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.adjacency[self.adjacency_start[i]..self.adjacency_start[i + 1]]
+    /// Tree neighbors of node `i`: its parent first (unless `i` is the
+    /// root, node 0), then its children in ascending order.  Derived from
+    /// the parent links, `O(num_nodes())`.
+    pub fn neighbors(&self, i: usize) -> Vec<usize> {
+        let parent = &self.forest.parent;
+        let up = (i > 0).then(|| parent[i]);
+        up.into_iter()
+            .chain((i + 1..self.num_nodes()).filter(|&c| parent[c] == i))
+            .collect()
     }
 
     /// Clique number of the underlying graph: size of the largest clique
@@ -145,18 +95,18 @@ impl CliqueTree {
     }
 
     /// Nodes whose clique contains vertex `v` (the subtree `T_v`), in
-    /// ascending node order.  `O(1)`: served from the precomputed
-    /// vertex→node index.
-    pub fn nodes_containing(&self, v: VertexId) -> &[usize] {
-        match self.containing_start.get(v.index() + 1) {
-            Some(&end) => &self.containing[self.containing_start[v.index()]..end],
-            None => &[],
-        }
+    /// ascending node order.  Derived by scanning the cliques.
+    pub fn nodes_containing(&self, v: VertexId) -> Vec<usize> {
+        (0..self.num_nodes())
+            .filter(|&i| self.clique(i).binary_search(&v).is_ok())
+            .collect()
     }
 
-    /// Some node whose clique contains `v`, if any.  `O(1)`.
+    /// The first node whose clique contains `v`, if any (the root of
+    /// `T_v`).  `O(1)`: it is the clique `v` joined when the sweep visited
+    /// it, as every earlier clique holds only vertices visited before `v`.
     pub fn any_node_containing(&self, v: VertexId) -> Option<usize> {
-        self.nodes_containing(v).first().copied()
+        self.forest.clique_of(v)
     }
 
     /// The unique tree path from node `from` to node `to` (inclusive),
@@ -198,28 +148,22 @@ impl CliqueTree {
     /// Checks the induced-subtree (junction) property: for every vertex, the
     /// nodes containing it form a connected subtree.  Mostly useful in tests
     /// and debug assertions.
+    ///
+    /// A node set of a rooted tree is connected iff exactly one of its
+    /// nodes has its parent outside the set (the root counting as outside),
+    /// so it suffices to find each vertex's top once.
     pub fn has_junction_property(&self) -> bool {
-        for v in 0..self.containing_start.len().saturating_sub(1) {
-            let v = VertexId::new(v);
-            let nodes = self.nodes_containing(v);
-            if nodes.len() <= 1 {
-                continue;
-            }
-            // BFS restricted to `nodes`.
-            let node_set: BTreeSet<usize> = nodes.iter().copied().collect();
-            let mut seen = BTreeSet::new();
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(nodes[0]);
-            seen.insert(nodes[0]);
-            while let Some(n) = queue.pop_front() {
-                for &m in self.neighbors(n) {
-                    if node_set.contains(&m) && seen.insert(m) {
-                        queue.push_back(m);
+        let mut has_top: Vec<bool> = Vec::new();
+        for (i, &p) in self.forest.parent.iter().enumerate() {
+            for &v in self.clique(i) {
+                if i == 0 || self.clique(p).binary_search(&v).is_err() {
+                    if has_top.len() <= v.index() {
+                        has_top.resize(v.index() + 1, false);
+                    }
+                    if std::mem::replace(&mut has_top[v.index()], true) {
+                        return false;
                     }
                 }
-            }
-            if seen.len() != nodes.len() {
-                return false;
             }
         }
         true

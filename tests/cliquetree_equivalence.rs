@@ -5,12 +5,16 @@
 //! checks between candidate cliques + all-pairs Kruskal); these tests pin
 //! the new construction to the old one's observable behavior: the same
 //! maximal-clique set, a tree with the junction property, and the same
-//! clique number.  A second pin holds the flat (CSR) clique storage and
+//! clique number.  A second pin holds the flat clique storage and
 //! the in-place rebuild to the `BTreeSet` layout they replaced, kept
 //! verbatim in [`reference`]: same visit order, cliques, tree edges,
-//! path intervals, Theorem-5 answers and strategy results.  The parser
-//! fuzz covers duplicate problem lines, self-loops and truncated files,
-//! which must all be rejected instead of silently mangling the instance.
+//! path intervals, Theorem-5 answers and strategy results.  The
+//! reference keeps the Tarjan–Yannakakis chordality pass the sweep no
+//! longer runs (its cliques certify chordality instead), so the verdict is
+//! also pinned on non-chordal graphs: random `G(n, p)`, chorded cycles,
+//! and graphs after vertex removals and merges.  The parser fuzz covers
+//! duplicate problem lines, self-loops and truncated files, which must all
+//! be rejected instead of silently mangling the instance.
 
 use coalesce_core::affinity::AffinityGraph;
 use coalesce_core::chordal_strategy::{chordal_conservative_coalesce, ChordalMode};
@@ -23,6 +27,7 @@ use coalesce_graph::{chordal, Graph, VertexId};
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
 use coalesce_ir::liveness::Liveness;
 use proptest::prelude::*;
+use rand::Rng;
 use std::collections::BTreeSet;
 
 /// The `BTreeSet`-based clique forest, clique tree, Theorem-5 query and
@@ -521,9 +526,9 @@ mod reference {
 
 /// Checks the flat clique tree of `g` — built fresh and rebuilt in place
 /// into `session` — against [`reference`]: visit order, chordality, the
-/// cliques in order, tree edges, `nodes_containing`, the intervals on
-/// sampled tree paths, and the Theorem-5 answer (with its witness) of
-/// every pair in `pairs` at each `k` in `ks`.
+/// cliques in order, tree edges, `nodes_containing` and its first node,
+/// the intervals on sampled tree paths, and the Theorem-5 answer (with its
+/// witness) of every pair in `pairs` at each `k` in `ks`.
 fn assert_matches_reference(
     g: &Graph,
     session: &mut PreparedChordal,
@@ -534,10 +539,18 @@ fn assert_matches_reference(
     let order: Vec<VertexId> = old.visit_order.iter().rev().copied().collect();
     assert_eq!(chordal::maximum_cardinality_search(g), order);
     assert_eq!(chordal::is_chordal(g), old.chordal);
+    assert_eq!(
+        chordal::perfect_elimination_ordering(g),
+        old.chordal.then(|| order.clone())
+    );
     assert_eq!(session.rebuild(g), old.chordal);
     let Some(old_tree) = reference::CliqueTree::build(g) else {
         assert!(CliqueTree::build(g).is_none());
+        assert!(chordal::chordal_maximal_cliques(g).is_none());
         assert_eq!(session.tree().num_nodes(), 0);
+        for v in (0..g.capacity() + 2).map(VertexId::new) {
+            assert_eq!(session.tree().any_node_containing(v), None);
+        }
         return;
     };
     assert_eq!(chordal::chordal_maximal_cliques(g), Some(old.cliques));
@@ -554,8 +567,11 @@ fn assert_matches_reference(
                 "tree edges at {i}"
             );
         }
+        assert!(tree.has_junction_property());
         for v in (0..g.capacity() + 2).map(VertexId::new) {
-            assert_eq!(tree.nodes_containing(v), old_tree.nodes_containing(v));
+            let old_nodes = old_tree.nodes_containing(v);
+            assert_eq!(tree.nodes_containing(v), old_nodes);
+            assert_eq!(tree.any_node_containing(v), old_nodes.first().copied());
         }
         let nodes = tree.num_nodes();
         let stride = nodes / 12 + 1;
@@ -663,6 +679,53 @@ fn arbitrary_interval_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// `G(n, p)` with edge probability `percent`%.
+fn gnp_graph(n: usize, percent: u32, rng: &mut impl Rng) -> Graph {
+    let mut g = Graph::new(n);
+    for i in 0..n {
+        for j in i + 1..n {
+            if rng.gen_range(0u32..100) < percent {
+                g.add_edge(VertexId::new(i), VertexId::new(j));
+            }
+        }
+    }
+    g
+}
+
+/// Strategy: `G(n, p)` with `n ≤ 16` and the edge probability `p` drawn
+/// from the whole range, so sparse (mostly chordal) and dense (mostly not)
+/// graphs both occur.
+fn arbitrary_gnp_graph() -> impl Strategy<Value = Graph> {
+    (1usize..17, 0u32..=100, 0u64..1_000_000)
+        .prop_map(|(n, percent, seed)| gnp_graph(n, percent, &mut coalesce_gen::rng(seed)))
+}
+
+/// Strategy: a cycle of 4 to 19 vertices with up to `n` random chords, so
+/// the chords sometimes triangulate it and sometimes leave a hole.
+fn arbitrary_chorded_cycle() -> impl Strategy<Value = Graph> {
+    (4usize..20, 0u64..1_000_000).prop_map(|(n, seed)| {
+        let mut rng = coalesce_gen::rng(seed);
+        let mut g = Graph::with_edges(
+            n,
+            (0..n).map(|i| (VertexId::new(i), VertexId::new((i + 1) % n))),
+        );
+        for _ in 0..rng.gen_range(0..=n) {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                g.add_edge(VertexId::new(a), VertexId::new(b));
+            }
+        }
+        g
+    })
+}
+
+/// [`assert_matches_reference`] on any graph, chordal or not: every pair
+/// is queried at `k = ω` and `ω + 1` when there is a clique tree.
+fn assert_verdict_and_tree_match(g: &Graph, session: &mut PreparedChordal) {
+    let omega = chordal::chordal_clique_number(g).unwrap_or(0);
+    assert_matches_reference(g, session, &all_pairs(g), omega..omega + 2);
+}
+
 fn sorted(mut cliques: Vec<BTreeSet<VertexId>>) -> Vec<BTreeSet<VertexId>> {
     cliques.sort();
     cliques
@@ -707,8 +770,9 @@ proptest! {
         prop_assert!(tree.has_junction_property());
     }
 
-    /// The precomputed vertex→node index must agree with a scan of the
-    /// cliques, for every vertex.
+    /// `nodes_containing` and the first-node array behind
+    /// `any_node_containing` must agree with a scan of the cliques, for
+    /// every vertex.
     #[test]
     fn nodes_containing_index_matches_a_full_scan(g in arbitrary_interval_graph()) {
         let tree = CliqueTree::build(&g).expect("interval graphs are chordal");
@@ -752,6 +816,59 @@ proptest! {
         let mut session = PreparedChordal::prepare(&g).expect("generator output is chordal");
         assert_matches_reference(&c5, &mut session, &all_pairs(&c5), 2..4);
         assert_matches_reference(&g, &mut session, &all_pairs(&g), omega..omega + 2);
+    }
+
+    /// The chordality verdict (and, when chordal, the whole tree) against
+    /// the reference's Tarjan–Yannakakis pass on random `G(n, p)` at every
+    /// density, with one session rebuilt in place across both graphs.
+    #[test]
+    fn sweep_verdict_matches_tarjan_yannakakis_on_random_graphs(
+        g in arbitrary_gnp_graph(),
+        h in arbitrary_gnp_graph(),
+    ) {
+        let mut session = PreparedChordal::prepare(&Graph::new(0)).expect("empty graph");
+        assert_verdict_and_tree_match(&g, &mut session);
+        assert_verdict_and_tree_match(&h, &mut session);
+    }
+
+    /// The same pin on cycles with random chords: a chordless cycle of
+    /// length at least 4 is the obstruction every non-chordal graph has.
+    #[test]
+    fn sweep_verdict_matches_tarjan_yannakakis_on_chorded_cycles(g in arbitrary_chorded_cycle()) {
+        let mut session = PreparedChordal::prepare(&Graph::new(0)).expect("empty graph");
+        assert_verdict_and_tree_match(&g, &mut session);
+    }
+
+    /// The same pin along random edits of a chordal or `G(n, p)` graph:
+    /// vertex removals (which leave identifier gaps) and merges of
+    /// non-adjacent pairs (which can break chordality), checking every
+    /// intermediate graph with one session rebuilt in place.
+    #[test]
+    fn sweep_verdict_matches_tarjan_yannakakis_after_removals_and_merges(
+        seed in 0u64..1_000_000,
+        n in 2usize..24,
+        start_chordal in any::<bool>(),
+    ) {
+        let mut rng = coalesce_gen::rng(seed);
+        let mut g = if start_chordal {
+            random_chordal_graph(n, 4, &mut rng)
+        } else {
+            let percent = rng.gen_range(0u32..=100);
+            gnp_graph(n, percent, &mut rng)
+        };
+        let mut session = PreparedChordal::prepare(&Graph::new(0)).expect("empty graph");
+        assert_verdict_and_tree_match(&g, &mut session);
+        while g.num_vertices() > 1 {
+            let live: Vec<VertexId> = g.vertices().collect();
+            let a = live[rng.gen_range(0..live.len())];
+            let b = live[rng.gen_range(0..live.len())];
+            if a == b || g.has_edge(a, b) {
+                g.remove_vertex(a);
+            } else {
+                g.merge(a, b);
+            }
+            assert_verdict_and_tree_match(&g, &mut session);
+        }
     }
 
     /// Round trip plus mutation fuzz for the DIMACS parser: the writer's
