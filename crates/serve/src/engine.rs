@@ -278,7 +278,7 @@ impl Engine {
                     let mut solver = ExactSolver::new();
                     let colorable = solver.is_k_colorable(&file.graph, k);
                     budget.charge(solver.stats().nodes_expanded + 1);
-                    let ag = AffinityGraph::new(file.graph.clone(), affinities);
+                    let ag = AffinityGraph::new(file.graph, affinities);
                     let irc = allocate(&ag, k);
                     budget.charge(irc_est);
                     let verified = self.verify(|| irc_is_valid(&ag, k, &irc));
@@ -298,7 +298,7 @@ impl Engine {
             Ok(()) => {
                 let omega = chordal_clique_number(&file.graph);
                 budget.charge((n + m + 1) as u64);
-                let ag = AffinityGraph::new(file.graph.clone(), affinities);
+                let ag = AffinityGraph::new(file.graph, affinities);
                 let irc = allocate(&ag, k);
                 budget.charge(irc_est);
                 let verified = self.verify(|| irc_is_valid(&ag, k, &irc));

@@ -7,14 +7,17 @@
 //! verbatim; every test asserts identical outputs on random graphs with
 //! retired (merged or removed) vertices and random weighted affinities,
 //! on the affinity graphs of every generator shape profile at every
-//! pressure level, and on a sample of module functions.
+//! pressure level, and on a sample of module functions.  The worklist IRC
+//! is also pinned on challenge instances, dense `G(n, p)` at small `k`,
+//! and affinity chains and stars with repeated pairs.
 
 use coalesce_alloc::biased::biased_select;
 use coalesce_core::affinity::{Affinity, AffinityGraph};
 use coalesce_core::conservative::briggs_test;
 use coalesce_core::irc::{self, IrcResult};
 use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
-use coalesce_gen::graphs::random_chordal_graph;
+use coalesce_gen::challenge::{challenge_instance, ChallengeParams};
+use coalesce_gen::graphs::{random_chordal_graph, random_graph};
 use coalesce_gen::module::{module_specs, ModuleParams};
 use coalesce_graph::{chordal, greedy, Graph, VertexId};
 use coalesce_ir::interference::InterferenceGraph;
@@ -466,6 +469,22 @@ fn assert_same_coloring_layer(ag: &AffinityGraph, ks: &[usize]) {
     }
 }
 
+/// Up to `count` weighted affinities between random non-adjacent pairs of
+/// `g`'s live vertices.
+fn random_affinities(g: &Graph, count: usize, rng: &mut impl Rng) -> Vec<Affinity> {
+    let live: Vec<VertexId> = g.vertices().collect();
+    if live.len() < 2 {
+        return Vec::new();
+    }
+    (0..count)
+        .filter_map(|_| {
+            let a = live[rng.gen_range(0..live.len())];
+            let b = live[rng.gen_range(0..live.len())];
+            (a != b && !g.has_edge(a, b)).then(|| Affinity::weighted(a, b, rng.gen_range(1..5u64)))
+        })
+        .collect()
+}
+
 /// A random graph with some vertices merged away and some removed, plus
 /// random weighted affinities between non-adjacent live vertices.  Small
 /// weights and repeated pairs make equal-weight preferences common.
@@ -487,17 +506,13 @@ fn random_instance(seed: u64) -> AffinityGraph {
             g.remove_vertex(v);
         }
     }
-    let live: Vec<VertexId> = g.vertices().collect();
-    let mut affinities = Vec::new();
-    if live.len() >= 2 {
-        for _ in 0..rng.gen_range(0..3 * live.len()) {
-            let a = live[rng.gen_range(0..live.len())];
-            let b = live[rng.gen_range(0..live.len())];
-            if a != b && !g.has_edge(a, b) {
-                affinities.push(Affinity::weighted(a, b, rng.gen_range(1..5u64)));
-            }
-        }
-    }
+    let live = g.num_vertices();
+    let affinities = if live >= 2 {
+        let count = rng.gen_range(0..3 * live);
+        random_affinities(&g, count, &mut rng)
+    } else {
+        Vec::new()
+    };
     AffinityGraph::new(g, affinities)
 }
 
@@ -517,6 +532,87 @@ fn function_instances(f: &Function) -> Vec<(AffinityGraph, Vec<usize>)> {
             (ag, ks)
         })
         .collect()
+}
+
+/// Affinity chains and stars over a sparse random graph, every link
+/// repeated up to three times in either direction: accepted merges chain
+/// classes together, so later moves reach their ends through multi-way
+/// merged representatives and freezes meet moves that are already
+/// internal to a class.
+fn chain_and_star_instance(seed: u64) -> AffinityGraph {
+    let mut rng = coalesce_gen::rng(seed);
+    let n = rng.gen_range(4..40usize);
+    let density = f64::from(rng.gen_range(0..30u32)) / 100.0;
+    let g = random_graph(n, density, &mut rng);
+    let mut links = Vec::new();
+    for _ in 0..rng.gen_range(1..4) {
+        // A chain along a random walk of vertex ids.
+        let mut at = rng.gen_range(0..n);
+        for _ in 0..rng.gen_range(2..n) {
+            let next = rng.gen_range(0..n);
+            links.push((at, next));
+            at = next;
+        }
+        // A star around a random center.
+        let center = rng.gen_range(0..n);
+        for _ in 0..rng.gen_range(2..n) {
+            links.push((center, rng.gen_range(0..n)));
+        }
+    }
+    let mut affinities = Vec::new();
+    for (a, b) in links {
+        let (a, b) = (VertexId::new(a), VertexId::new(b));
+        if a == b || g.has_edge(a, b) {
+            continue;
+        }
+        for _ in 0..rng.gen_range(1..=3) {
+            let weight = rng.gen_range(1..4u64);
+            let (x, y) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+            affinities.push(Affinity::weighted(x, y, weight));
+        }
+    }
+    AffinityGraph::new(g, affinities)
+}
+
+/// The serve traffic: challenge instances at the register count they
+/// target, and starved at one and two registers.
+#[test]
+fn irc_matches_the_reference_on_challenge_instances() {
+    for i in 0..24u64 {
+        let params = ChallengeParams::at_scale(24 + 8 * (i as usize % 6), 3 + i as usize % 4);
+        let inst = challenge_instance(&params, &mut coalesce_gen::rng(0x6368 ^ i));
+        for k in [inst.registers, 1, 2] {
+            assert_same_irc(&inst.affinity_graph, k);
+        }
+    }
+}
+
+/// Dense `G(n, p)` at small `k`: most vertices stay significant, so the
+/// freeze and potential-spill steps run often.
+#[test]
+fn irc_matches_the_reference_on_dense_graphs() {
+    let mut rng = coalesce_gen::rng(0x6465_6e73);
+    for _ in 0..120 {
+        let n = rng.gen_range(2..=60usize);
+        let p = f64::from(rng.gen_range(30..90u32)) / 100.0;
+        let g = random_graph(n, p, &mut rng);
+        let count = rng.gen_range(0..2 * n);
+        let affinities = random_affinities(&g, count, &mut rng);
+        let ag = AffinityGraph::new(g, affinities);
+        for k in 1..=5 {
+            assert_same_irc(&ag, k);
+        }
+    }
+}
+
+#[test]
+fn irc_matches_the_reference_on_affinity_chains_and_stars() {
+    for seed in 0..300 {
+        let ag = chain_and_star_instance(seed);
+        for k in 1..=4 {
+            assert_same_irc(&ag, k);
+        }
+    }
 }
 
 #[test]
