@@ -1,107 +1,38 @@
-//! `bench-diff` — structural comparison of two `run-experiments --json`
-//! artifacts (the fresh `BENCH_pr.json` vs the committed baseline).
+//! `bench-diff` — compares a `run-experiments --json` artifact (the fresh
+//! `BENCH_pr.json`, or one experiment's report) with the committed
+//! `BENCH_baseline.json`.
 //!
 //! ```text
 //! bench-diff [--require-all] BENCH_pr.json BENCH_baseline.json
 //! ```
 //!
-//! The comparison is deliberately *structural* rather than byte-for-byte:
-//! row counts, experiment identities and every invariant field (the
-//! boolean `agree` / `equal` / theorem-holds columns and the summary
-//! quantities) must match, while instrumentation counters
-//! (`nodes_expanded`, `memo_*`) may drift as the solver evolves across
-//! PRs.  Experiments are matched *by name*, so a single-experiment
-//! artifact diffs cleanly against the full baseline; the CI full-sweep
-//! diff passes `--require-all`, which additionally fails the run when any
+//! Every current experiment, matched to the baseline *by name*, must equal
+//! its baseline report once [`mask_timing`] has dropped the measured
+//! wall-clock fields (`*_per_sec`, `*elapsed_ms`): rows, summaries,
+//! declared `budget_ms` and the embedded `stats` pass counters alike.
+//! Matching by name lets a single-experiment artifact diff against the
+//! full baseline; `--require-all` additionally fails the run when any
 //! baseline experiment is missing from the current artifact (a sweep that
 //! silently dropped an experiment would otherwise pass every per-pair
-//! check).  On top of the baseline comparison, a set of *domain invariants*
-//! is checked inside the current artifact itself: no coloring may use
-//! fewer colors than `Maxlive` without spilling (the E13 `chordal_colors`
-//! vs `maxlive` columns), and every spill-count field (any `*spill*` key
-//! except the `spiller` strategy label) must be a non-negative number.  Experiments that carry a wall-clock regression
-//! guard embed their declared budget as a `budget_ms` summary field; the
-//! diff checks that every guarded experiment still declares it, that the
-//! value matches the library's [`ExperimentId::budget_ms`] table, and that
-//! it never grew past the baseline's (loosening a budget is a reviewed
-//! baseline change, not a drive-by).  Measured throughput summaries
-//! (E16's `functions_per_sec`) are exempt from equality but must not
-//! collapse below a quarter of the baseline.  Exit code 0 means no
-//! regression; 1 lists every difference.
+//! check).  A change that moves a deterministic field on purpose edits
+//! exactly those values in `BENCH_baseline.json`.
+//!
+//! Three checks cover what identity cannot:
+//!
+//! * **throughput floor** — the masked `*_per_sec` summaries must stay at
+//!   or above a quarter of the baseline value;
+//! * **domain invariants** of the current artifact — no coloring may use
+//!   fewer colors than `Maxlive` (the E13 `chordal_colors` vs `maxlive`
+//!   columns), and every `*spill*` field except the `spiller` strategy
+//!   label is a non-negative number;
+//! * **timing placement** — wall clock lives only at the top level of a
+//!   summary, so the mask never hides a deterministic field.
+//!
+//! Exit code 0 means no regression; 1 lists every difference.
 
-use coalesce_bench::{ExperimentId, Json};
+use coalesce_bench::report::{first_difference, mask_timing};
+use coalesce_bench::Json;
 use std::process::ExitCode;
-
-/// How one exempted field class is treated by the comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Exemption {
-    /// Measured instrumentation: exempt from equality.  Throughput is
-    /// still guarded — by the floor check in [`check_throughput_floor`],
-    /// not by equality.
-    PerfCounter,
-    /// A name, not a quantity: exempt from the numeric domain checks
-    /// (e.g. E17's `spiller` strategy column among the `*spill*` keys).
-    Label,
-}
-
-/// A key pattern of the exemption table.
-#[derive(Debug, Clone, Copy)]
-enum Matcher {
-    Exact(&'static str),
-    Contains(&'static str),
-    EndsWith(&'static str),
-}
-
-impl Matcher {
-    fn matches(self, key: &str) -> bool {
-        match self {
-            Matcher::Exact(name) => key == name,
-            Matcher::Contains(needle) => key.contains(needle),
-            Matcher::EndsWith(suffix) => key.ends_with(suffix),
-        }
-    }
-}
-
-/// The single source of truth for field exemptions: every key that the
-/// structural comparison treats specially, with the class deciding *how*.
-/// First match wins; keys matching nothing are fully checked invariants.
-const EXEMPTIONS: &[(Matcher, Exemption)] = &[
-    // Search instrumentation: drifts as the solver evolves across PRs.
-    (Matcher::Contains("nodes_expanded"), Exemption::PerfCounter),
-    (Matcher::Contains("memo"), Exemption::PerfCounter),
-    // Measured wall clock and throughput (E16's `functions_per_sec`,
-    // the `*_elapsed_ms` counters of E16/E17).
-    (Matcher::EndsWith("_per_sec"), Exemption::PerfCounter),
-    (Matcher::Contains("elapsed"), Exemption::PerfCounter),
-    // The embedded pass-counter objects (`coalesce-stats`): the dotted
-    // fields inside (`solver.nodes`, `spill.victims`, `mcs.bucket_ops`,
-    // `liveness.worklist_iterations`, `coalesce.merges_accepted`, …) are
-    // seed-deterministic but drift across PRs as the passes evolve, so the
-    // whole object is exempt from baseline equality — the seed-42 fixtures
-    // pin the exact values instead.
-    (Matcher::Exact("stats"), Exemption::PerfCounter),
-    // Strategy labels: `spiller` is the one spill-related key that is a
-    // name, not a quantity.
-    (Matcher::Contains("spiller"), Exemption::Label),
-];
-
-/// Looks a key up in [`EXEMPTIONS`] (first match wins).
-fn exemption_of(key: &str) -> Option<Exemption> {
-    EXEMPTIONS
-        .iter()
-        .find(|(matcher, _)| matcher.matches(key))
-        .map(|&(_, class)| class)
-}
-
-/// Summary/row keys that are allowed to drift between runs.
-fn is_perf_counter(key: &str) -> bool {
-    exemption_of(key) == Some(Exemption::PerfCounter)
-}
-
-/// Keys that hold names rather than quantities.
-fn is_label(key: &str) -> bool {
-    exemption_of(key) == Some(Exemption::Label)
-}
 
 fn experiments_of(doc: &Json) -> Vec<&Json> {
     match doc.get("experiments").and_then(Json::as_array) {
@@ -117,14 +48,11 @@ fn experiment_name(e: &Json) -> &str {
         .unwrap_or("<unnamed>")
 }
 
+/// Masked identity of every current experiment with its baseline namesake.
 fn compare(current: &Json, baseline: &Json, require_all: bool, problems: &mut Vec<String>) {
     let current_experiments = experiments_of(current);
     let baseline_experiments = experiments_of(baseline);
 
-    // Experiments are matched by name, not position: a single-experiment
-    // artifact is a valid diff input against the full baseline.  An
-    // experiment the baseline has never seen cannot be checked — that is
-    // an error, not a skip.
     if require_all {
         for base in &baseline_experiments {
             let name = experiment_name(base);
@@ -140,8 +68,10 @@ fn compare(current: &Json, baseline: &Json, require_all: bool, problems: &mut Ve
         }
     }
 
-    for experiment in &current_experiments {
+    for experiment in current_experiments {
         let name = experiment_name(experiment);
+        // An experiment the baseline has never seen cannot be checked —
+        // that is an error, not a skip.
         let Some(base) = baseline_experiments
             .iter()
             .find(|e| experiment_name(e) == name)
@@ -149,59 +79,17 @@ fn compare(current: &Json, baseline: &Json, require_all: bool, problems: &mut Ve
             problems.push(format!("{name}: experiment not present in the baseline"));
             continue;
         };
-        let rows = experiment
-            .get("rows")
-            .and_then(Json::as_array)
-            .unwrap_or(&[]);
-        let base_rows = base.get("rows").and_then(Json::as_array).unwrap_or(&[]);
-        if rows.len() != base_rows.len() {
+        let (now, then) = (
+            mask_timing(experiment).to_pretty_string(),
+            mask_timing(base).to_pretty_string(),
+        );
+        if let Some((line, now, then)) = first_difference(&now, &then) {
             problems.push(format!(
-                "{name}: row count changed: {} vs baseline {}",
-                rows.len(),
-                base_rows.len()
+                "{name}: differs from the baseline outside timing fields, first at \
+                 line {line} of its report: `{}` vs baseline `{}`",
+                now.trim(),
+                then.trim()
             ));
-            continue;
-        }
-        for (i, (row, base_row)) in rows.iter().zip(base_rows).enumerate() {
-            let (Json::Object(pairs), Json::Object(base_pairs)) = (row, base_row) else {
-                continue;
-            };
-            // Every invariant (boolean) column of the baseline must hold
-            // identically in the current run.
-            for (key, base_value) in base_pairs {
-                if is_perf_counter(key) {
-                    continue;
-                }
-                if !matches!(base_value, Json::Bool(_)) {
-                    continue;
-                }
-                match pairs.iter().find(|(k, _)| k == key) {
-                    Some((_, value)) if value == base_value => {}
-                    Some((_, value)) => problems.push(format!(
-                        "{name} row {i}: invariant `{key}` changed: {value} vs baseline {base_value}"
-                    )),
-                    None => problems.push(format!(
-                        "{name} row {i}: invariant `{key}` disappeared"
-                    )),
-                }
-            }
-        }
-        // Summary quantities (agreement counts, gap totals) are invariants.
-        if let (Some(Json::Object(pairs)), Some(Json::Object(base_pairs))) =
-            (experiment.get("summary"), base.get("summary"))
-        {
-            for (key, base_value) in base_pairs {
-                if is_perf_counter(key) {
-                    continue;
-                }
-                match pairs.iter().find(|(k, _)| k == key) {
-                    Some((_, value)) if value == base_value => {}
-                    Some((_, value)) => problems.push(format!(
-                        "{name} summary `{key}` changed: {value} vs baseline {base_value}"
-                    )),
-                    None => problems.push(format!("{name} summary `{key}` disappeared")),
-                }
-            }
         }
     }
 }
@@ -226,16 +114,16 @@ fn check_domain_invariants(context: &str, value: &Json, problems: &mut Vec<Strin
                 }
             }
             for (key, v) in pairs {
+                // `spiller` (E17's strategy column) is a name, not a
+                // quantity.
                 if key.contains("spill")
-                    && !is_label(key)
+                    && key != "spiller"
                     && !matches!(v, Json::Object(_) | Json::Array(_))
+                    && v.as_u64().is_none()
                 {
-                    match v.as_u64() {
-                        Some(_) => {}
-                        None => problems.push(format!(
-                            "{context}: spill field `{key}` is not a non-negative number: {v}"
-                        )),
-                    }
+                    problems.push(format!(
+                        "{context}: spill field `{key}` is not a non-negative number: {v}"
+                    ));
                 }
                 check_domain_invariants(context, v, problems);
             }
@@ -251,10 +139,7 @@ fn check_domain_invariants(context: &str, value: &Json, problems: &mut Vec<Strin
 
 fn check_current_invariants(current: &Json, problems: &mut Vec<String>) {
     for experiment in experiments_of(current) {
-        let name = experiment
-            .get("experiment")
-            .and_then(Json::as_str)
-            .unwrap_or("<unnamed>");
+        let name = experiment_name(experiment);
         if let Some(rows) = experiment.get("rows").and_then(Json::as_array) {
             for (i, row) in rows.iter().enumerate() {
                 check_domain_invariants(&format!("{name} row {i}"), row, problems);
@@ -267,8 +152,8 @@ fn check_current_invariants(current: &Json, problems: &mut Vec<String>) {
 /// (`budget_ms`, `elapsed_ms`, `*_elapsed_ms`): a `_ns`/`_us`/`_ms` key in
 /// a row, or nested anywhere inside a summary value (such as a `stats`
 /// pass-counter object), would leak nondeterministic wall clock into
-/// byte-compared or fixture-pinned data.  Wall clock belongs in the
-/// summary top level or the `--trace-out` sidecar, nowhere else.
+/// byte-compared data.  Wall clock belongs in the summary top level or the
+/// `--trace-out` sidecar, nowhere else.
 fn check_timing_placement(current: &Json, problems: &mut Vec<String>) {
     fn reject_timing_keys(context: &str, value: &Json, problems: &mut Vec<String>) {
         match value {
@@ -307,78 +192,17 @@ fn check_timing_placement(current: &Json, problems: &mut Vec<String>) {
     }
 }
 
-/// The per-experiment wall-clock budget fields: every *guarded*
-/// experiment present in the current artifact ([`ExperimentId::budget_ms`]
-/// declares a budget for it) must carry the field in its summary with
-/// exactly the declared value, and the current artifact's budget must
-/// never exceed the baseline's.  Experiments absent from the artifact are
-/// not required — single-experiment files are valid diff inputs — unless
-/// `--require-all` is in force, where a missing guarded experiment means
-/// its wall-clock guard silently stopped running.
-fn check_budget_fields(
-    current: &Json,
-    baseline: &Json,
-    require_all: bool,
-    problems: &mut Vec<String>,
-) {
-    fn report_of(doc: &Json, id: ExperimentId) -> Option<&Json> {
-        experiments_of(doc)
-            .into_iter()
-            .find(|e| e.get("experiment").and_then(Json::as_str) == Some(id.as_str()))
-    }
-    fn budget_of(doc: &Json, id: ExperimentId) -> Option<u64> {
-        report_of(doc, id)
-            .and_then(|e| e.get("summary"))
-            .and_then(|s| s.get("budget_ms"))
-            .and_then(Json::as_u64)
-    }
-    for id in ExperimentId::ALL {
-        let Some(declared) = id.budget_ms() else {
-            continue;
-        };
-        if report_of(current, id).is_none() {
-            if require_all {
-                problems.push(format!(
-                    "{id}: guarded experiment absent from the current artifact (--require-all)"
-                ));
-            }
-            continue;
-        }
-        match budget_of(current, id) {
-            None => problems.push(format!(
-                "{id}: guarded experiment is missing its `budget_ms` summary field"
-            )),
-            Some(ms) if ms != declared => problems.push(format!(
-                "{id}: `budget_ms` {ms} does not match the declared budget {declared}"
-            )),
-            Some(ms) => {
-                if let Some(base) = budget_of(baseline, id) {
-                    if ms > base {
-                        problems.push(format!(
-                            "{id}: `budget_ms` grew from {base} to {ms} — budgets only tighten \
-                             without a baseline review"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Measured throughput (E16's `functions_per_sec`) drifts run to run —
-/// the equality comparison exempts it as a perf counter — but a *collapse*
-/// is a regression: every summary `*_per_sec` field present in both
-/// artifacts must stay at or above a quarter of the baseline value.
+/// the identity comparison masks it — but a *collapse* is a regression:
+/// every summary `*_per_sec` field present in both artifacts must stay at
+/// or above a quarter of the baseline value.
 fn check_throughput_floor(current: &Json, baseline: &Json, problems: &mut Vec<String>) {
     let baseline_experiments = experiments_of(baseline);
     for experiment in experiments_of(current) {
-        let name = experiment
-            .get("experiment")
-            .and_then(Json::as_str)
-            .unwrap_or("<unnamed>");
+        let name = experiment_name(experiment);
         let base_summary = baseline_experiments
             .iter()
-            .find(|e| e.get("experiment").and_then(Json::as_str) == Some(name))
+            .find(|e| experiment_name(e) == name)
             .and_then(|e| e.get("summary"));
         let (Some(Json::Object(pairs)), Some(Json::Object(base_pairs))) =
             (experiment.get("summary"), base_summary)
@@ -409,6 +233,16 @@ fn check_throughput_floor(current: &Json, baseline: &Json, problems: &mut Vec<St
     }
 }
 
+/// Every problem of `current` against `baseline`; empty means no regression.
+fn diff(current: &Json, baseline: &Json, require_all: bool) -> Vec<String> {
+    let mut problems = Vec::new();
+    compare(current, baseline, require_all, &mut problems);
+    check_current_invariants(current, &mut problems);
+    check_timing_placement(current, &mut problems);
+    check_throughput_floor(current, baseline, &mut problems);
+    problems
+}
+
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
@@ -433,14 +267,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut problems = Vec::new();
-    compare(&current, &baseline, require_all, &mut problems);
-    check_current_invariants(&current, &mut problems);
-    check_timing_placement(&current, &mut problems);
-    check_budget_fields(&current, &baseline, require_all, &mut problems);
-    check_throughput_floor(&current, &baseline, &mut problems);
+    let problems = diff(&current, &baseline, require_all);
     if problems.is_empty() {
-        println!("bench-diff: {current_path} matches the invariants of {baseline_path}");
+        println!("bench-diff: {current_path} matches {baseline_path} outside timing fields");
         ExitCode::SUCCESS
     } else {
         for problem in &problems {
@@ -454,73 +283,104 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coalesce_bench::report::sweep_json;
+    use coalesce_bench::{ExperimentId, ExperimentReport};
 
-    #[test]
-    fn instrumentation_and_wall_clock_keys_are_perf_counters() {
-        for key in [
-            "nodes_expanded",
-            "exact_nodes_expanded",
-            "memo_hits",
-            "memo_entries",
-            "functions_per_sec",
-            "elapsed_ms",
-            "everywhere_elapsed_ms",
-            "pressure-greedy_elapsed_ms",
-            "belady_elapsed_ms",
-        ] {
-            assert!(is_perf_counter(key), "{key} must be exempt from equality");
-            assert!(!is_label(key), "{key} is a counter, not a label");
+    /// A small counter-bearing report with a measured throughput field.
+    fn report(id: ExperimentId, per_sec: u64, victims: u64) -> ExperimentReport {
+        ExperimentReport {
+            id,
+            title: "test report",
+            base_seed: 42,
+            rows: vec![Json::object([
+                ("spiller", Json::from("belady")),
+                ("spilled", Json::from(3u64)),
+            ])],
+            summary: vec![
+                ("functions_per_sec".into(), Json::from(per_sec)),
+                ("elapsed_ms".into(), Json::from(per_sec % 7)),
+                (
+                    "stats".into(),
+                    Json::object([("spill.victims", Json::from(victims))]),
+                ),
+            ],
         }
     }
 
-    #[test]
-    fn strategy_names_are_labels_not_quantities() {
-        assert!(is_label("spiller"));
-        assert!(!is_perf_counter("spiller"));
+    /// The two-experiment baseline the tests diff against.
+    fn baseline() -> Json {
+        sweep_json(
+            42,
+            &[
+                report(ExperimentId::E16, 800, 9),
+                report(ExperimentId::E17, 800, 5),
+            ],
+        )
     }
 
     #[test]
-    fn spill_quantities_stay_fully_checked() {
-        for key in [
-            "spilled",
-            "total_spilled",
-            "spill_weight",
-            "aggregate_spill_weight",
-            "irc_spills",
-            "everywhere_spill_weight",
-        ] {
-            assert_eq!(
-                exemption_of(key),
-                None,
-                "{key} is an invariant and must not be exempted"
-            );
-        }
+    fn identical_documents_pass() {
+        assert_eq!(diff(&baseline(), &baseline(), true), Vec::<String>::new());
     }
 
     #[test]
-    fn unexempted_invariants_are_compared() {
-        for key in ["chordal", "maxlive", "all_assignments_valid", "rows"] {
-            assert_eq!(exemption_of(key), None);
-        }
-    }
-
-    #[test]
-    fn first_match_wins_in_table_order() {
-        // A hypothetical key matching both a counter pattern and the
-        // label pattern resolves to the earlier (counter) entry, keeping
-        // it exempt from equality like the old hand-written logic did.
-        assert_eq!(
-            exemption_of("spiller_elapsed_total"),
-            Some(Exemption::PerfCounter)
+    fn a_changed_stats_counter_fails() {
+        let current = sweep_json(
+            42,
+            &[
+                report(ExperimentId::E16, 800, 9),
+                report(ExperimentId::E17, 800, 6),
+            ],
         );
+        let problems = diff(&current, &baseline(), true);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("e17:"), "{problems:?}");
+        assert!(problems[0].contains("\"spill.victims\": 6"), "{problems:?}");
     }
 
     #[test]
-    fn stats_counter_objects_are_exempt_from_baseline_equality() {
-        assert!(is_perf_counter("stats"), "the pass-counter object drifts");
-        // Exact means exact: derived keys stay fully checked invariants.
-        assert_eq!(exemption_of("stats_total"), None);
-        assert_eq!(exemption_of("substats"), None);
+    fn throughput_may_drift_down_to_the_floor_but_not_below() {
+        let at = |per_sec| {
+            sweep_json(
+                42,
+                &[
+                    report(ExperimentId::E16, per_sec, 9),
+                    report(ExperimentId::E17, 800, 5),
+                ],
+            )
+        };
+        for per_sec in [200, 3_500] {
+            assert_eq!(diff(&at(per_sec), &baseline(), true), Vec::<String>::new());
+        }
+        let problems = diff(&at(199), &baseline(), true);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("collapsed"), "{problems:?}");
+    }
+
+    #[test]
+    fn a_single_experiment_artifact_matches_the_baseline_by_name() {
+        let single = report(ExperimentId::E17, 1_000, 5).to_json();
+        assert_eq!(diff(&single, &baseline(), false), Vec::<String>::new());
+        let changed = report(ExperimentId::E17, 1_000, 4).to_json();
+        assert_eq!(diff(&changed, &baseline(), false).len(), 1);
+    }
+
+    #[test]
+    fn require_all_fails_when_a_baseline_experiment_is_missing() {
+        let partial = sweep_json(42, &[report(ExperimentId::E16, 800, 9)]);
+        assert_eq!(diff(&partial, &baseline(), false), Vec::<String>::new());
+        let problems = diff(&partial, &baseline(), true);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("e17:"), "{problems:?}");
+        assert!(problems[0].contains("--require-all"), "{problems:?}");
+    }
+
+    #[test]
+    fn an_experiment_unknown_to_the_baseline_fails() {
+        let other = report(ExperimentId::E18, 800, 5).to_json();
+        let problems = diff(&other, &baseline(), false);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("not present in the baseline"));
     }
 
     #[test]

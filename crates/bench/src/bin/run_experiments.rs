@@ -19,7 +19,7 @@
 
 use coalesce_bench::corpus::{collect_corpus_paths, run_corpus, CorpusConfig};
 use coalesce_bench::experiments::UnknownExperiment;
-use coalesce_bench::report::ExperimentReport;
+use coalesce_bench::report::{sweep_json, ExperimentReport};
 use coalesce_bench::verify::{verify_corpus, verify_experiment};
 use coalesce_bench::{run_reports_filtered, ExperimentId, Json};
 use coalesce_gen::cfg::{ShapeProfile, UnknownProfile};
@@ -571,13 +571,7 @@ fn main() -> ExitCode {
     let json = if reports.len() == 1 {
         reports[0].to_json()
     } else {
-        Json::object([
-            ("base_seed", Json::from(options.seed)),
-            (
-                "experiments",
-                Json::Array(reports.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
+        sweep_json(options.seed, &reports)
     };
 
     match options.json_path.as_deref() {

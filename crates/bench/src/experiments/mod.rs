@@ -101,9 +101,9 @@ impl ExperimentId {
     /// The wall-clock budget (milliseconds) the experiment's hot path must
     /// stay within in release builds, for the experiments that carry a
     /// perf-regression guard.  The value is embedded in the report summary
-    /// (deterministic — it is a constant), `bench-diff` cross-checks it
-    /// against the baseline, and `tests/experiment_runner.rs` enforces the
-    /// actual wall clock.
+    /// (deterministic — it is a constant, so the baseline pins it like any
+    /// other field), and `tests/experiment_runner.rs` enforces the actual
+    /// wall clock.
     pub fn budget_ms(self) -> Option<u64> {
         match self {
             ExperimentId::E4 => Some(2_000),
@@ -279,9 +279,9 @@ pub fn run_experiment_filtered(
         ExperimentId::E18 => soak::e18_report_with_jobs(base_seed, jobs),
     };
     // Experiments with a wall-clock regression guard carry their declared
-    // budget in the summary so `bench-diff` can cross-check it against the
-    // baseline artifact (the value is a constant, so reports stay
-    // byte-identical across runs and `--jobs` values).
+    // budget in the summary, where the baseline pins it (the value is a
+    // constant, so reports stay byte-identical across runs and `--jobs`
+    // values).
     if let Some(ms) = id.budget_ms() {
         report.summary.push(("budget_ms".into(), Json::from(ms)));
     }
@@ -318,15 +318,11 @@ pub fn run_reports_filtered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::mask_timing;
 
-    /// Drops the measured-throughput summary lines (E16's
-    /// `functions_per_sec` / `elapsed_ms`) so byte-compares only see the
-    /// deterministic part of a report.
-    fn mask_timing(s: &str) -> String {
-        s.lines()
-            .filter(|l| !l.contains("_per_sec") && !l.contains("elapsed_ms"))
-            .collect::<Vec<_>>()
-            .join("\n")
+    /// A report's deterministic rendering, timing fields dropped.
+    fn masked(report: &ExperimentReport) -> String {
+        mask_timing(&report.to_json()).to_pretty_string()
     }
 
     #[test]
@@ -347,8 +343,8 @@ mod tests {
         // Since the pruned `ExactSolver` landed, even E4's exact
         // incremental searches are fast enough to run here in debug.
         for id in ExperimentId::ALL {
-            let a = mask_timing(&run_experiment(id, 0).to_json().to_pretty_string());
-            let b = mask_timing(&run_experiment(id, 0).to_json().to_pretty_string());
+            let a = masked(&run_experiment(id, 0));
+            let b = masked(&run_experiment(id, 0));
             assert_eq!(a, b, "{id} must serialize identically across runs");
             assert!(!a.is_empty());
         }
@@ -366,16 +362,8 @@ mod tests {
             ExperimentId::E16,
             ExperimentId::E17,
         ] {
-            let serial = mask_timing(
-                &run_experiment_with_jobs(id, 3, 1)
-                    .to_json()
-                    .to_pretty_string(),
-            );
-            let parallel = mask_timing(
-                &run_experiment_with_jobs(id, 3, 4)
-                    .to_json()
-                    .to_pretty_string(),
-            );
+            let serial = masked(&run_experiment_with_jobs(id, 3, 1));
+            let parallel = masked(&run_experiment_with_jobs(id, 3, 4));
             assert_eq!(serial, parallel, "{id} rows must not depend on --jobs");
         }
     }

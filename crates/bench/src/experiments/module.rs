@@ -11,9 +11,11 @@
 //! in a fixed profile × pressure order.
 //!
 //! The two measured throughput quantities (`functions_per_sec`,
-//! `elapsed_ms`) live only in the summary; the byte-compare tests mask
-//! those lines, and `bench-diff` treats them as perf counters while
-//! flagging a functions/sec collapse against the baseline.
+//! `elapsed_ms`) live only in the summary; [`mask_timing`] drops them
+//! from every comparison, and `bench-diff` flags a functions/sec
+//! collapse against the baseline.
+//!
+//! [`mask_timing`]: crate::report::mask_timing
 
 use crate::json::Json;
 use crate::par::par_map;
@@ -231,8 +233,8 @@ pub fn e16_report_with_jobs(base_seed: u64, jobs: usize) -> ExperimentReport {
             ),
             ("strict_ssa_all".into(), Json::from(strict_ssa_all)),
             ("stats".into(), Json::counters(&totals.counters)),
-            // Measured, not deterministic: masked by the byte-compare
-            // tests, treated as perf counters by `bench-diff`.
+            // Measured, not deterministic: dropped by
+            // `report::mask_timing`, floor-guarded by `bench-diff`.
             ("functions_per_sec".into(), Json::from(functions_per_sec)),
             ("elapsed_ms".into(), Json::from(elapsed_ms)),
         ],

@@ -18,8 +18,8 @@
 //! Every row field is deterministic (sizes, edge counts, ω, spill counts),
 //! so the report is byte-identical for any `--jobs`; the wall-clock side
 //! is enforced by the budget tests in `tests/experiment_runner.rs`, and the
-//! experiment's declared `budget_ms` rides in the summary for `bench-diff`
-//! to cross-check.
+//! experiment's declared `budget_ms` rides in the summary, where
+//! `BENCH_baseline.json` pins it like every other deterministic field.
 
 use crate::json::Json;
 use crate::par::par_map;

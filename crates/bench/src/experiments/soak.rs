@@ -15,8 +15,9 @@
 //! and identical for every `--jobs` value (submission is blocking, so
 //! queue timing never reaches an outcome).  The measured quantities —
 //! `instances_per_sec`, `elapsed_ms`, `p50_elapsed_ms`,
-//! `p99_elapsed_ms` — live only in the summary, where the byte-compare
-//! tests mask them and `bench-diff` applies its throughput floor.
+//! `p99_elapsed_ms` — live only in the summary, where
+//! [`mask_timing`](crate::report::mask_timing) drops them from every
+//! comparison and `bench-diff` applies its throughput floor.
 //!
 //! The headline invariant is **zero crashes**: every injected fault must
 //! come back as a structured response (never a dead worker), which the
@@ -273,7 +274,7 @@ pub fn e18_report_with_jobs(base_seed: u64, jobs: usize) -> ExperimentReport {
     for (reason, count) in degrade_reasons {
         summary.push((format!("degraded_{reason}"), Json::from(count)));
     }
-    // Measured quantities last, masked by the byte-compare tests and
+    // Measured quantities last, dropped by `report::mask_timing` and
     // floor-guarded (instances_per_sec) by bench-diff.
     summary.push((
         "instances_per_sec".to_owned(),

@@ -19,12 +19,12 @@
 //! [`spill_costs`] over the victims), the reload temporaries the
 //! rewrite inserted and the precise `Maxlive` after spilling.  Wall clock
 //! is *summary-only*: one `<spiller>_elapsed_ms` counter per strategy,
-//! masked by the byte-compare tests and treated as a perf counter by
-//! `bench-diff`, so the report stays byte-identical for every `--jobs`
-//! value.
+//! dropped by [`mask_timing`] wherever reports are compared, so the
+//! report stays byte-identical for every `--jobs` value.
 //!
 //! [`regalloc::workload_program`]: crate::experiments::regalloc::workload_program
 //! [`spill_costs`]: coalesce_ir::spill::spill_costs
+//! [`mask_timing`]: crate::report::mask_timing
 
 use crate::json::Json;
 use crate::par::par_map;
@@ -278,8 +278,7 @@ pub fn e17_report_with_jobs(base_seed: u64, jobs: usize) -> ExperimentReport {
         totals.merge(&a.counters);
     }
     summary.push(("stats".to_owned(), Json::counters(&totals)));
-    // Measured, not deterministic: masked by the byte-compare tests,
-    // treated as perf counters by `bench-diff`.
+    // Measured, not deterministic: dropped by `report::mask_timing`.
     for (i, spiller) in SpillerKind::ALL.into_iter().enumerate() {
         summary.push((
             format!("{}_elapsed_ms", spiller.name()),

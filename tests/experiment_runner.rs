@@ -1,11 +1,16 @@
-//! Regression suite for the experiment runner: golden-file JSON pins, the
-//! serial/parallel byte-identity guarantee of `--jobs`, and the E4
-//! wall-clock budget that keeps the exponential blow-up from returning.
+//! Regression suite for the experiment runner: the seed-42 sweep against
+//! its one golden record, `BENCH_baseline.json`; the serial/parallel
+//! byte-identity guarantee of `--jobs`; and the wall-clock budgets that
+//! keep the exponential blow-ups from returning.
 
 use coalesce_bench::experiments::reductions;
+use coalesce_bench::report::{first_difference, mask_timing, sweep_json};
 use coalesce_bench::{run_experiment, run_reports, ExperimentId, ExperimentReport, Json};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+/// The committed `--experiment all --seed 42` report.
+const BASELINE: &str = include_str!("../BENCH_baseline.json");
 
 /// The serial full sweep at seed 42, computed once and shared by every
 /// test in this binary that needs it (the sweep is deterministic, so
@@ -15,15 +20,44 @@ fn serial_sweep() -> &'static [ExperimentReport] {
     SWEEP.get_or_init(|| run_reports(&ExperimentId::ALL, 42, 1))
 }
 
-/// Drops the measured-throughput summary lines (E16's `functions_per_sec`
-/// and `elapsed_ms` vary run to run by construction) so byte-compares only
-/// see the deterministic part of a report.  The CI `cmp` step applies the
-/// same filter before comparing `--jobs 1` and `--jobs 4` artifacts.
-fn mask_timing(s: &str) -> String {
-    s.lines()
-        .filter(|l| !l.contains("_per_sec") && !l.contains("elapsed_ms"))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// One report of [`serial_sweep`].
+fn swept(id: ExperimentId) -> &'static ExperimentReport {
+    serial_sweep()
+        .iter()
+        .find(|r| r.id == id)
+        .expect("the sweep runs every experiment")
+}
+
+/// [`BASELINE`], parsed once.
+fn baseline() -> &'static Json {
+    static PARSED: OnceLock<Json> = OnceLock::new();
+    PARSED.get_or_init(|| Json::parse(BASELINE).expect("BENCH_baseline.json parses"))
+}
+
+/// The reports of a sweep document, in order.
+fn experiments(doc: &Json) -> &[Json] {
+    doc.get("experiments")
+        .and_then(Json::as_array)
+        .expect("a sweep document")
+}
+
+/// The id (`"e13"`) of one report.
+fn experiment_name(report: &Json) -> &str {
+    report.get("experiment").and_then(Json::as_str).unwrap()
+}
+
+/// One experiment's report in [`BASELINE`], by id.
+fn baseline_experiment(name: &str) -> &'static Json {
+    experiments(baseline())
+        .iter()
+        .find(|e| experiment_name(e) == name)
+        .unwrap_or_else(|| panic!("BENCH_baseline.json has no `{name}`"))
+}
+
+/// A report's deterministic rendering: the JSON the CLI writes, timing
+/// fields dropped.
+fn masked(report: &ExperimentReport) -> String {
+    mask_timing(&report.to_json()).to_pretty_string()
 }
 
 /// Removes every `"stats"` pass-counter object, recursively, so a run
@@ -43,27 +77,77 @@ fn strip_stats(json: &Json) -> Json {
     }
 }
 
-/// `run-experiments --experiment e1 --seed 42` must reproduce the
-/// committed fixture byte-for-byte.  If this fails because the E1 report
-/// format deliberately changed, regenerate the fixture with
-/// `run-experiments --experiment e1 --seed 42 --quiet --json tests/fixtures/e1_seed42.json`.
+/// Asserts that one seed-42 report equals its namesake in
+/// `BENCH_baseline.json` outside timing fields, `stats` counters included,
+/// naming the experiment and its first differing line otherwise.  A change
+/// that moves a deterministic field on purpose edits exactly the values
+/// this names, in `BENCH_baseline.json`.
+fn assert_matches_baseline(report: &Json) {
+    let name = experiment_name(report);
+    let now = mask_timing(report).to_pretty_string();
+    let base = mask_timing(baseline_experiment(name)).to_pretty_string();
+    if let Some((line, now_line, base_line)) = first_difference(&now, &base) {
+        panic!(
+            "{name}: the seed-42 report differs from BENCH_baseline.json outside \
+             timing fields, first at line {line} of the experiment's report:\n  \
+             current:  {}\n  baseline: {}",
+            now_line.trim(),
+            base_line.trim()
+        );
+    }
+}
+
+/// `BENCH_baseline.json` is the one seed-42 golden record: outside the
+/// timing fields, the serial sweep of all 18 experiments must reproduce it
+/// byte for byte, `stats` counters included.
 #[test]
-fn e1_seed_42_matches_the_golden_fixture() {
-    let fixture = include_str!("fixtures/e1_seed42.json");
-    let current = run_experiment(ExperimentId::E1, 42)
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(
-        current, fixture,
-        "E1 seed-42 JSON deviates from tests/fixtures/e1_seed42.json"
+fn the_seed_42_sweep_equals_the_committed_baseline() {
+    assert!(
+        baseline().to_pretty_string() == BASELINE,
+        "BENCH_baseline.json is not the CLI's rendering of its own parse, so \
+         its re-rendering below cannot be trusted"
+    );
+    let current = mask_timing(&sweep_json(42, serial_sweep()));
+    for report in experiments(&current) {
+        assert_matches_baseline(report);
+    }
+    assert!(
+        current == mask_timing(baseline()),
+        "the sweep's `base_seed` or experiment list differs from BENCH_baseline.json's"
     );
 }
 
-/// The golden fixture itself parses, and its invariants hold: Theorem 2's
+/// The sweep has the baseline's shape: the same experiments in the same
+/// order, each with the same number of rows.
+#[test]
+fn the_sweep_matches_the_committed_baseline_invariants() {
+    let reports = serial_sweep();
+    let baseline_experiments = experiments(baseline());
+    assert_eq!(baseline_experiments.len(), reports.len());
+    for (report, base) in reports.iter().zip(baseline_experiments) {
+        assert_eq!(report.id.as_str(), experiment_name(base));
+        let base_rows = base.get("rows").and_then(Json::as_array).unwrap();
+        assert_eq!(
+            report.rows.len(),
+            base_rows.len(),
+            "{}: row count drifted from BENCH_baseline.json",
+            report.id
+        );
+    }
+}
+
+/// E1 (Theorem 2: multiway cut equals optimal aggressive coalescing)
+/// reproduces its golden record, the baseline's `e1` report.
+#[test]
+fn e1_seed_42_matches_the_golden_fixture() {
+    assert_matches_baseline(&swept(ExperimentId::E1).to_json());
+}
+
+/// The baseline's E1 invariants hold: Theorem 2's
 /// `min_cut == exact_uncoalesced` on every row.
 #[test]
-fn the_golden_fixture_is_internally_consistent() {
-    let doc = Json::parse(include_str!("fixtures/e1_seed42.json")).unwrap();
+fn the_baseline_e1_is_internally_consistent() {
+    let doc = baseline_experiment("e1");
     let rows = doc.get("rows").and_then(Json::as_array).unwrap();
     assert_eq!(rows.len(), 4);
     for row in rows {
@@ -71,34 +155,20 @@ fn the_golden_fixture_is_internally_consistent() {
     }
 }
 
-/// `run-experiments --experiment e13 --seed 42` must reproduce the
-/// committed fixture byte-for-byte.  If this fails because the E13 report
-/// format deliberately changed, regenerate the fixture with
-/// `run-experiments --experiment e13 --seed 42 --quiet --json tests/fixtures/e13_seed42.json`.
+/// E13 (Theorem 1 on generated SSA programs: chordal interference graphs
+/// colored with exactly `Maxlive` colors) reproduces its golden record,
+/// the baseline's `e13` report.
 #[test]
 fn e13_seed_42_matches_the_golden_fixture() {
-    let fixture = include_str!("fixtures/e13_seed42.json");
-    // The shared serial sweep's E13 report is exactly
-    // `run_experiment(ExperimentId::E13, 42)` (pinned by the jobs-identity
-    // tests); reusing it keeps this binary's wall clock down.
-    let current = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E13)
-        .expect("sweep contains e13")
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(
-        current, fixture,
-        "E13 seed-42 JSON deviates from tests/fixtures/e13_seed42.json"
-    );
+    assert_matches_baseline(&swept(ExperimentId::E13).to_json());
 }
 
-/// The E13 fixture parses, covers the full 3-profile × 3-pressure sweep,
+/// The baseline's E13 report covers the full 3-profile × 3-pressure sweep,
 /// and its acceptance invariants hold on every row: strict SSA, reducible,
 /// chordal, and a chordal coloring with exactly `Maxlive` colors.
 #[test]
-fn the_e13_fixture_is_internally_consistent() {
-    let doc = Json::parse(include_str!("fixtures/e13_seed42.json")).unwrap();
+fn the_baseline_e13_is_internally_consistent() {
+    let doc = baseline_experiment("e13");
     let rows = doc.get("rows").and_then(Json::as_array).unwrap();
     assert!(rows.len() >= 9, "3 profiles x 3 pressures at minimum");
     let mut cells = std::collections::BTreeSet::new();
@@ -126,12 +196,7 @@ fn the_e13_fixture_is_internally_consistent() {
 /// the worker pool like E1/E4/E5/E7's).
 #[test]
 fn e13_rows_are_byte_identical_for_any_jobs_value() {
-    let serial = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E13)
-        .expect("sweep contains e13")
-        .to_json()
-        .to_pretty_string();
+    let serial = swept(ExperimentId::E13).to_json().to_pretty_string();
     let parallel = coalesce_bench::run_experiment_with_jobs(ExperimentId::E13, 42, 4)
         .to_json()
         .to_pretty_string();
@@ -143,79 +208,31 @@ fn e13_rows_are_byte_identical_for_any_jobs_value() {
 /// `run_reports` is exactly the function the binary calls).
 #[test]
 fn jobs_4_output_is_byte_identical_to_jobs_1_for_all_experiments() {
-    let serialize = |reports: &[ExperimentReport]| -> String {
-        // The CLI's multi-report wrapper shape.
-        Json::object([
-            ("base_seed", Json::from(42u64)),
-            (
-                "experiments",
-                Json::Array(reports.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-        .to_pretty_string()
-    };
-    let serial = mask_timing(&serialize(serial_sweep()));
-    let parallel = mask_timing(&serialize(&run_reports(&ExperimentId::ALL, 42, 4)));
+    let serialize =
+        |reports: &[ExperimentReport]| mask_timing(&sweep_json(42, reports)).to_pretty_string();
+    let serial = serialize(serial_sweep());
+    let parallel = serialize(&run_reports(&ExperimentId::ALL, 42, 4));
     assert_eq!(
         serial, parallel,
         "--jobs must never change the deterministic report fields"
     );
 }
 
-/// The full sweep at seed 42 must stay consistent with the committed
-/// `BENCH_baseline.json` on the structural/invariant level the CI
-/// `bench-diff` step checks: same experiments, same row counts, and every
-/// boolean invariant column still true where the baseline says so.
-#[test]
-fn the_sweep_matches_the_committed_baseline_invariants() {
-    let baseline = Json::parse(include_str!("../BENCH_baseline.json")).unwrap();
-    let reports = serial_sweep();
-    let baseline_experiments = baseline
-        .get("experiments")
-        .and_then(Json::as_array)
-        .unwrap();
-    assert_eq!(baseline_experiments.len(), reports.len());
-    for (report, base) in reports.iter().zip(baseline_experiments) {
-        assert_eq!(
-            Some(report.id.as_str()),
-            base.get("experiment").and_then(Json::as_str)
-        );
-        let base_rows = base.get("rows").and_then(Json::as_array).unwrap();
-        assert_eq!(
-            report.rows.len(),
-            base_rows.len(),
-            "{}: row count drifted from BENCH_baseline.json",
-            report.id
-        );
-    }
-}
-
-/// `run-experiments --experiment e15 --seed 42` must reproduce the
-/// committed fixture byte-for-byte.  If this fails because the E15 report
-/// format deliberately changed, regenerate the fixture with
-/// `run-experiments --experiment e15 --seed 42 --quiet --json tests/fixtures/e15_seed42.json`.
+/// E15 (data-structure scaling: bulk graphs, bitset liveness,
+/// incremental spilling) reproduces its golden record, the baseline's
+/// `e15` report.
 #[test]
 fn e15_seed_42_matches_the_golden_fixture() {
-    let fixture = include_str!("fixtures/e15_seed42.json");
-    let current = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E15)
-        .expect("sweep contains e15")
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(
-        current, fixture,
-        "E15 seed-42 JSON deviates from tests/fixtures/e15_seed42.json"
-    );
+    assert_matches_baseline(&swept(ExperimentId::E15).to_json());
 }
 
-/// The E15 fixture parses, covers the interval sweep up to n = 50 000 and
+/// The baseline's E15 report covers the interval sweep up to n = 50 000 and
 /// CFG programs of ≥ 2000 blocks, and its invariants hold: strict SSA,
 /// chordal interference graphs with ω = Maxlive, and the declared
 /// wall-clock budget field.
 #[test]
-fn the_e15_fixture_is_internally_consistent() {
-    let doc = Json::parse(include_str!("fixtures/e15_seed42.json")).unwrap();
+fn the_baseline_e15_is_internally_consistent() {
+    let doc = baseline_experiment("e15");
     let rows = doc.get("rows").and_then(Json::as_array).unwrap();
     let interval_ns: Vec<u64> = rows
         .iter()
@@ -257,49 +274,29 @@ fn the_e15_fixture_is_internally_consistent() {
 /// pool like E1/E4/E5/E7/E13's).
 #[test]
 fn e15_rows_are_byte_identical_for_any_jobs_value() {
-    let serial = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E15)
-        .expect("sweep contains e15")
-        .to_json()
-        .to_pretty_string();
+    let serial = swept(ExperimentId::E15).to_json().to_pretty_string();
     let parallel = coalesce_bench::run_experiment_with_jobs(ExperimentId::E15, 42, 4)
         .to_json()
         .to_pretty_string();
     assert_eq!(serial, parallel);
 }
 
-/// `run-experiments --experiment e16 --seed 42` must reproduce the
-/// committed fixture byte-for-byte on every deterministic field (the two
-/// measured-throughput summary lines are masked on both sides).  If this
-/// fails because the E16 report format deliberately changed, regenerate
-/// the fixture with
-/// `run-experiments --experiment e16 --seed 42 --quiet --json tests/fixtures/e16_seed42.json`.
+/// E16 (whole-module parallel allocation over the flat IR) reproduces its
+/// golden record, the baseline's `e16` report.
 #[test]
 fn e16_seed_42_matches_the_golden_fixture() {
-    let fixture = mask_timing(include_str!("fixtures/e16_seed42.json"));
-    let current = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E16)
-        .expect("sweep contains e16")
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(
-        mask_timing(&current),
-        fixture,
-        "E16 seed-42 JSON deviates from tests/fixtures/e16_seed42.json"
-    );
+    assert_matches_baseline(&swept(ExperimentId::E16).to_json());
 }
 
-/// The E16 fixture parses, covers the full 3-profile × 3-pressure grid
+/// The baseline's E16 report covers the full 3-profile × 3-pressure grid
 /// with the whole 1000-function module accounted for, and its invariants
 /// hold: strict SSA everywhere, a sane flat-IR footprint (≥ the 16-byte
 /// instruction record, under 100 bytes/instr), non-negative aggregate
 /// spill fields, the declared wall-clock budget, and a positive measured
 /// throughput.
 #[test]
-fn the_e16_fixture_is_internally_consistent() {
-    let doc = Json::parse(include_str!("fixtures/e16_seed42.json")).unwrap();
+fn the_baseline_e16_is_internally_consistent() {
+    let doc = baseline_experiment("e16");
     let rows = doc.get("rows").and_then(Json::as_array).unwrap();
     assert_eq!(rows.len(), 9, "3 profiles x 3 pressures");
     let mut cells = std::collections::BTreeSet::new();
@@ -344,16 +341,8 @@ fn the_e16_fixture_is_internally_consistent() {
 /// is byte-identical for any jobs value.
 #[test]
 fn e16_rows_are_byte_identical_for_any_jobs_value() {
-    let serial = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E16)
-        .expect("sweep contains e16")
-        .to_json()
-        .to_pretty_string();
-    let parallel = coalesce_bench::run_experiment_with_jobs(ExperimentId::E16, 42, 4)
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(mask_timing(&serial), mask_timing(&parallel));
+    let parallel = coalesce_bench::run_experiment_with_jobs(ExperimentId::E16, 42, 4);
+    assert_eq!(masked(swept(ExperimentId::E16)), masked(&parallel));
 }
 
 /// The E16 wall-clock budget: generating, analysing and spilling the whole
@@ -376,29 +365,14 @@ fn e16_module_allocation_stays_within_the_wall_clock_budget() {
     );
 }
 
-/// `run-experiments --experiment e17 --seed 42` must reproduce the
-/// committed fixture byte-for-byte on every deterministic field (the
-/// per-spiller and total wall-clock summary lines are masked on both
-/// sides).  If this fails because the E17 report format deliberately
-/// changed, regenerate the fixture with
-/// `run-experiments --experiment e17 --seed 42 --quiet --json tests/fixtures/e17_seed42.json`.
+/// E17 (rival spillers: everywhere, pressure-greedy and Belady) reproduces
+/// its golden record, the baseline's `e17` report.
 #[test]
 fn e17_seed_42_matches_the_golden_fixture() {
-    let fixture = mask_timing(include_str!("fixtures/e17_seed42.json"));
-    let current = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E17)
-        .expect("sweep contains e17")
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(
-        mask_timing(&current),
-        fixture,
-        "E17 seed-42 JSON deviates from tests/fixtures/e17_seed42.json"
-    );
+    assert_matches_baseline(&swept(ExperimentId::E17).to_json());
 }
 
-/// The E17 fixture parses and the rival-spiller sweep is complete and
+/// The baseline's E17 report shows the rival-spiller sweep is complete and
 /// sane: every grid cell ran under all three strategies, the module slice
 /// accounts for the same functions under each, every strategy honoured
 /// the pressure contract (`maxlive_after ≤ k + 1` on grid cells, where
@@ -407,8 +381,8 @@ fn e17_seed_42_matches_the_golden_fixture() {
 /// weight (it spills whole candidate sets at once — if a rival ever costs
 /// more, its cost model regressed).
 #[test]
-fn the_e17_fixture_is_internally_consistent() {
-    let doc = Json::parse(include_str!("fixtures/e17_seed42.json")).unwrap();
+fn the_baseline_e17_is_internally_consistent() {
+    let doc = baseline_experiment("e17");
     let rows = doc.get("rows").and_then(Json::as_array).unwrap();
     let spiller_of = |r: &Json| r.get("spiller").and_then(Json::as_str).unwrap().to_owned();
     let grid: Vec<&Json> = rows
@@ -478,16 +452,8 @@ fn the_e17_fixture_is_internally_consistent() {
 /// wall-clock summary lines is byte-identical for any jobs value.
 #[test]
 fn e17_rows_are_byte_identical_for_any_jobs_value() {
-    let serial = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E17)
-        .expect("sweep contains e17")
-        .to_json()
-        .to_pretty_string();
-    let parallel = coalesce_bench::run_experiment_with_jobs(ExperimentId::E17, 42, 4)
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(mask_timing(&serial), mask_timing(&parallel));
+    let parallel = coalesce_bench::run_experiment_with_jobs(ExperimentId::E17, 42, 4);
+    assert_eq!(masked(swept(ExperimentId::E17)), masked(&parallel));
 }
 
 /// The E17 wall-clock budget: running all three spillers over the full
@@ -510,8 +476,8 @@ fn e17_rival_spillers_stay_within_the_wall_clock_budget() {
 }
 
 /// Every experiment with a wall-clock guard must embed its declared
-/// `budget_ms` in the summary — the field `bench-diff` cross-checks
-/// against the baseline artifact.
+/// `budget_ms` in the summary, and no other experiment may carry one (the
+/// baseline then pins the value like every other deterministic field).
 #[test]
 fn guarded_experiments_declare_their_budget_in_the_summary() {
     for report in serial_sweep() {
@@ -540,7 +506,7 @@ fn e13_to_e17_rows_and_summaries_carry_pass_counters() {
         ExperimentId::E17,
     ];
     for id in ids {
-        let report = serial_sweep().iter().find(|r| r.id == id).unwrap();
+        let report = swept(id);
         for (i, row) in report.rows.iter().enumerate() {
             let Some(Json::Object(stats)) = row.get("stats") else {
                 panic!("{id} row {i}: missing `stats` counter object");
@@ -578,18 +544,10 @@ fn pass_counters_are_byte_identical_across_jobs_1_4_8() {
         ExperimentId::E17,
     ];
     for id in ids {
-        let serial = serial_sweep()
-            .iter()
-            .find(|r| r.id == id)
-            .unwrap()
-            .to_json()
-            .to_pretty_string();
-        let jobs8 = coalesce_bench::run_experiment_with_jobs(id, 42, 8)
-            .to_json()
-            .to_pretty_string();
+        let jobs8 = coalesce_bench::run_experiment_with_jobs(id, 42, 8);
         assert_eq!(
-            mask_timing(&serial),
-            mask_timing(&jobs8),
+            masked(swept(id)),
+            masked(&jobs8),
             "{id}: --jobs 8 changed a deterministic field (counters included)"
         );
     }
@@ -637,18 +595,11 @@ fn e16_with_stats_off_meets_the_budget_and_changes_nothing_else() {
         };
         assert!(stats.is_empty(), "row {i}: Off-level run still counted");
     }
-    let off = strip_stats(&report.to_json()).to_pretty_string();
-    let on = strip_stats(
-        &serial_sweep()
-            .iter()
-            .find(|r| r.id == ExperimentId::E16)
-            .unwrap()
-            .to_json(),
-    )
-    .to_pretty_string();
+    let deterministic =
+        |r: &ExperimentReport| mask_timing(&strip_stats(&r.to_json())).to_pretty_string();
     assert_eq!(
-        mask_timing(&off),
-        mask_timing(&on),
+        deterministic(&report),
+        deterministic(swept(ExperimentId::E16)),
         "disabling the counter sink changed a deterministic report field"
     );
 }
@@ -751,37 +702,22 @@ fn e15_cfg_spill_at_2k_blocks_stays_within_the_wall_clock_budget() {
     );
 }
 
-/// `run-experiments --experiment e18 --seed 42` must reproduce the
-/// committed fixture byte-for-byte on every deterministic field (the
-/// throughput and latency summary lines are masked on both sides — E18
-/// measures a live worker pool).  If this fails because the E18 report
-/// format deliberately changed, regenerate the fixture with
-/// `run-experiments --experiment e18 --seed 42 --quiet --json tests/fixtures/e18_seed42.json`.
+/// E18 (chaos soak through the allocation service) reproduces its golden
+/// record, the baseline's `e18` report.
 #[test]
 fn e18_seed_42_matches_the_golden_fixture() {
-    let fixture = mask_timing(include_str!("fixtures/e18_seed42.json"));
-    let current = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E18)
-        .expect("sweep contains e18")
-        .to_json()
-        .to_pretty_string();
-    assert_eq!(
-        mask_timing(&current),
-        fixture,
-        "E18 seed-42 JSON deviates from tests/fixtures/e18_seed42.json"
-    );
+    assert_matches_baseline(&swept(ExperimentId::E18).to_json());
 }
 
-/// The E18 fixture parses and the chaos soak's acceptance invariants
+/// The baseline's E18 report shows the chaos soak's acceptance invariants
 /// hold: every request kind answered, every request accounted for (the
 /// per-kind buckets plus the fault-labelled buckets cover the whole
 /// trace), the fault rate met its declared ≥ 5% floor, nothing failed
 /// re-verification, and the zero-crash invariant held — every worker
 /// exited cleanly despite the injected parser garbage and panic requests.
 #[test]
-fn the_e18_fixture_is_internally_consistent() {
-    let doc = Json::parse(include_str!("fixtures/e18_seed42.json")).unwrap();
+fn the_baseline_e18_is_internally_consistent() {
+    let doc = baseline_experiment("e18");
     let rows = doc.get("rows").and_then(Json::as_array).unwrap();
     // Fault lines are bucketed twice by design: once under the generic
     // `fault` kind and once under their specific fault label, so the
@@ -848,10 +784,7 @@ fn the_e18_fixture_is_internally_consistent() {
 /// (`workers`, `clean_worker_exits`).
 #[test]
 fn e18_rows_are_byte_identical_for_any_jobs_value() {
-    let serial = serial_sweep()
-        .iter()
-        .find(|r| r.id == ExperimentId::E18)
-        .expect("sweep contains e18");
+    let serial = swept(ExperimentId::E18);
     let parallel = coalesce_bench::run_experiment_with_jobs(ExperimentId::E18, 42, 4);
     let rows = |r: &ExperimentReport| Json::Array(r.rows.clone()).to_pretty_string();
     assert_eq!(
@@ -860,18 +793,18 @@ fn e18_rows_are_byte_identical_for_any_jobs_value() {
         "bucket rows must not depend on --jobs"
     );
     let summary = |r: &ExperimentReport| {
-        Json::Object(
+        mask_timing(&Json::Object(
             r.summary
                 .iter()
                 .filter(|(k, _)| k != "workers" && k != "clean_worker_exits")
                 .cloned()
                 .collect(),
-        )
+        ))
         .to_pretty_string()
     };
     assert_eq!(
-        mask_timing(&summary(serial)),
-        mask_timing(&summary(&parallel)),
+        summary(serial),
+        summary(&parallel),
         "--jobs changed a deterministic E18 summary field"
     );
 }
