@@ -63,11 +63,6 @@ impl RegisterAssignment {
         &self.spilled
     }
 
-    /// Number of variables that received a register.
-    pub fn num_assigned(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Number of distinct registers actually used.
     pub fn registers_used(&self) -> usize {
         let distinct: std::collections::BTreeSet<usize> =

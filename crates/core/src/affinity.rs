@@ -162,12 +162,6 @@ impl Coalescing {
         Some(ra)
     }
 
-    /// Returns `true` if the affinity is coalesced (both endpoints in the
-    /// same class).
-    pub fn is_coalesced(&mut self, affinity: &Affinity) -> bool {
-        self.same_class(affinity.a, affinity.b)
-    }
-
     /// The classes of the partition as sorted vertex sets, one per class
     /// (singleton classes included), restricted to vertices that are live in
     /// the *original* graph capacity.

@@ -88,19 +88,6 @@ impl Coloring {
         true
     }
 
-    /// Returns `true` if no two adjacent *colored* vertices share a color
-    /// (uncolored vertices are allowed).
-    pub fn is_partial_proper(&self, g: &Graph) -> bool {
-        for (u, v) in g.edges() {
-            if let (Some(cu), Some(cv)) = (self.color_of(u), self.color_of(v)) {
-                if cu == cv {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Iterates over `(vertex, color)` pairs of colored vertices.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, usize)> + '_ {
         self.colors

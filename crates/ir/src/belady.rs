@@ -145,15 +145,6 @@ impl StampedMap {
     }
 }
 
-/// Variables a terminator uses, borrowed.
-fn terminator_uses(t: &Terminator) -> &[Var] {
-    match t {
-        Terminator::Jump(_) => &[],
-        Terminator::Branch { cond, .. } => std::slice::from_ref(cond),
-        Terminator::Return { uses } => uses,
-    }
-}
-
 /// What the decision phase reads of each block, extracted once per
 /// function (the function does not change until the rewrite).
 struct BlockFacts {
@@ -232,7 +223,7 @@ impl BlockFacts {
                     kill.push(d);
                 }
             }
-            for &u in terminator_uses(f.terminator(b)) {
+            for &u in f.terminator(b).uses() {
                 uses.push((u, n as u32));
                 if seen.get(u).is_none() {
                     seen.insert(u, 0);
@@ -783,107 +774,52 @@ fn rewrite_spilled(f: &mut Function, decisions: BeladyDecisions) -> SpillResult 
             pos_of.insert(v, p);
             result.reloads += 1;
         }
-        // Rewrite the ordinary uses (position-gated) and the terminator,
-        // before any insertion shifts the indices.
+        // Rewrite the ordinary uses (position-gated) and the terminator in
+        // place; positions are the pre-insertion ones until the splice.
         for i in 0..f.num_instrs(b) {
-            let view = f.instr(b, i);
-            let served = |u: &Var| -> bool { pos_of.get(u).is_some_and(|&p| i as u64 >= p) };
-            if view.is_phi() || !view.local_uses().iter().any(served) {
-                continue;
+            for u in f.uses_mut(b, i) {
+                if pos_of.get(u).is_some_and(|&p| i as u64 >= p) {
+                    *u = temp_of[u];
+                }
             }
-            let new_instr = match f.instr(b, i).to_instr() {
-                Instr::Op { dst, uses } => Instr::Op {
-                    dst,
-                    uses: uses
-                        .into_iter()
-                        .map(|u| if served(&u) { temp_of[&u] } else { u })
-                        .collect(),
-                },
-                Instr::Copy { dst, src } => Instr::Copy {
-                    dst,
-                    src: if served(&src) { temp_of[&src] } else { src },
-                },
-                phi @ Instr::Phi { .. } => phi,
-            };
-            f.replace_instr(b, i, new_instr);
         }
-        if f.terminator(b)
-            .uses()
-            .iter()
-            .any(|u| temp_of.contains_key(u))
-        {
-            let new_term = match f.terminator(b).clone() {
-                Terminator::Branch {
-                    cond,
-                    then_block,
-                    else_block,
-                } => Terminator::Branch {
-                    cond: temp_of.get(&cond).copied().unwrap_or(cond),
-                    then_block,
-                    else_block,
-                },
-                Terminator::Return { uses } => Terminator::Return {
-                    uses: uses
-                        .into_iter()
-                        .map(|u| temp_of.get(&u).copied().unwrap_or(u))
-                        .collect(),
-                },
-                t @ Terminator::Jump(_) => t,
-            };
-            *f.terminator_mut(b) = new_term;
+        for u in f.terminator_mut(b).uses_mut() {
+            if let Some(&t) = temp_of.get(u) {
+                *u = t;
+            }
         }
         // Rewrite φ-arguments in the successors: the per-block temporary
         // is defined before the block's end, so it is a legal value along
         // every outgoing edge.
-        let succs: Vec<BlockId> = f.successors(b);
-        for s in succs {
+        for s in f.successors(b) {
             for i in 0..f.num_phis_in(s) {
-                let rewrite_phi = match f.instr(s, i) {
-                    InstrView::Phi { dst, args }
-                        if args
-                            .iter()
-                            .any(|a| a.pred == b && temp_of.contains_key(&a.value)) =>
-                    {
-                        Some((
-                            dst,
-                            args.iter().map(|a| (a.pred, a.value)).collect::<Vec<_>>(),
-                        ))
-                    }
-                    _ => None,
-                };
-                if let Some((dst, mut args)) = rewrite_phi {
-                    for (p, v) in args.iter_mut() {
-                        if *p == b {
-                            if let Some(&t) = temp_of.get(v) {
-                                *v = t;
-                            }
+                for a in f.phi_args_mut(s, i) {
+                    if a.pred == b {
+                        if let Some(&t) = temp_of.get(&a.value) {
+                            a.value = t;
                         }
                     }
-                    f.replace_instr(s, i, Instr::Phi { dst, args });
                 }
             }
         }
-        // Insert the reload definitions, highest position first so the
-        // recorded indices stay valid; position `n` (a first use at the
-        // terminator or along an outgoing edge) appends at the block's
-        // end.
-        let mut by_pos = events[b.index()].clone();
-        by_pos.sort_unstable_by(|a, b| b.cmp(a));
-        for (p, v) in by_pos {
-            let t = temp_of[&v];
-            if p >= n {
-                f.emit_op(b, Some(t), &[]);
-            } else {
-                f.insert_instr(
-                    b,
-                    p as usize,
-                    Instr::Op {
-                        dst: Some(t),
-                        uses: Vec::new(),
-                    },
-                );
-            }
-        }
+        // Insert the reload definitions in one splice.  Reloads at the same
+        // position keep ascending variable order; position `n` (a first use
+        // at the terminator or along an outgoing edge) appends at the
+        // block's end in descending order.
+        let mut by_pos = std::mem::take(&mut events[b.index()]);
+        by_pos.sort_unstable();
+        let appended = by_pos.partition_point(|&(p, _)| p < n);
+        by_pos[appended..].reverse();
+        f.splice(
+            b,
+            by_pos.into_iter().map(|(p, v)| {
+                let instr = Instr::Op {
+                    dst: Some(temp_of[&v]),
+                    uses: Vec::new(),
+                };
+                (p.min(n) as usize, instr)
+            }),
+        );
     }
     debug_assert!(f.validate().is_ok());
     result

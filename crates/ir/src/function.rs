@@ -23,12 +23,24 @@
 //!   string buffer; creating a variable allocates nothing per variable
 //!   and display falls back to the dense `%index` form.
 //!
-//! Reads go through the borrowed [`InstrView`]; the owned [`Instr`] enum
-//! remains the construction and rewrite currency (`push_instr`,
-//! `insert_instr`, `replace_instr`).  Editing a block relocates its order
-//! range to the end of the order array when it grows, leaving a dead
-//! segment behind; [`Function::ir_bytes`] reports the arena footprint
-//! including any such garbage, which is zero on freshly built functions.
+//! Reads go through the borrowed [`InstrView`].  Rewrite passes edit in
+//! place: [`Function::uses_mut`], [`Function::phi_args_mut`] and
+//! [`Function::set_def`] substitute operands and definitions inside the
+//! existing record (no rewrite changes an operand count), and
+//! [`Function::splice`] applies all of a block's insertions with one
+//! relocation of its order range.  The owned [`Instr`] enum is the
+//! exchange form for builders and insertions ([`Function::push_instr`],
+//! [`Function::splice`]) and for whole-block read-modify-write
+//! ([`Function::block_instrs_owned`] / [`Function::set_block_instrs`]).
+//!
+//! A block that grows is copied to the end of the order array, leaving a
+//! dead segment behind, unless an append finds its range already at the
+//! end.  The [`FunctionBuilder`] relocates whenever it appends to a block
+//! whose range does not end the array and for every φ it adds, so freshly
+//! built functions already hold dead order slots.  Arena records are orphaned
+//! only when an instruction leaves its block ([`Function::remove_phis`],
+//! [`Function::set_block_instrs`]).  [`Function::ir_bytes`] counts the
+//! whole layout, dead slots and orphaned records included.
 
 use std::fmt;
 
@@ -95,9 +107,10 @@ impl fmt::Display for BlockId {
 
 /// Handle of one instruction record in a function's flat arena.
 ///
-/// Instruction ids are stable across block edits (an edit appends new
-/// records and repoints the block's order range); they are only meaningful
-/// for the function that created them.
+/// Instruction ids are stable across block edits (an in-place edit keeps
+/// the record, a splice appends records only for the inserted
+/// instructions); they are only meaningful for the function that created
+/// them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct InstrId(u32);
@@ -126,10 +139,11 @@ pub struct PhiArg {
 
 /// A non-terminator instruction (owned form).
 ///
-/// This is the construction and rewrite currency: builders and
-/// transformation passes produce `Instr` values, which the function interns
-/// into its flat arena ([`Function::push_instr`] and friends).  Reads use
-/// the borrowed [`InstrView`] instead.
+/// This is the exchange form: builders and insertions produce `Instr`
+/// values, which the function interns into its flat arena
+/// ([`Function::push_instr`], [`Function::splice`]).  Reads use the
+/// borrowed [`InstrView`] instead, and rewrites of existing instructions
+/// edit them in place ([`Function::uses_mut`] and friends).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instr {
     /// `dst = op(uses)` — a generic computation; `dst` is `None` for
@@ -196,7 +210,7 @@ impl Instr {
 ///
 /// Uses and φ-arguments are slices into the function's shared operand
 /// pools — no allocation per read.  [`InstrView::to_instr`] converts back
-/// to the owned [`Instr`] form for rewriting.
+/// to the owned [`Instr`] exchange form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstrView<'a> {
     /// `dst = op(uses)`; `dst` is `None` for effect-only instructions.
@@ -306,11 +320,20 @@ impl Terminator {
     }
 
     /// Variables used by this terminator.
-    pub fn uses(&self) -> Vec<Var> {
+    pub fn uses(&self) -> &[Var] {
         match self {
-            Terminator::Jump(_) => Vec::new(),
-            Terminator::Branch { cond, .. } => vec![*cond],
-            Terminator::Return { uses } => uses.clone(),
+            Terminator::Jump(_) => &[],
+            Terminator::Branch { cond, .. } => std::slice::from_ref(cond),
+            Terminator::Return { uses } => uses,
+        }
+    }
+
+    /// The variables used by this terminator, for in-place substitution.
+    pub fn uses_mut(&mut self) -> &mut [Var] {
+        match self {
+            Terminator::Jump(_) => &mut [],
+            Terminator::Branch { cond, .. } => std::slice::from_mut(cond),
+            Terminator::Return { uses } => uses,
         }
     }
 
@@ -416,7 +439,9 @@ pub struct Function {
     pub name: String,
     /// The entry block.
     pub entry: BlockId,
-    /// Flat instruction arena; records are never removed, only orphaned.
+    /// Flat instruction arena.  Records are never removed: in-place edits
+    /// reuse them, and one is orphaned only when its instruction leaves its
+    /// block (`remove_phis`, `set_block_instrs`).
     instrs: Vec<InstrData>,
     /// Shared pool of op uses and copy sources.
     val_pool: Vec<Var>,
@@ -631,11 +656,6 @@ impl Function {
         &self.order[s as usize..(s + l) as usize]
     }
 
-    /// A view of the instruction at handle `id`.
-    pub fn instr_by_id(&self, id: InstrId) -> InstrView<'_> {
-        self.view(id)
-    }
-
     /// A view of instruction `i` of block `b`.
     pub fn instr(&self, b: BlockId, i: usize) -> InstrView<'_> {
         self.view(self.instr_ids(b)[i])
@@ -688,8 +708,10 @@ impl Function {
     /// layout (16 bytes per instruction record, 4 per pooled value
     /// operand, 8 per pooled φ-argument, 4 per order slot, 12 per block
     /// range/depth, 16 + 4·uses per terminator).  Debug names are
-    /// excluded — they are optional side info.  Edits leave orphaned
-    /// records behind, which this count includes by design: it is the
+    /// excluded — they are optional side info.  Dead order slots (left by
+    /// relocated blocks, the builder's included) and orphaned records
+    /// (left by [`Function::remove_phis`] and
+    /// [`Function::set_block_instrs`]) are counted by design: this is the
     /// memory the layout actually holds.
     pub fn ir_bytes(&self) -> usize {
         let terminator_bytes: usize = self
@@ -727,7 +749,11 @@ impl Function {
         &self.order
     }
 
-    /// Number of records in the instruction arena, orphans included.
+    /// Number of records in the instruction arena, orphans included.  It
+    /// exceeds [`Function::num_instrs_total`] only by the instructions
+    /// that left their block ([`Function::remove_phis`],
+    /// [`Function::set_block_instrs`]); in-place edits and splices orphan
+    /// nothing.
     pub fn raw_arena_len(&self) -> usize {
         self.instrs.len()
     }
@@ -835,24 +861,66 @@ impl Function {
         self.push_id(b, id);
     }
 
-    /// Inserts an instruction at position `pos` of block `b`.
-    pub fn insert_instr(&mut self, b: BlockId, pos: usize, instr: Instr) {
-        let id = self.alloc_instr(&instr);
+    /// Inserts instructions into block `b`, each at its position in the
+    /// block as it stands before the call (`pos == num_instrs(b)` appends).
+    /// Positions must not decrease; instructions at the same position keep
+    /// the given order.  The block's order range is copied to the end of
+    /// the order array once, whatever the number of insertions.
+    pub fn splice(&mut self, b: BlockId, insertions: impl IntoIterator<Item = (usize, Instr)>) {
         let (s, l) = self.block_ranges[b.index()];
-        debug_assert!(pos <= l as usize, "insert position out of range");
-        let new_start = self.order.len() as u32;
-        self.order.extend_from_within(s as usize..s as usize + pos);
-        self.order.push(id);
-        self.order
-            .extend_from_within(s as usize + pos..(s + l) as usize);
-        self.block_ranges[b.index()] = (new_start, l + 1);
+        let (s, l) = (s as usize, l as usize);
+        let new_start = self.order.len();
+        let mut copied = 0;
+        for (pos, instr) in insertions {
+            debug_assert!(
+                copied <= pos && pos <= l,
+                "splice position out of range or out of order"
+            );
+            self.order.extend_from_within(s + copied..s + pos);
+            copied = pos;
+            let id = self.alloc_instr(&instr);
+            self.order.push(id);
+        }
+        self.order.extend_from_within(s + copied..s + l);
+        self.block_ranges[b.index()] = (new_start as u32, (self.order.len() - new_start) as u32);
     }
 
-    /// Replaces the instruction at position `pos` of block `b`.
-    pub fn replace_instr(&mut self, b: BlockId, pos: usize, instr: Instr) {
-        let id = self.alloc_instr(&instr);
-        let (s, _) = self.block_ranges[b.index()];
-        self.order[s as usize + pos] = id;
+    /// The record of instruction `i` of block `b`.
+    fn record(&self, b: BlockId, i: usize) -> InstrData {
+        self.instrs[self.instr_ids(b)[i].index()]
+    }
+
+    /// The variables instruction `i` of block `b` uses at its own point
+    /// (an op's uses or a copy's source; empty for a φ), for in-place
+    /// substitution.
+    pub fn uses_mut(&mut self, b: BlockId, i: usize) -> &mut [Var] {
+        let d = self.record(b, i);
+        match d.kind {
+            InstrKind::Phi => &mut [],
+            InstrKind::Op | InstrKind::Copy => {
+                &mut self.val_pool[d.start as usize..(d.start + d.len) as usize]
+            }
+        }
+    }
+
+    /// The arguments of instruction `i` of block `b` if it is a φ (empty
+    /// otherwise), for in-place substitution of values or predecessors.
+    pub fn phi_args_mut(&mut self, b: BlockId, i: usize) -> &mut [PhiArg] {
+        let d = self.record(b, i);
+        match d.kind {
+            InstrKind::Phi => &mut self.phi_pool[d.start as usize..(d.start + d.len) as usize],
+            InstrKind::Op | InstrKind::Copy => &mut [],
+        }
+    }
+
+    /// Renames the variable instruction `i` of block `b` defines.  The
+    /// instruction must define one (an effect-only op has nothing to
+    /// rename).
+    pub fn set_def(&mut self, b: BlockId, i: usize, dst: Var) {
+        let id = self.instr_ids(b)[i];
+        let d = &mut self.instrs[id.index()];
+        debug_assert!(d.dst != NO_VAR, "set_def on an effect-only instruction");
+        d.dst = dst.0;
     }
 
     /// Removes every φ-instruction from block `b` in place (the order
@@ -935,7 +1003,7 @@ impl Function {
                     }
                 }
             }
-            for v in self.terminator(b).uses() {
+            for &v in self.terminator(b).uses() {
                 if v.index() >= self.num_vars() {
                     return Err(ValidationError::BadVariable { block: b });
                 }
@@ -1101,13 +1169,15 @@ impl FunctionBuilder {
     pub fn phi(&mut self, b: BlockId, name: impl AsRef<str>, args: &[(BlockId, Var)]) -> Var {
         let v = self.function.new_var(name);
         let pos = self.function.num_phis_in(b);
-        self.function.insert_instr(
+        self.function.splice(
             b,
-            pos,
-            Instr::Phi {
-                dst: v,
-                args: args.to_vec(),
-            },
+            [(
+                pos,
+                Instr::Phi {
+                    dst: v,
+                    args: args.to_vec(),
+                },
+            )],
         );
         v
     }
@@ -1355,29 +1425,48 @@ mod tests {
     }
 
     #[test]
-    fn insert_replace_and_remove_phis_edit_in_place() {
+    fn in_place_edits_and_one_splice_orphan_nothing() {
         let mut f = diamond();
-        let j = BlockId::new(3);
-        assert_eq!(f.num_instrs(j), 1);
-        // Replace the φ by an equivalent one, insert a copy after it, then
-        // strip the φs again.
-        let phi = f.instr(j, 0).to_instr();
-        f.replace_instr(j, 0, phi.clone());
-        assert_eq!(f.instr(j, 0).to_instr(), phi);
-        let w = phi.def().unwrap();
-        f.insert_instr(
-            j,
-            1,
-            Instr::Copy {
-                dst: Var::new(0),
-                src: w,
-            },
+        let (entry, t, j) = (BlockId::new(0), BlockId::new(1), BlockId::new(3));
+        let (x, y, w) = (Var::new(0), Var::new(2), Var::new(4));
+        // Operand, φ-argument, def and terminator substitution in place.
+        f.uses_mut(t, 0)[0] = w;
+        assert!(f.uses_mut(j, 0).is_empty());
+        assert!(f.phi_args_mut(t, 0).is_empty());
+        f.phi_args_mut(j, 0)[0].value = x;
+        f.set_def(t, 0, w);
+        f.terminator_mut(j).uses_mut()[0] = y;
+        assert_eq!(
+            f.instr(t, 0),
+            InstrView::Op {
+                dst: Some(w),
+                uses: &[w]
+            }
         );
-        assert_eq!(f.num_instrs(j), 2);
-        assert!(f.instr(j, 1).is_copy());
+        assert!(matches!(f.instr(j, 0), InstrView::Phi { args, .. } if args[0].value == x));
+        assert_eq!(f.terminator(j).uses(), &[y]);
+        assert_eq!(f.raw_arena_len(), f.num_instrs_total());
+        // One splice: pre-insertion positions, equal positions in the
+        // given order, `num_instrs` appends; one relocation of the block.
+        let copy = |dst: usize| Instr::Copy {
+            dst: Var::new(dst),
+            src: x,
+        };
+        let order_before = f.raw_order().len();
+        f.splice(
+            entry,
+            [(0, copy(10)), (1, copy(11)), (1, copy(12)), (2, copy(13))],
+        );
+        assert_eq!(f.raw_order().len(), order_before + 6);
+        let dsts: Vec<usize> = f
+            .block_instrs(entry)
+            .map(|i| i.def().unwrap().index())
+            .collect();
+        assert_eq!(dsts, [10, 0, 11, 12, 1, 13]);
+        assert_eq!(f.raw_arena_len(), f.num_instrs_total());
         assert_eq!(f.remove_phis(j), 1);
-        assert_eq!(f.num_instrs(j), 1);
-        assert!(f.instr(j, 0).is_copy());
+        assert_eq!(f.num_instrs(j), 0);
+        assert_eq!(f.raw_arena_len(), f.num_instrs_total() + 1);
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl Liveness {
             }
             // live-in(b) computed by walking the block backwards.
             flow.copy_from(&out);
-            for v in f.terminator(b).uses() {
+            for &v in f.terminator(b).uses() {
                 flow.insert(v);
             }
             for instr in f.block_instrs(b).rev() {
@@ -295,7 +295,7 @@ impl Liveness {
         mut visit: impl FnMut(usize, &VarSet),
     ) {
         let mut live = self.live_out[b.index()].clone();
-        for v in f.terminator(b).uses() {
+        for &v in f.terminator(b).uses() {
             live.insert(v);
         }
         visit(f.num_instrs(b), &live);

@@ -59,18 +59,11 @@ pub fn split_critical_edges(f: &mut Function) -> usize {
         let mid = f.add_block(Terminator::Jump(to), depth);
         f.terminator_mut(from).replace_successor(to, mid);
         // Redirect φ arguments in `to` that referred to `from`.
-        for i in 0..f.num_instrs(to) {
-            let redirected = match f.instr(to, i) {
-                InstrView::Phi { dst, args } if args.iter().any(|a| a.pred == from) => Some((
-                    dst,
-                    args.iter()
-                        .map(|a| (if a.pred == from { mid } else { a.pred }, a.value))
-                        .collect::<Vec<_>>(),
-                )),
-                _ => None,
-            };
-            if let Some((dst, args)) = redirected {
-                f.replace_instr(to, i, Instr::Phi { dst, args });
+        for i in 0..f.num_phis_in(to) {
+            for a in f.phi_args_mut(to, i) {
+                if a.pred == from {
+                    a.pred = mid;
+                }
             }
         }
         split += 1;

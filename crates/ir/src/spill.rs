@@ -82,7 +82,7 @@
 //! [`tight_k`] is the one definition of the tight register count
 //! (`Maxlive / 2`, at least 3) the experiments and the service spill to.
 
-use crate::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
+use crate::function::{BlockId, Function, Instr, InstrView, Var};
 use crate::liveness::{Liveness, VarSet};
 
 /// Largest loop depth that still gets its own `10^depth` weight.
@@ -180,7 +180,7 @@ fn block_spill_stats(
     stats.candidates.clear();
     // The walk starts at point n: live-out plus the terminator's uses.
     live.copy_from(liveness.live_out(b));
-    for u in f.terminator(b).uses() {
+    for &u in f.terminator(b).uses() {
         live.insert(u);
     }
     for v in live.iter() {
@@ -607,7 +607,7 @@ pub fn spill_costs(f: &Function) -> Vec<u64> {
                 }
             }
         }
-        for u in f.terminator(b).uses() {
+        for &u in f.terminator(b).uses() {
             cost[u.index()] = cost[u.index()].saturating_add(weight);
         }
     }
@@ -739,108 +739,76 @@ pub fn spill_all_candidates(f: &mut Function, k: usize, mut liveness: Liveness) 
 /// bookkeeping of [`spill_to_pressure`] consumes).
 pub fn spill_everywhere(f: &mut Function, victim: Var, result: &mut SpillResult) -> SpillRewrite {
     let mut rewrite = SpillRewrite::default();
-    let block_ids: Vec<BlockId> = f.block_ids().collect();
-    for b in block_ids {
+    // Reload definitions per block at pre-insertion positions (appends at
+    // `num_instrs`, in the order recorded); each block is spliced once at
+    // the end, so no position shifts mid-rewrite.
+    let mut inserts: Vec<Vec<(usize, Instr)>> = vec![Vec::new(); f.num_blocks()];
+    let reload = |t: Var| Instr::Op {
+        dst: Some(t),
+        uses: Vec::new(),
+    };
+    for b in f.block_ids() {
+        let n = f.num_instrs(b);
         // Rewrite φ arguments: reload at the end of the predecessor.
         let mut pending_pred_reloads: Vec<(BlockId, Var)> = Vec::new();
-        {
-            let nb = f.num_instrs(b);
-            for i in 0..nb {
-                // Copy out the argument list only when this φ mentions the
-                // victim; the view borrow ends before the rewrite below.
-                let rewrite_phi = match f.instr(b, i) {
-                    InstrView::Phi { dst, args } if args.iter().any(|a| a.value == victim) => {
-                        Some((
-                            dst,
-                            args.iter().map(|a| (a.pred, a.value)).collect::<Vec<_>>(),
-                        ))
-                    }
-                    _ => None,
-                };
-                if let Some((dst, mut args)) = rewrite_phi {
-                    for (p, v) in args.iter_mut() {
-                        if *v == victim {
-                            let reload = f.derive_var(victim, "_reload");
-                            pending_pred_reloads.push((*p, reload));
-                            *v = reload;
-                        }
-                    }
-                    f.replace_instr(b, i, Instr::Phi { dst, args });
-                    rewrite.modified_blocks.push(b);
+        for i in 0..f.num_phis_in(b) {
+            let before = pending_pred_reloads.len();
+            for a in 0..f.phi_args_mut(b, i).len() {
+                if f.phi_args_mut(b, i)[a].value == victim {
+                    let t = f.derive_var(victim, "_reload");
+                    let arg = &mut f.phi_args_mut(b, i)[a];
+                    arg.value = t;
+                    pending_pred_reloads.push((arg.pred, t));
                 }
             }
+            if pending_pred_reloads.len() > before {
+                rewrite.modified_blocks.push(b);
+            }
         }
-        for (pred, reload) in pending_pred_reloads {
-            f.emit_op(pred, Some(reload), &[]);
+        for (pred, t) in pending_pred_reloads {
+            inserts[pred.index()].push((f.num_instrs(pred), reload(t)));
             result.reloads += 1;
             rewrite.modified_blocks.push(pred);
-            rewrite.phi_pred_reloads.push((pred, reload));
+            rewrite.phi_pred_reloads.push((pred, t));
         }
 
         // Rewrite ordinary uses inside the block.
-        let mut i = 0;
-        while i < f.num_instrs(b) {
-            let uses_victim = match f.instr(b, i) {
-                InstrView::Op { uses, .. } => uses.contains(&victim),
-                InstrView::Copy { src, .. } => src == victim,
-                InstrView::Phi { .. } => false,
-            };
-            if uses_victim {
-                rewrite.modified_blocks.push(b);
-                let reload = f.derive_var(victim, "_reload");
-                let new_instr = match f.instr(b, i).to_instr() {
-                    Instr::Op { dst, uses } => Instr::Op {
-                        dst,
-                        uses: uses
-                            .into_iter()
-                            .map(|u| if u == victim { reload } else { u })
-                            .collect(),
-                    },
-                    Instr::Copy { dst, .. } => Instr::Copy { dst, src: reload },
-                    phi @ Instr::Phi { .. } => phi,
-                };
-                f.replace_instr(b, i, new_instr);
-                f.insert_instr(
-                    b,
-                    i,
-                    Instr::Op {
-                        dst: Some(reload),
-                        uses: Vec::new(),
-                    },
-                );
-                result.reloads += 1;
-                i += 2;
-            } else {
-                i += 1;
+        for i in 0..n {
+            if !f.instr(b, i).local_uses().contains(&victim) {
+                continue;
             }
+            rewrite.modified_blocks.push(b);
+            let t = f.derive_var(victim, "_reload");
+            for u in f.uses_mut(b, i).iter_mut().filter(|u| **u == victim) {
+                *u = t;
+            }
+            inserts[b.index()].push((i, reload(t)));
+            result.reloads += 1;
         }
 
         // Rewrite terminator uses.
-        let term_uses_victim = f.terminator(b).uses().contains(&victim);
-        if term_uses_victim {
+        if f.terminator(b).uses().contains(&victim) {
             rewrite.modified_blocks.push(b);
-            let reload = f.derive_var(victim, "_reload");
-            let new_term = match f.terminator(b).clone() {
-                Terminator::Branch {
-                    cond,
-                    then_block,
-                    else_block,
-                } => Terminator::Branch {
-                    cond: if cond == victim { reload } else { cond },
-                    then_block,
-                    else_block,
-                },
-                Terminator::Return { uses } => Terminator::Return {
-                    uses: uses
-                        .into_iter()
-                        .map(|u| if u == victim { reload } else { u })
-                        .collect(),
-                },
-                t @ Terminator::Jump(_) => t,
-            };
-            *f.terminator_mut(b) = new_term;
-            f.emit_op(b, Some(reload), &[]);
+            let t = f.derive_var(victim, "_reload");
+            for u in f
+                .terminator_mut(b)
+                .uses_mut()
+                .iter_mut()
+                .filter(|u| **u == victim)
+            {
+                *u = t;
+            }
+            inserts[b.index()].push((n, reload(t)));
             result.reloads += 1;
+        }
+    }
+    for (b, mut block_inserts) in f.block_ids().zip(inserts) {
+        if !block_inserts.is_empty() {
+            // A φ-argument reload can be recorded for a block before that
+            // block's own use reloads; the stable sort restores position
+            // order and keeps the appends in recording order.
+            block_inserts.sort_by_key(|&(p, _)| p);
+            f.splice(b, block_inserts);
         }
     }
     debug_assert!(f.validate().is_ok());

@@ -49,12 +49,16 @@ pub fn split_at_block_boundaries(f: &mut Function) -> SplitStats {
 }
 
 /// Splits only the given variables at block boundaries.  Variables not
-/// live-in or not used in a block are left untouched in that block.
+/// live-in or not used in a block are left untouched in that block; a
+/// variable listed twice is split once.
 pub fn split_variables_at_block_boundaries(f: &mut Function, vars: &[Var]) -> SplitStats {
     let liveness = Liveness::compute(f);
     let mut stats = SplitStats::default();
-    let blocks: Vec<_> = f.block_ids().collect();
-    for b in blocks {
+    for b in f.block_ids() {
+        // The copies go to the top of the block (after any φ-functions),
+        // each before the previous one, in one splice per block.
+        let phi_end = f.num_phis_in(b);
+        let mut copies: Vec<(usize, Instr)> = Vec::new();
         for &x in vars {
             if !liveness.is_live_in(b, x) {
                 continue;
@@ -89,25 +93,33 @@ pub fn split_variables_at_block_boundaries(f: &mut Function, vars: &[Var]) -> Sp
                 continue;
             }
 
-            // Insert the copy and rename.
+            // Rename the uses before the redefinition point, then record
+            // the copy.
             let fresh = f.derive_var(x, &format!(".split.{}", b.index()));
-            let phi_end = f.num_phis_in(b);
-            // Rename uses before the redefinition point (indices shift by one
-            // after the insertion, so rename first, then insert).
             let limit = redefined_at.unwrap_or(f.num_instrs(b));
             for i in phi_end..limit.max(phi_end) {
-                let mut instr = f.instr(b, i).to_instr();
-                if rename_uses(&mut instr, x, fresh) {
-                    f.replace_instr(b, i, instr);
+                for u in f.uses_mut(b, i).iter_mut().filter(|u| **u == x) {
+                    *u = fresh;
                 }
             }
             if redefined_at.is_none() {
-                rename_terminator_uses(f.terminator_mut(b), x, fresh);
+                for u in f
+                    .terminator_mut(b)
+                    .uses_mut()
+                    .iter_mut()
+                    .filter(|u| **u == x)
+                {
+                    *u = fresh;
+                }
             }
-            f.insert_instr(b, phi_end, Instr::Copy { dst: fresh, src: x });
+            copies.push((phi_end, Instr::Copy { dst: fresh, src: x }));
             stats.copies_inserted += 1;
             stats.new_variables += 1;
             stats.split_points += 1;
+        }
+        if !copies.is_empty() {
+            copies.reverse();
+            f.splice(b, copies);
         }
     }
     debug_assert!(
@@ -115,46 +127,6 @@ pub fn split_variables_at_block_boundaries(f: &mut Function, vars: &[Var]) -> Sp
         "splitting produced an invalid function"
     );
     stats
-}
-
-fn rename_uses(instr: &mut Instr, from: Var, to: Var) -> bool {
-    let mut changed = false;
-    match instr {
-        Instr::Op { uses, .. } => {
-            for u in uses.iter_mut() {
-                if *u == from {
-                    *u = to;
-                    changed = true;
-                }
-            }
-        }
-        Instr::Copy { src, .. } => {
-            if *src == from {
-                *src = to;
-                changed = true;
-            }
-        }
-        Instr::Phi { .. } => {}
-    }
-    changed
-}
-
-fn rename_terminator_uses(term: &mut crate::function::Terminator, from: Var, to: Var) {
-    match term {
-        crate::function::Terminator::Jump(_) => {}
-        crate::function::Terminator::Branch { cond, .. } => {
-            if *cond == from {
-                *cond = to;
-            }
-        }
-        crate::function::Terminator::Return { uses } => {
-            for u in uses.iter_mut() {
-                if *u == from {
-                    *u = to;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

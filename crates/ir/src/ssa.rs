@@ -9,8 +9,8 @@
 //! definitions, and definitions dominating uses.
 
 use crate::dom::DominatorTree;
-use crate::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::function::{BlockId, Function, Instr, InstrView, Var};
+use std::collections::BTreeSet;
 
 /// Returns `true` if every variable of `f` has at most one definition.
 pub fn is_ssa(f: &Function) -> bool {
@@ -80,7 +80,7 @@ pub fn is_strict(f: &Function) -> bool {
                 }
             }
         }
-        for v in f.terminator(b).uses() {
+        for &v in f.terminator(b).uses() {
             if !use_dominated(v, b, usize::MAX - 1) {
                 return false;
             }
@@ -118,10 +118,12 @@ pub fn construct_ssa(f: &Function) -> Function {
     // definition (even within a single block).
     let needs_rename: Vec<bool> = def_count.iter().map(|&c| c > 1).collect();
 
-    // 2. Place φ-functions at iterated dominance frontiers.
+    // 2. Place φ-functions at iterated dominance frontiers, defining the
+    // *original* variable for now (renaming replaces both the def and the
+    // args).  Each block's φs are appended to its φ-group in placement
+    // order, with one splice per block.
     let frontiers = dom.dominance_frontiers(&out);
-    // phi_placed[v] = blocks where a φ for original variable v was inserted.
-    let mut phi_for: BTreeMap<(BlockId, usize), usize> = BTreeMap::new(); // (block, orig var) -> instr index
+    let mut placed: Vec<Vec<(usize, Instr)>> = vec![Vec::new(); out.num_blocks()];
     for (v, blocks) in def_blocks.iter().enumerate() {
         if blocks.len() <= 1 {
             // A single static definition never needs a φ for correctness of
@@ -134,14 +136,11 @@ pub fn construct_ssa(f: &Function) -> Function {
         while let Some(b) = work.pop() {
             for &y in &frontiers[b.index()] {
                 if has_phi.insert(y) {
-                    // Insert a φ defining the *original* variable v for now;
-                    // renaming will replace both the def and the args.
                     let var = Var::new(v);
                     let args: Vec<(BlockId, Var)> =
                         preds[y.index()].iter().map(|&p| (p, var)).collect();
                     let pos = out.num_phis_in(y);
-                    out.insert_instr(y, pos, Instr::Phi { dst: var, args });
-                    phi_for.insert((y, v), pos);
+                    placed[y.index()].push((pos, Instr::Phi { dst: var, args }));
                     if !blocks.contains(&y) {
                         work.push(y);
                     }
@@ -149,11 +148,15 @@ pub fn construct_ssa(f: &Function) -> Function {
             }
         }
     }
+    for (y, phis) in out.block_ids().zip(placed) {
+        if !phis.is_empty() {
+            out.splice(y, phis);
+        }
+    }
 
-    // 3. Rename along the dominator tree.
+    // 3. Rename in place along the dominator tree.
     let mut stacks: Vec<Vec<Var>> = vec![Vec::new(); num_orig];
     let children = dom.children();
-    let mut renamed = out.clone();
 
     // Recursive renaming over the dominator tree, iteratively with an
     // explicit stack of (block, phase) where phase 0 = enter, 1 = exit.
@@ -166,139 +169,43 @@ pub fn construct_ssa(f: &Function) -> Function {
     // Remember how many names each block pushed per variable, to pop on exit.
     let mut pushed: Vec<Vec<(usize, usize)>> = vec![Vec::new(); out.num_blocks()];
 
-    let orig_of = |v: Var, num_orig: usize| -> Option<usize> {
-        if v.index() < num_orig {
-            Some(v.index())
-        } else {
-            None
-        }
-    };
-
     while let Some((b, phase)) = stack.pop() {
         match phase {
             Phase::Enter => {
                 stack.push((b, Phase::Exit));
                 let mut pushes: Vec<(usize, usize)> = Vec::new();
-                // Rename definitions and uses inside the block.
-                let nb = renamed.num_instrs(b);
-                for i in 0..nb {
-                    let instr = renamed.instr(b, i).to_instr();
-                    let new_instr = match instr {
-                        Instr::Phi { dst, args } => {
-                            // Only the def is renamed here; args are renamed
-                            // from the predecessors (below).
-                            let o = orig_of(dst, num_orig);
-                            let new_dst = match o {
-                                Some(ov) if needs_rename[ov] => {
-                                    let nv = match f.var_name(Var::new(ov)) {
-                                        Some(n) => {
-                                            let name = format!("{n}_{}", b.index());
-                                            renamed.new_var(name)
-                                        }
-                                        None => renamed.new_var(""),
-                                    };
-                                    stacks[ov].push(nv);
-                                    pushes.push((ov, 1));
-                                    nv
-                                }
-                                _ => dst,
-                            };
-                            Instr::Phi { dst: new_dst, args }
-                        }
-                        Instr::Op { dst, uses } => {
-                            let new_uses: Vec<Var> = uses
-                                .iter()
-                                .map(|&u| rename_use(u, &stacks, num_orig, &needs_rename))
-                                .collect();
-                            let new_dst = dst.map(|d| {
-                                rename_def(
-                                    d,
-                                    &mut stacks,
-                                    &mut pushes,
-                                    &mut renamed,
-                                    f,
-                                    num_orig,
-                                    &needs_rename,
-                                    b,
-                                )
-                            });
-                            Instr::Op {
-                                dst: new_dst,
-                                uses: new_uses,
-                            }
-                        }
-                        Instr::Copy { dst, src } => {
-                            let new_src = rename_use(src, &stacks, num_orig, &needs_rename);
-                            let new_dst = rename_def(
-                                dst,
-                                &mut stacks,
-                                &mut pushes,
-                                &mut renamed,
-                                f,
-                                num_orig,
-                                &needs_rename,
-                                b,
-                            );
-                            Instr::Copy {
-                                dst: new_dst,
-                                src: new_src,
-                            }
-                        }
-                    };
-                    renamed.replace_instr(b, i, new_instr);
+                // Rename uses, then definitions, inside the block.  A φ's
+                // args are renamed from the predecessors (below).
+                for i in 0..out.num_instrs(b) {
+                    for u in out.uses_mut(b, i) {
+                        *u = rename_use(*u, &stacks, num_orig, &needs_rename);
+                    }
+                    if let Some(d) = out.instr(b, i).def() {
+                        let nd = rename_def(
+                            d,
+                            &mut stacks,
+                            &mut pushes,
+                            &mut out,
+                            f,
+                            num_orig,
+                            &needs_rename,
+                            b,
+                        );
+                        out.set_def(b, i, nd);
+                    }
                 }
-                // Rename terminator uses.
-                let term = renamed.terminator(b).clone();
-                let new_term = match term {
-                    Terminator::Branch {
-                        cond,
-                        then_block,
-                        else_block,
-                    } => Terminator::Branch {
-                        cond: rename_use(cond, &stacks, num_orig, &needs_rename),
-                        then_block,
-                        else_block,
-                    },
-                    Terminator::Return { uses } => Terminator::Return {
-                        uses: uses
-                            .iter()
-                            .map(|&u| rename_use(u, &stacks, num_orig, &needs_rename))
-                            .collect(),
-                    },
-                    t @ Terminator::Jump(_) => t,
-                };
-                *renamed.terminator_mut(b) = new_term;
+                for u in out.terminator_mut(b).uses_mut() {
+                    *u = rename_use(*u, &stacks, num_orig, &needs_rename);
+                }
 
                 // Fill in φ arguments of the successors coming from `b`.
-                for s in renamed.successors(b) {
-                    let ns = renamed.num_instrs(s);
-                    for i in 0..ns {
-                        let phi = match renamed.instr(s, i) {
-                            InstrView::Phi { dst, args } => Some((
-                                dst,
-                                args.iter().map(|a| (a.pred, a.value)).collect::<Vec<_>>(),
-                            )),
-                            _ => None,
-                        };
-                        let Some((dst, args)) = phi else { break };
-                        let new_args: Vec<(BlockId, Var)> = args
-                            .iter()
-                            .map(|&(p, v)| {
-                                if p == b {
-                                    (p, rename_use(v, &stacks, num_orig, &needs_rename))
-                                } else {
-                                    (p, v)
-                                }
-                            })
-                            .collect();
-                        renamed.replace_instr(
-                            s,
-                            i,
-                            Instr::Phi {
-                                dst,
-                                args: new_args,
-                            },
-                        );
+                for s in out.successors(b) {
+                    for i in 0..out.num_phis_in(s) {
+                        for a in out.phi_args_mut(s, i) {
+                            if a.pred == b {
+                                a.value = rename_use(a.value, &stacks, num_orig, &needs_rename);
+                            }
+                        }
                     }
                 }
 
@@ -317,7 +224,7 @@ pub fn construct_ssa(f: &Function) -> Function {
         }
     }
 
-    renamed
+    out
 }
 
 fn rename_use(v: Var, stacks: &[Vec<Var>], num_orig: usize, needs_rename: &[bool]) -> Var {

@@ -71,11 +71,6 @@ impl VertexCoverInstance {
         search(&edges, &mut chosen, &mut best);
         best
     }
-
-    /// Decision version: is there a cover of size at most `budget`?
-    pub fn has_cover_of_size(&self, budget: usize) -> bool {
-        self.minimum_cover() <= budget
-    }
 }
 
 /// Handles into one per-vertex structure of the reduction.

@@ -175,7 +175,7 @@ impl Verifier for CfgChecker {
                     );
                 }
             }
-            for v in f.terminator(b).uses() {
+            for &v in f.terminator(b).uses() {
                 if v.index() >= f.num_vars() {
                     terms.push(
                         format!("{site}:{b}"),
@@ -345,7 +345,7 @@ impl Verifier for SsaChecker {
                     }
                 }
             }
-            for u in f.terminator(b).uses() {
+            for &u in f.terminator(b).uses() {
                 check_use(u, b.index(), BLOCK_END, "terminator", &mut dom);
             }
         }

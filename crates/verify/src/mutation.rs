@@ -314,11 +314,9 @@ impl Fault {
             Fault::BreakPhi => {
                 let mut f = a.function.clone();
                 let join = BlockId::new(3);
-                let Instr::Phi { dst, mut args } = f.instr(join, 0).to_instr() else {
-                    panic!("join block starts with a phi");
-                };
-                args[0].0 = join; // join is not its own predecessor
-                f.replace_instr(join, 0, Instr::Phi { dst, args });
+                let args = f.phi_args_mut(join, 0);
+                assert!(!args.is_empty(), "join block starts with a phi");
+                args[0].pred = join; // join is not its own predecessor
                 let mut cx = VerifyCtx::at(VerifyLevel::Paranoid, site);
                 cx.function = Some(&f);
                 verify(&cx)

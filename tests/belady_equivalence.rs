@@ -22,11 +22,15 @@ use coalesce_ir::spill::{tight_k, SpillInput, SpillerKind};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
+mod legacy_edits;
+
 /// The map-based next-use fixpoint, block scan and rewrite as they stood
-/// before the flat storage, copied verbatim (only the span is dropped and
-/// the decision items made public).
+/// before the flat storage and the in-place edits, copied verbatim (only
+/// the span is dropped, the decision items made public, and the removed
+/// `replace_instr`/`insert_instr` come from [`legacy_edits`]).
 #[allow(clippy::pedantic)]
 mod reference {
+    use super::legacy_edits::LegacyEdits;
     use coalesce_ir::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
     use coalesce_ir::spill::SpillResult;
     use std::collections::BTreeMap;
@@ -112,7 +116,7 @@ mod reference {
                     for (&v, &d) in &out {
                         m.insert(v, (n + 1).saturating_add(d));
                     }
-                    for u in f.terminator(b).uses() {
+                    for &u in f.terminator(b).uses() {
                         merge_min(&mut m, u, n);
                     }
                     for (i, instr) in f.block_instrs(b).enumerate().rev() {
@@ -259,7 +263,7 @@ mod reference {
                     use_pos.entry(u).or_default().push(i as u64);
                 }
             }
-            for u in f.terminator(b).uses() {
+            for &u in f.terminator(b).uses() {
                 use_pos.entry(u).or_default().push(n as u64);
             }
             for s in f.successors(b) {
@@ -431,7 +435,7 @@ mod reference {
                 }
             }
             // Block end: terminator uses and φ-arguments toward successors.
-            let mut end_uses: Vec<Var> = f.terminator(b).uses();
+            let mut end_uses: Vec<Var> = f.terminator(b).uses().to_vec();
             for s in f.successors(b) {
                 for phi in f.phis(s) {
                     if let InstrView::Phi { args, .. } = phi {

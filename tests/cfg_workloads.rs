@@ -57,7 +57,7 @@ fn defs_dominate_uses(f: &Function) -> Result<(), String> {
         }
     }
     for b in f.block_ids() {
-        for v in f.terminator(b).uses() {
+        for &v in f.terminator(b).uses() {
             check(v, b, None)?;
         }
     }

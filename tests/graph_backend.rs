@@ -260,7 +260,7 @@ impl SetLiveness {
                     out.extend(from_s);
                 }
                 let mut live = out.clone();
-                for v in f.terminator(b).uses() {
+                for &v in f.terminator(b).uses() {
                     live.insert(v);
                 }
                 for instr in f.block_instrs(b).rev() {
@@ -321,7 +321,7 @@ fn bitset_liveness_matches_the_btreeset_reference_on_generated_cfgs() {
             let points = bitset.live_points(&f, b);
             let n_instrs = f.num_instrs(b);
             let mut live = reference.live_out[b.index()].clone();
-            for v in f.terminator(b).uses() {
+            for &v in f.terminator(b).uses() {
                 live.insert(v);
             }
             let expect: Vec<Var> = live.iter().copied().collect();

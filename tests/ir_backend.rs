@@ -27,11 +27,13 @@ use coalesce_bench::experiments::spillers::{windowed_program, E17_MODULE_FUNCTIO
 use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, ModuleParams};
 use coalesce_ir::belady::{NextUse, LOOP_EXIT_DISTANCE};
-use coalesce_ir::function::{BlockId, Function, Instr, Var};
+use coalesce_ir::function::{BlockId, Function, FunctionBuilder, Instr, Var};
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
 use coalesce_ir::liveness::Liveness;
 use coalesce_ir::out_of_ssa::destruct_ssa;
 use coalesce_ir::spill::{self, spill_everywhere, SpillInput, SpillResult, SpillerKind};
+use coalesce_ir::splitting::split_at_block_boundaries;
+use coalesce_ir::ssa::construct_ssa;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -96,7 +98,7 @@ impl RefLiveness {
                     out.extend(from_s);
                 }
                 let mut live = out.clone();
-                for v in f.terminator(b).uses() {
+                for &v in f.terminator(b).uses() {
                     live.insert(v);
                 }
                 for instr in owned.block(b).iter().rev() {
@@ -183,7 +185,7 @@ fn reference_interference(
         // Backward per-point walk: at the top of each loop iteration
         // `cursor` is exactly the set live after instruction `i`.
         let mut cursor: BTreeSet<Var> = live.live_out[b.index()].clone();
-        for v in f.terminator(b).uses() {
+        for &v in f.terminator(b).uses() {
             cursor.insert(v);
         }
         for instr in instrs.iter().rev() {
@@ -281,7 +283,7 @@ fn reference_spill_costs(f: &Function, owned: &OwnedBlocks) -> Vec<u64> {
                 }
             }
         }
-        for u in f.terminator(b).uses() {
+        for &u in f.terminator(b).uses() {
             cost[u.index()] = cost[u.index()].saturating_add(weight);
         }
     }
@@ -309,7 +311,7 @@ fn ref_block_stats(
     let mut stats = RefBlockStats::default();
     let mut birth: BTreeMap<Var, u32> = BTreeMap::new();
     let mut cursor: BTreeSet<Var> = live.live_out[b.index()].clone();
-    for u in f.terminator(b).uses() {
+    for &u in f.terminator(b).uses() {
         cursor.insert(u);
     }
     for &v in &cursor {
@@ -455,7 +457,7 @@ fn reference_next_use(f: &Function, owned: &OwnedBlocks) -> RefNextUse {
                 killed[b.index()].insert(d);
             }
         }
-        for u in f.terminator(b).uses() {
+        for &u in f.terminator(b).uses() {
             if !killed[b.index()].contains(&u) {
                 local_first[b.index()]
                     .entry(u)
@@ -932,5 +934,110 @@ fn every_victim_is_a_pre_spill_variable() {
                 result.spilled
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Arena layout of the rewrite passes.
+// ---------------------------------------------------------------------------
+
+/// Arena records no block references any more.
+fn orphans(f: &Function) -> usize {
+    f.raw_arena_len() - f.num_instrs_total()
+}
+
+/// Asserts that one rewrite call relocated each block at most once: the
+/// order array grew by at most the live length of the blocks whose order
+/// range the call changed (or created).
+fn assert_one_relocation_per_block(before: &Function, after: &Function, pass: &str) {
+    let grown = after.raw_order().len() - before.raw_order().len();
+    let touched: usize = after
+        .block_ids()
+        .filter(|&b| {
+            b.index() >= before.num_blocks()
+                || after.raw_block_range(b) != before.raw_block_range(b)
+        })
+        .map(|b| after.num_instrs(b))
+        .sum();
+    assert!(
+        grown <= touched,
+        "{}: {pass} grew the order array by {grown} slots for {touched} live instructions in the blocks it touched",
+        after.name
+    );
+}
+
+/// A non-SSA loop that SSA construction accepts: `x` is defined before
+/// the loop and redefined in its body, so the header gets a φ.
+fn redefined_in_a_loop() -> Function {
+    let mut b = FunctionBuilder::new("loop");
+    let (entry, header, body, exit) =
+        (b.entry_block(), b.new_block(), b.new_block(), b.new_block());
+    let x = b.def(entry, "x");
+    b.jump(entry, header);
+    let c = b.op(header, "c", &[x]);
+    b.branch(header, c, body, exit);
+    b.function_mut().push_instr(
+        body,
+        Instr::Op {
+            dst: Some(x),
+            uses: vec![x, c],
+        },
+    );
+    b.jump(body, header);
+    b.ret(exit, &[x]);
+    b.finish()
+}
+
+/// Every rewrite edits operands in place and splices each block once:
+/// generated functions hold no orphaned record, no spiller, splitting or
+/// SSA construction leaves one, out-of-SSA orphans exactly the φs it
+/// removes, and each single rewrite call copies a block's order range at
+/// most once.
+#[test]
+fn rewrites_orphan_no_record_and_relocate_each_block_once() {
+    let functions = workload_functions()
+        .into_iter()
+        .chain((0..4).flat_map(module_functions));
+    for f in functions {
+        assert_eq!(orphans(&f), 0, "{}: generated", f.name);
+        let k = spill::tight_k(Liveness::compute(&f).maxlive_precise(&f));
+        for kind in SpillerKind::ALL {
+            let mut g = f.clone();
+            kind.run(&mut g, k);
+            assert_eq!(orphans(&g), 0, "{}: {}", f.name, kind.name());
+            if kind == SpillerKind::Belady {
+                assert_one_relocation_per_block(&f, &g, kind.name());
+            }
+        }
+        let mut g = f.clone();
+        for victim in spill::spill_to_pressure(&mut f.clone(), k).spilled {
+            let before = g.clone();
+            spill_everywhere(&mut g, victim, &mut SpillResult::default());
+            assert_one_relocation_per_block(&before, &g, "spill_everywhere");
+        }
+        assert_eq!(orphans(&g), 0, "{}: spill_everywhere", f.name);
+
+        let mut split = f.clone();
+        split_at_block_boundaries(&mut split);
+        assert_eq!(orphans(&split), 0, "{}: splitting", f.name);
+        assert_one_relocation_per_block(&f, &split, "splitting");
+
+        let mut lowered = f.clone();
+        let stats = destruct_ssa(&mut lowered);
+        assert_eq!(
+            orphans(&lowered),
+            stats.phis_removed,
+            "{}: out of SSA",
+            f.name
+        );
+        assert_one_relocation_per_block(&f, &lowered, "out of SSA");
+    }
+    for f in workload_functions()
+        .into_iter()
+        .chain([redefined_in_a_loop()])
+    {
+        let g = construct_ssa(&f);
+        assert_eq!(orphans(&g), 0, "{}: SSA construction", f.name);
+        assert_one_relocation_per_block(&f, &g, "SSA construction");
     }
 }

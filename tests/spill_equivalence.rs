@@ -15,25 +15,49 @@
 //! and on the corrective round the SSA allocator runs on lowered
 //! (non-SSA) functions, where one block can close several segments of the
 //! same variable.
+//!
+//! The same module keeps, verbatim, the rewrite passes as they stood
+//! before in-place operand substitution and block splices: the
+//! spill-everywhere rewrite (which the reference spillers above call),
+//! SSA construction, block-boundary splitting and out-of-SSA with its
+//! critical-edge splitting.  They call the removed single-instruction
+//! edits through [`legacy_edits`] (and name `Terminator` without its
+//! `crate::function::` path).  The rewrite pins compare the printed
+//! function, the variable count (the `derive_var` order), the returned
+//! statistics and the collected counters on the E13 grid, E17's windowed
+//! program and E17's module slice.
 
-use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
+use coalesce_bench::experiments::module::e16_specs;
+use coalesce_bench::experiments::regalloc::workload_program;
+use coalesce_bench::experiments::spillers::{windowed_program, E17_MODULE_FUNCTIONS};
+use coalesce_gen::cfg::{generate, CfgParams, PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, ModuleParams};
-use coalesce_ir::function::Function;
+use coalesce_ir::function::{Function, Var};
 use coalesce_ir::liveness::Liveness;
 use coalesce_ir::out_of_ssa::destruct_ssa;
 use coalesce_ir::spill::{
-    spill_all_candidates, spill_costs, spill_to_pressure_from, tight_k, SpillResult,
+    spill_all_candidates, spill_costs, spill_everywhere, spill_to_pressure, spill_to_pressure_from,
+    tight_k, SpillResult,
 };
+use coalesce_ir::splitting::split_variables_at_block_boundaries;
+use coalesce_ir::ssa::{construct_ssa, is_ssa};
 use proptest::prelude::*;
 
+mod legacy_edits;
+
 /// The map-based pressure spiller, its block statistics and the naive
-/// spill-everywhere baseline as they stood before the flat storage,
-/// copied verbatim.
+/// spill-everywhere baseline as they stood before the flat storage, and
+/// the rewrite passes as they stood before the in-place edits, copied
+/// verbatim.
 #[allow(clippy::pedantic)]
 mod reference {
-    use coalesce_ir::function::{BlockId, Function, Var};
+    use super::legacy_edits::LegacyEdits;
+    use coalesce_ir::dom::DominatorTree;
+    use coalesce_ir::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
     use coalesce_ir::liveness::Liveness;
-    use coalesce_ir::spill::{spill_everywhere, SpillResult};
+    use coalesce_ir::out_of_ssa::{sequentialize_parallel_copy, OutOfSsaStats};
+    use coalesce_ir::spill::{SpillResult, SpillRewrite};
+    use coalesce_ir::splitting::SplitStats;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Per-block spill-candidate statistics, derived from one backward walk of
@@ -75,7 +99,7 @@ mod reference {
         let mut stats = BlockSpillStats::default();
         // The walk starts at point n: live-out plus the terminator's uses.
         let mut live = liveness.live_out(b).clone();
-        for u in f.terminator(b).uses() {
+        for &u in f.terminator(b).uses() {
             live.insert(u);
         }
         for v in live.iter() {
@@ -386,6 +410,604 @@ mod reference {
         }
         result
     }
+
+    /// Rewrites `f` so that `victim` is reloaded into a fresh temporary before
+    /// every use (spill-everywhere).  The original definition of `victim` is
+    /// kept (it represents the value being stored to memory) but the variable
+    /// itself dies immediately after its definition.
+    ///
+    /// Returns the [`SpillRewrite`] describing what changed: the φ-argument
+    /// reloads (the only reload temporaries whose live range crosses a block
+    /// boundary — what [`Liveness::apply_spill_rewrite`] consumes) and the
+    /// blocks whose code was touched (what the incremental candidate
+    /// bookkeeping of [`spill_to_pressure`] consumes).
+    pub fn spill_everywhere(
+        f: &mut Function,
+        victim: Var,
+        result: &mut SpillResult,
+    ) -> SpillRewrite {
+        let mut rewrite = SpillRewrite::default();
+        let block_ids: Vec<BlockId> = f.block_ids().collect();
+        for b in block_ids {
+            // Rewrite φ arguments: reload at the end of the predecessor.
+            let mut pending_pred_reloads: Vec<(BlockId, Var)> = Vec::new();
+            {
+                let nb = f.num_instrs(b);
+                for i in 0..nb {
+                    // Copy out the argument list only when this φ mentions the
+                    // victim; the view borrow ends before the rewrite below.
+                    let rewrite_phi = match f.instr(b, i) {
+                        InstrView::Phi { dst, args } if args.iter().any(|a| a.value == victim) => {
+                            Some((
+                                dst,
+                                args.iter().map(|a| (a.pred, a.value)).collect::<Vec<_>>(),
+                            ))
+                        }
+                        _ => None,
+                    };
+                    if let Some((dst, mut args)) = rewrite_phi {
+                        for (p, v) in args.iter_mut() {
+                            if *v == victim {
+                                let reload = f.derive_var(victim, "_reload");
+                                pending_pred_reloads.push((*p, reload));
+                                *v = reload;
+                            }
+                        }
+                        f.replace_instr(b, i, Instr::Phi { dst, args });
+                        rewrite.modified_blocks.push(b);
+                    }
+                }
+            }
+            for (pred, reload) in pending_pred_reloads {
+                f.emit_op(pred, Some(reload), &[]);
+                result.reloads += 1;
+                rewrite.modified_blocks.push(pred);
+                rewrite.phi_pred_reloads.push((pred, reload));
+            }
+
+            // Rewrite ordinary uses inside the block.
+            let mut i = 0;
+            while i < f.num_instrs(b) {
+                let uses_victim = match f.instr(b, i) {
+                    InstrView::Op { uses, .. } => uses.contains(&victim),
+                    InstrView::Copy { src, .. } => src == victim,
+                    InstrView::Phi { .. } => false,
+                };
+                if uses_victim {
+                    rewrite.modified_blocks.push(b);
+                    let reload = f.derive_var(victim, "_reload");
+                    let new_instr = match f.instr(b, i).to_instr() {
+                        Instr::Op { dst, uses } => Instr::Op {
+                            dst,
+                            uses: uses
+                                .into_iter()
+                                .map(|u| if u == victim { reload } else { u })
+                                .collect(),
+                        },
+                        Instr::Copy { dst, .. } => Instr::Copy { dst, src: reload },
+                        phi @ Instr::Phi { .. } => phi,
+                    };
+                    f.replace_instr(b, i, new_instr);
+                    f.insert_instr(
+                        b,
+                        i,
+                        Instr::Op {
+                            dst: Some(reload),
+                            uses: Vec::new(),
+                        },
+                    );
+                    result.reloads += 1;
+                    i += 2;
+                } else {
+                    i += 1;
+                }
+            }
+
+            // Rewrite terminator uses.
+            let term_uses_victim = f.terminator(b).uses().contains(&victim);
+            if term_uses_victim {
+                rewrite.modified_blocks.push(b);
+                let reload = f.derive_var(victim, "_reload");
+                let new_term = match f.terminator(b).clone() {
+                    Terminator::Branch {
+                        cond,
+                        then_block,
+                        else_block,
+                    } => Terminator::Branch {
+                        cond: if cond == victim { reload } else { cond },
+                        then_block,
+                        else_block,
+                    },
+                    Terminator::Return { uses } => Terminator::Return {
+                        uses: uses
+                            .into_iter()
+                            .map(|u| if u == victim { reload } else { u })
+                            .collect(),
+                    },
+                    t @ Terminator::Jump(_) => t,
+                };
+                *f.terminator_mut(b) = new_term;
+                f.emit_op(b, Some(reload), &[]);
+                result.reloads += 1;
+            }
+        }
+        debug_assert!(f.validate().is_ok());
+        rewrite
+    }
+
+    /// Converts `f` into strict SSA form.
+    ///
+    /// Variables that are already singly-defined and only used in their defining
+    /// block are left untouched; all others get φ-functions at their iterated
+    /// dominance frontier and fresh names per definition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reachable use has no reaching definition on some path (the
+    /// input must be a *strict* program in the paper's sense).
+    pub fn construct_ssa(f: &Function) -> Function {
+        let mut out = f.clone();
+        let dom = DominatorTree::compute(&out);
+        let preds = out.predecessors();
+
+        // 1. Collect definition blocks per original variable.
+        let num_orig = out.num_vars();
+        let mut def_blocks: Vec<BTreeSet<BlockId>> = vec![BTreeSet::new(); num_orig];
+        let mut def_count: Vec<usize> = vec![0; num_orig];
+        for (b, _, instr) in out.instructions() {
+            if let Some(d) = instr.def() {
+                def_blocks[d.index()].insert(b);
+                def_count[d.index()] += 1;
+            }
+        }
+        // A variable needs renaming as soon as it has more than one textual
+        // definition (even within a single block).
+        let needs_rename: Vec<bool> = def_count.iter().map(|&c| c > 1).collect();
+
+        // 2. Place φ-functions at iterated dominance frontiers.
+        let frontiers = dom.dominance_frontiers(&out);
+        // phi_placed[v] = blocks where a φ for original variable v was inserted.
+        let mut phi_for: BTreeMap<(BlockId, usize), usize> = BTreeMap::new(); // (block, orig var) -> instr index
+        for (v, blocks) in def_blocks.iter().enumerate() {
+            if blocks.len() <= 1 {
+                // A single static definition never needs a φ for correctness of
+                // renaming (its definition dominates every use in a strict
+                // program).
+                continue;
+            }
+            let mut work: Vec<BlockId> = blocks.iter().copied().collect();
+            let mut has_phi: BTreeSet<BlockId> = BTreeSet::new();
+            while let Some(b) = work.pop() {
+                for &y in &frontiers[b.index()] {
+                    if has_phi.insert(y) {
+                        // Insert a φ defining the *original* variable v for now;
+                        // renaming will replace both the def and the args.
+                        let var = Var::new(v);
+                        let args: Vec<(BlockId, Var)> =
+                            preds[y.index()].iter().map(|&p| (p, var)).collect();
+                        let pos = out.num_phis_in(y);
+                        out.insert_instr(y, pos, Instr::Phi { dst: var, args });
+                        phi_for.insert((y, v), pos);
+                        if !blocks.contains(&y) {
+                            work.push(y);
+                        }
+                    }
+                }
+            }
+        }
+
+        // 3. Rename along the dominator tree.
+        let mut stacks: Vec<Vec<Var>> = vec![Vec::new(); num_orig];
+        let children = dom.children();
+        let mut renamed = out.clone();
+
+        // Recursive renaming over the dominator tree, iteratively with an
+        // explicit stack of (block, phase) where phase 0 = enter, 1 = exit.
+        #[derive(Clone, Copy)]
+        enum Phase {
+            Enter,
+            Exit,
+        }
+        let mut stack = vec![(out.entry, Phase::Enter)];
+        // Remember how many names each block pushed per variable, to pop on exit.
+        let mut pushed: Vec<Vec<(usize, usize)>> = vec![Vec::new(); out.num_blocks()];
+
+        let orig_of = |v: Var, num_orig: usize| -> Option<usize> {
+            if v.index() < num_orig {
+                Some(v.index())
+            } else {
+                None
+            }
+        };
+
+        while let Some((b, phase)) = stack.pop() {
+            match phase {
+                Phase::Enter => {
+                    stack.push((b, Phase::Exit));
+                    let mut pushes: Vec<(usize, usize)> = Vec::new();
+                    // Rename definitions and uses inside the block.
+                    let nb = renamed.num_instrs(b);
+                    for i in 0..nb {
+                        let instr = renamed.instr(b, i).to_instr();
+                        let new_instr = match instr {
+                            Instr::Phi { dst, args } => {
+                                // Only the def is renamed here; args are renamed
+                                // from the predecessors (below).
+                                let o = orig_of(dst, num_orig);
+                                let new_dst = match o {
+                                    Some(ov) if needs_rename[ov] => {
+                                        let nv = match f.var_name(Var::new(ov)) {
+                                            Some(n) => {
+                                                let name = format!("{n}_{}", b.index());
+                                                renamed.new_var(name)
+                                            }
+                                            None => renamed.new_var(""),
+                                        };
+                                        stacks[ov].push(nv);
+                                        pushes.push((ov, 1));
+                                        nv
+                                    }
+                                    _ => dst,
+                                };
+                                Instr::Phi { dst: new_dst, args }
+                            }
+                            Instr::Op { dst, uses } => {
+                                let new_uses: Vec<Var> = uses
+                                    .iter()
+                                    .map(|&u| rename_use(u, &stacks, num_orig, &needs_rename))
+                                    .collect();
+                                let new_dst = dst.map(|d| {
+                                    rename_def(
+                                        d,
+                                        &mut stacks,
+                                        &mut pushes,
+                                        &mut renamed,
+                                        f,
+                                        num_orig,
+                                        &needs_rename,
+                                        b,
+                                    )
+                                });
+                                Instr::Op {
+                                    dst: new_dst,
+                                    uses: new_uses,
+                                }
+                            }
+                            Instr::Copy { dst, src } => {
+                                let new_src = rename_use(src, &stacks, num_orig, &needs_rename);
+                                let new_dst = rename_def(
+                                    dst,
+                                    &mut stacks,
+                                    &mut pushes,
+                                    &mut renamed,
+                                    f,
+                                    num_orig,
+                                    &needs_rename,
+                                    b,
+                                );
+                                Instr::Copy {
+                                    dst: new_dst,
+                                    src: new_src,
+                                }
+                            }
+                        };
+                        renamed.replace_instr(b, i, new_instr);
+                    }
+                    // Rename terminator uses.
+                    let term = renamed.terminator(b).clone();
+                    let new_term = match term {
+                        Terminator::Branch {
+                            cond,
+                            then_block,
+                            else_block,
+                        } => Terminator::Branch {
+                            cond: rename_use(cond, &stacks, num_orig, &needs_rename),
+                            then_block,
+                            else_block,
+                        },
+                        Terminator::Return { uses } => Terminator::Return {
+                            uses: uses
+                                .iter()
+                                .map(|&u| rename_use(u, &stacks, num_orig, &needs_rename))
+                                .collect(),
+                        },
+                        t @ Terminator::Jump(_) => t,
+                    };
+                    *renamed.terminator_mut(b) = new_term;
+
+                    // Fill in φ arguments of the successors coming from `b`.
+                    for s in renamed.successors(b) {
+                        let ns = renamed.num_instrs(s);
+                        for i in 0..ns {
+                            let phi = match renamed.instr(s, i) {
+                                InstrView::Phi { dst, args } => Some((
+                                    dst,
+                                    args.iter().map(|a| (a.pred, a.value)).collect::<Vec<_>>(),
+                                )),
+                                _ => None,
+                            };
+                            let Some((dst, args)) = phi else { break };
+                            let new_args: Vec<(BlockId, Var)> = args
+                                .iter()
+                                .map(|&(p, v)| {
+                                    if p == b {
+                                        (p, rename_use(v, &stacks, num_orig, &needs_rename))
+                                    } else {
+                                        (p, v)
+                                    }
+                                })
+                                .collect();
+                            renamed.replace_instr(
+                                s,
+                                i,
+                                Instr::Phi {
+                                    dst,
+                                    args: new_args,
+                                },
+                            );
+                        }
+                    }
+
+                    pushed[b.index()] = pushes;
+                    for &c in children[b.index()].iter().rev() {
+                        stack.push((c, Phase::Enter));
+                    }
+                }
+                Phase::Exit => {
+                    for &(ov, n) in &pushed[b.index()] {
+                        for _ in 0..n {
+                            stacks[ov].pop();
+                        }
+                    }
+                }
+            }
+        }
+
+        renamed
+    }
+
+    fn rename_use(v: Var, stacks: &[Vec<Var>], num_orig: usize, needs_rename: &[bool]) -> Var {
+        if v.index() < num_orig && needs_rename[v.index()] {
+            *stacks[v.index()].last().unwrap_or_else(|| {
+                panic!("use of {v:?} with no reaching definition (non-strict program)")
+            })
+        } else {
+            v
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn rename_def(
+        d: Var,
+        stacks: &mut [Vec<Var>],
+        pushes: &mut Vec<(usize, usize)>,
+        renamed: &mut Function,
+        original: &Function,
+        num_orig: usize,
+        needs_rename: &[bool],
+        b: BlockId,
+    ) -> Var {
+        if d.index() < num_orig && needs_rename[d.index()] {
+            let nv = match original.var_name(d) {
+                Some(n) => {
+                    let name = format!("{n}_{}", b.index());
+                    renamed.new_var(name)
+                }
+                None => renamed.new_var(""),
+            };
+            stacks[d.index()].push(nv);
+            pushes.push((d.index(), 1));
+            nv
+        } else {
+            d
+        }
+    }
+
+    /// Splits only the given variables at block boundaries.  Variables not
+    /// live-in or not used in a block are left untouched in that block.
+    pub fn split_variables_at_block_boundaries(f: &mut Function, vars: &[Var]) -> SplitStats {
+        let liveness = Liveness::compute(f);
+        let mut stats = SplitStats::default();
+        let blocks: Vec<_> = f.block_ids().collect();
+        for b in blocks {
+            for &x in vars {
+                if !liveness.is_live_in(b, x) {
+                    continue;
+                }
+                // Find the uses of x in the block body (and terminator) that
+                // happen before x is redefined; skip φ-functions entirely
+                // (their arguments are uses on the incoming edges).
+                let mut redefined_at: Option<usize> = None;
+                let mut has_use = false;
+                for (i, instr) in f.block_instrs(b).enumerate() {
+                    if instr.is_phi() {
+                        // A φ defining x counts as a redefinition at the top.
+                        if instr.def() == Some(x) {
+                            redefined_at = Some(i);
+                            break;
+                        }
+                        continue;
+                    }
+                    if instr.local_uses().contains(&x) {
+                        has_use = true;
+                    }
+                    if instr.def() == Some(x) {
+                        redefined_at = Some(i);
+                        break;
+                    }
+                }
+                let terminator_uses = redefined_at.is_none() && f.terminator(b).uses().contains(&x);
+                if !has_use && !terminator_uses {
+                    continue;
+                }
+                if redefined_at.is_some() && !has_use {
+                    continue;
+                }
+
+                // Insert the copy and rename.
+                let fresh = f.derive_var(x, &format!(".split.{}", b.index()));
+                let phi_end = f.num_phis_in(b);
+                // Rename uses before the redefinition point (indices shift by one
+                // after the insertion, so rename first, then insert).
+                let limit = redefined_at.unwrap_or(f.num_instrs(b));
+                for i in phi_end..limit.max(phi_end) {
+                    let mut instr = f.instr(b, i).to_instr();
+                    if rename_uses(&mut instr, x, fresh) {
+                        f.replace_instr(b, i, instr);
+                    }
+                }
+                if redefined_at.is_none() {
+                    rename_terminator_uses(f.terminator_mut(b), x, fresh);
+                }
+                f.insert_instr(b, phi_end, Instr::Copy { dst: fresh, src: x });
+                stats.copies_inserted += 1;
+                stats.new_variables += 1;
+                stats.split_points += 1;
+            }
+        }
+        debug_assert!(
+            f.validate().is_ok(),
+            "splitting produced an invalid function"
+        );
+        stats
+    }
+
+    fn rename_uses(instr: &mut Instr, from: Var, to: Var) -> bool {
+        let mut changed = false;
+        match instr {
+            Instr::Op { uses, .. } => {
+                for u in uses.iter_mut() {
+                    if *u == from {
+                        *u = to;
+                        changed = true;
+                    }
+                }
+            }
+            Instr::Copy { src, .. } => {
+                if *src == from {
+                    *src = to;
+                    changed = true;
+                }
+            }
+            Instr::Phi { .. } => {}
+        }
+        changed
+    }
+
+    fn rename_terminator_uses(term: &mut Terminator, from: Var, to: Var) {
+        match term {
+            Terminator::Jump(_) => {}
+            Terminator::Branch { cond, .. } => {
+                if *cond == from {
+                    *cond = to;
+                }
+            }
+            Terminator::Return { uses } => {
+                for u in uses.iter_mut() {
+                    if *u == from {
+                        *u = to;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Splits every critical edge of `f` by inserting an empty forwarding block.
+    ///
+    /// Returns the number of edges split.
+    pub fn split_critical_edges(f: &mut Function) -> usize {
+        let mut split = 0;
+        loop {
+            let preds = f.predecessors();
+            let mut found = None;
+            'outer: for b in f.block_ids() {
+                let succs = f.successors(b);
+                if succs.len() < 2 {
+                    continue;
+                }
+                for s in succs {
+                    if preds[s.index()].len() >= 2 {
+                        found = Some((b, s));
+                        break 'outer;
+                    }
+                }
+            }
+            let Some((from, to)) = found else { break };
+            // Insert a forwarding block on the edge from -> to.
+            let depth = f.loop_depth(from).min(f.loop_depth(to));
+            let mid = f.add_block(Terminator::Jump(to), depth);
+            f.terminator_mut(from).replace_successor(to, mid);
+            // Redirect φ arguments in `to` that referred to `from`.
+            for i in 0..f.num_instrs(to) {
+                let redirected = match f.instr(to, i) {
+                    InstrView::Phi { dst, args } if args.iter().any(|a| a.pred == from) => Some((
+                        dst,
+                        args.iter()
+                            .map(|a| (if a.pred == from { mid } else { a.pred }, a.value))
+                            .collect::<Vec<_>>(),
+                    )),
+                    _ => None,
+                };
+                if let Some((dst, args)) = redirected {
+                    f.replace_instr(to, i, Instr::Phi { dst, args });
+                }
+            }
+            split += 1;
+        }
+        split
+    }
+
+    /// Translates `f` out of SSA: splits critical edges, replaces φ-functions by
+    /// copies on the incoming edges, and returns statistics.
+    pub fn destruct_ssa(f: &mut Function) -> OutOfSsaStats {
+        let mut stats = OutOfSsaStats {
+            split_edges: split_critical_edges(f),
+            ..OutOfSsaStats::default()
+        };
+
+        // Collect parallel copies per predecessor edge.
+        let mut per_pred: Vec<Vec<(Var, Var)>> = vec![Vec::new(); f.num_blocks()];
+        for b in f.block_ids() {
+            let phis: Vec<(Var, Vec<(BlockId, Var)>)> = f
+                .phis(b)
+                .filter_map(|i| match i {
+                    InstrView::Phi { dst, args } => {
+                        Some((dst, args.iter().map(|a| (a.pred, a.value)).collect()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            for (dst, args) in &phis {
+                for (pred, v) in args {
+                    per_pred[pred.index()].push((*dst, *v));
+                }
+            }
+            stats.phis_removed += phis.len();
+            // Remove the φs from the block (in place, no order-array growth).
+            f.remove_phis(b);
+        }
+
+        let block_ids: Vec<BlockId> = f.block_ids().collect();
+        for b in block_ids {
+            let copies = std::mem::take(&mut per_pred[b.index()]);
+            if copies.is_empty() {
+                continue;
+            }
+            let (seq, temps) = {
+                let func: &mut Function = f;
+                // Cycle-breaking temporaries are unnamed: they are release-path
+                // artifacts, displayed as dense indices.
+                sequentialize_parallel_copy(&copies, || func.new_var(""))
+            };
+            stats.temps_introduced += temps;
+            for (dst, src) in seq {
+                f.push_instr(b, Instr::Copy { dst, src });
+                stats.copies_inserted += 1;
+            }
+        }
+        debug_assert!(f.validate().is_ok());
+        stats
+    }
 }
 
 /// Every generator shape profile at every pressure level.
@@ -534,4 +1156,169 @@ proptest! {
             assert_same_spills(&f);
         }
     }
+}
+
+/// The rewrite pins' inputs: the E13 grid, E17's windowed program and
+/// E17's module slice, plus each profile with two irreducible regions
+/// (the only generated shape with critical edges), each with its
+/// pressure-spilled and lowered (non-SSA) form.
+fn rewrite_inputs() -> Vec<Function> {
+    let grid = ShapeProfile::ALL.into_iter().flat_map(|profile| {
+        PressureLevel::ALL
+            .into_iter()
+            .map(move |level| workload_program(42, profile, level))
+    });
+    let slice = e16_specs(42)
+        .into_iter()
+        .take(E17_MODULE_FUNCTIONS)
+        .map(|spec| spec.generate());
+    let irreducible = ShapeProfile::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(i, profile)| {
+            let params = CfgParams {
+                irreducible_regions: 2,
+                ..profile.params(PressureLevel::Medium.pressure())
+            };
+            generate(&params, &mut coalesce_gen::rng(97 + i as u64))
+        });
+    let mut out = Vec::new();
+    for f in grid
+        .chain([windowed_program(42)])
+        .chain(slice)
+        .chain(irreducible)
+    {
+        let mut lowered = f.clone();
+        let k = tight_k(Liveness::compute(&f).maxlive_precise(&f));
+        spill_to_pressure(&mut lowered, k);
+        destruct_ssa(&mut lowered);
+        out.push(f);
+        out.push(lowered);
+    }
+    out
+}
+
+/// Asserts that two rewrites of `f` print the same function with the
+/// same variable count, return the same summary and collect the same
+/// counters.
+fn assert_same_rewrite<T: std::fmt::Debug + PartialEq>(
+    f: &Function,
+    pass: &str,
+    ((summary, g), counters): ((T, Function), coalesce_stats::Counters),
+    ((old_summary, old_g), old_counters): ((T, Function), coalesce_stats::Counters),
+) {
+    assert_eq!(summary, old_summary, "{}: {pass} summary", f.name);
+    assert_eq!(
+        g.num_vars(),
+        old_g.num_vars(),
+        "{}: {pass} variables",
+        f.name
+    );
+    assert_eq!(
+        g.to_string(),
+        old_g.to_string(),
+        "{}: {pass} rewrite",
+        f.name
+    );
+    assert_eq!(counters, old_counters, "{}: {pass} counters", f.name);
+}
+
+type Everywhere = fn(&mut Function, Var, &mut SpillResult) -> coalesce_ir::spill::SpillRewrite;
+
+/// Replays `victims` through `rewrite` one call at a time: every call's
+/// `SpillRewrite` (debug-printed) and the accumulated reload count.
+fn replay(f: &Function, victims: &[Var], rewrite: Everywhere) -> ((Vec<String>, usize), Function) {
+    let mut g = f.clone();
+    let mut result = SpillResult::default();
+    let calls = victims
+        .iter()
+        .map(|&victim| format!("{:?}", rewrite(&mut g, victim, &mut result)))
+        .collect();
+    ((calls, result.reloads), g)
+}
+
+#[test]
+fn spill_everywhere_matches_the_verbatim_rewrite() {
+    let mut reloads = 0;
+    for f in rewrite_inputs() {
+        let k = tight_k(Liveness::compute(&f).maxlive_precise(&f));
+        let victims = spill_to_pressure(&mut f.clone(), k).spilled;
+        let new = coalesce_stats::collect(|| replay(&f, &victims, spill_everywhere));
+        let old = coalesce_stats::collect(|| replay(&f, &victims, reference::spill_everywhere));
+        reloads += (new.0).0 .1;
+        assert_same_rewrite(&f, "spill_everywhere", new, old);
+    }
+    assert!(reloads > 0, "no spill_everywhere call inserted a reload");
+}
+
+/// Most lowered inputs make both implementations panic: φ placement is
+/// not pruned, so a φ at a loop header gets an argument from the
+/// preheader, where a variable defined only inside the loop has no
+/// reaching definition.  The pin therefore requires the same outcome,
+/// panic or rewrite, and at least one renamed non-SSA input.
+#[test]
+fn construct_ssa_matches_the_verbatim_renaming() {
+    let mut renamed = 0;
+    for f in rewrite_inputs() {
+        let run = |construct: fn(&Function) -> Function| {
+            std::panic::catch_unwind(|| coalesce_stats::collect(|| ((), construct(&f))))
+        };
+        match (run(construct_ssa), run(reference::construct_ssa)) {
+            (Ok(new), Ok(old)) => {
+                assert!(is_ssa(&(new.0).1), "{}: not SSA", f.name);
+                renamed += usize::from(!is_ssa(&f));
+                assert_same_rewrite(&f, "construct_ssa", new, old);
+            }
+            (Err(_), Err(_)) => {}
+            (new, _) => panic!(
+                "{}: only the {} pass panicked",
+                f.name,
+                if new.is_err() { "new" } else { "reference" }
+            ),
+        }
+    }
+    assert!(renamed > 0, "no non-SSA input was renamed");
+}
+
+#[test]
+fn block_boundary_splitting_matches_the_verbatim_pass() {
+    let mut copies = 0;
+    for f in rewrite_inputs() {
+        let all: Vec<Var> = (0..f.num_vars()).map(Var::new).collect();
+        let every_third: Vec<Var> = all.iter().copied().step_by(3).collect();
+        for vars in [&all, &every_third] {
+            let new = coalesce_stats::collect(|| {
+                let mut g = f.clone();
+                (split_variables_at_block_boundaries(&mut g, vars), g)
+            });
+            let old = coalesce_stats::collect(|| {
+                let mut g = f.clone();
+                (
+                    reference::split_variables_at_block_boundaries(&mut g, vars),
+                    g,
+                )
+            });
+            copies += (new.0).0.copies_inserted;
+            assert_same_rewrite(&f, "splitting", new, old);
+        }
+    }
+    assert!(copies > 0, "no split copy was inserted");
+}
+
+#[test]
+fn critical_edge_splitting_matches_the_verbatim_out_of_ssa() {
+    let mut split_edges = 0;
+    for f in rewrite_inputs() {
+        let new = coalesce_stats::collect(|| {
+            let mut g = f.clone();
+            (destruct_ssa(&mut g), g)
+        });
+        let old = coalesce_stats::collect(|| {
+            let mut g = f.clone();
+            (reference::destruct_ssa(&mut g), g)
+        });
+        split_edges += (new.0).0.split_edges;
+        assert_same_rewrite(&f, "destruct_ssa", new, old);
+    }
+    assert!(split_edges > 0, "no critical edge was split");
 }
