@@ -37,13 +37,37 @@
 //!   temporary's live range is contained in the victim's original one —
 //!   the rewrite never increases the pressure at any program point.
 //!
+//! # The plan
+//!
+//! Nothing a decision round reads depends on the spill set except `W`
+//! itself, so everything else is derived once per call, before the first
+//! round, into a flat per-block plan:
+//!
+//! * one backward walk per block records, for every distinct operand of
+//!   every instruction and for every definition, where its next use lies:
+//!   at a later position of the block, past the block's exit (then the
+//!   distance is the block length plus the solved exit distance), or
+//!   nowhere.  The same walk yields the first use of every φ definition
+//!   and live-in value, and the block's end uses (terminator uses and
+//!   φ-arguments toward successors);
+//! * the distance solve runs on the caller's [`Liveness`]: the keys of the
+//!   entry (exit) distances are exactly the block's live-in (live-out)
+//!   set, so the distances live in arrays aligned to those sorted sets,
+//!   and every edge gathers its successor's entry distances through index
+//!   lists built once;
+//! * the live-in values are sorted once by entry distance, the order in
+//!   which a round admits them into `W`.
+//!
+//! A round then only moves values in and out of `W`.  The rewrite reads
+//! the decisions through dense per-variable arrays.
+//!
 //! The pass is wired into the strategy zoo as
 //! [`SpillerKind::Belady`](crate::spill::SpillerKind::Belady) and compared
 //! against the other spillers in experiment E17.
 
-use crate::function::{BlockId, Function, Instr, InstrView, Terminator, Var};
+use crate::function::{BlockId, Function, Instr, InstrView, Var};
+use crate::liveness::Liveness;
 use crate::spill::SpillResult;
-use std::collections::BTreeMap;
 
 /// Extra next-use distance charged to an edge that leaves a loop (the
 /// successor's loop depth is smaller than the block's).
@@ -58,18 +82,22 @@ pub const LOOP_EXIT_DISTANCE: u64 = 100_000;
 /// Sentinel distance for "no further use on any path".
 const INFINITE: u64 = u64::MAX;
 
-/// Rows of a compressed (CSR) per-block table: row `i` is
+/// Rows of a compressed (CSR) table: row `i` is
 /// `items[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone)]
 struct Rows<T> {
     start: Vec<u32>,
     items: Vec<T>,
 }
 
 impl<T> Rows<T> {
-    fn new() -> Self {
+    /// An empty table with room for `rows` rows of `items` items in all.
+    fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
         Rows {
-            start: vec![0],
-            items: Vec::new(),
+            start,
+            items: Vec::with_capacity(items),
         }
     }
 
@@ -83,178 +111,38 @@ impl<T> Rows<T> {
         self.close_row();
     }
 
+    /// The item indices of row `i`.
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.start[i] as usize..self.start[i + 1] as usize
+    }
+
     fn row(&self, i: usize) -> &[T] {
-        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+        &self.items[self.range(i)]
     }
 }
 
-/// A dense `Var`-indexed map over one function's variables, emptied in
-/// O(1) by bumping a generation stamp.
-struct StampedMap {
-    stamp: Vec<u32>,
-    value: Vec<u64>,
-    /// The keys inserted since the last [`StampedMap::clear`].
-    keys: Vec<Var>,
-    now: u32,
+/// Where the next use of a value lies, seen from a point of a block of
+/// `n` instructions.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    /// At this position of the block: an instruction index, or `n` for
+    /// the block's end (terminator uses and outgoing φ-arguments).
+    At(u32),
+    /// Past the block's exit: `n + 1` slots plus the exit distance stored
+    /// at this index of the flat exit array of [`NextUse`].
+    Past(u32),
+    /// On no path.
+    Never,
 }
 
-impl StampedMap {
-    fn new(num_vars: usize) -> Self {
-        StampedMap {
-            stamp: vec![0; num_vars],
-            value: vec![0; num_vars],
-            keys: Vec::new(),
-            now: 1,
+impl Next {
+    /// The distance as a reload temporary sees it: the temporary dies at
+    /// the block's end, so only a use inside the block counts.
+    fn local(self) -> u64 {
+        match self {
+            Next::At(p) => u64::from(p),
+            Next::Past(_) | Next::Never => INFINITE,
         }
-    }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.now = self.now.wrapping_add(1);
-        if self.now == 0 {
-            self.stamp.fill(0);
-            self.now = 1;
-        }
-    }
-
-    fn get(&self, v: Var) -> Option<u64> {
-        (self.stamp[v.index()] == self.now).then(|| self.value[v.index()])
-    }
-
-    fn insert(&mut self, v: Var, x: u64) {
-        if self.stamp[v.index()] != self.now {
-            self.stamp[v.index()] = self.now;
-            self.keys.push(v);
-        }
-        self.value[v.index()] = x;
-    }
-
-    /// Lowers the value of `v` to `x` (inserting it if absent).
-    fn lower(&mut self, v: Var, x: u64) {
-        match self.get(v) {
-            Some(old) if old <= x => {}
-            _ => self.insert(v, x),
-        }
-    }
-
-    /// Replaces `out` with the entries, sorted by variable.
-    fn sorted_into(&mut self, out: &mut Vec<(Var, u64)>) {
-        self.keys.sort_unstable();
-        out.clear();
-        out.extend(self.keys.iter().map(|&v| (v, self.value[v.index()])));
-    }
-}
-
-/// What the decision phase reads of each block, extracted once per
-/// function (the function does not change until the rewrite).
-struct BlockFacts {
-    /// Successors with the loop-exit penalty of the edge, in terminator
-    /// order.
-    succs: Rows<(BlockId, u64)>,
-    /// `(v, i)`: the first use `i` of `v` not preceded by a definition of
-    /// `v` in the block (`n` for the terminator), sorted by variable.
-    gen: Rows<(Var, u64)>,
-    /// The variables the block defines, sorted.
-    kill: Rows<Var>,
-    /// φ-arguments toward the successors, each with its edge's penalty.
-    phi_args: Rows<(Var, u64)>,
-    /// The variables the block uses (ordinarily, at its terminator, or as
-    /// a φ-argument toward a successor), sorted.  The `j`-th entry of
-    /// block `b` owns row `used.start[b] + j` of `use_pos`.
-    used: Rows<Var>,
-    /// Distinct use positions per (block, used variable), increasing:
-    /// instruction index, or `n` for terminator uses and φ-arguments.
-    use_pos: Rows<u32>,
-}
-
-impl BlockFacts {
-    fn of(f: &Function) -> Self {
-        let mut facts = BlockFacts {
-            succs: Rows::new(),
-            gen: Rows::new(),
-            kill: Rows::new(),
-            phi_args: Rows::new(),
-            used: Rows::new(),
-            use_pos: Rows::new(),
-        };
-        // A variable is marked once it is defined or used in the block.
-        let mut seen = StampedMap::new(f.num_vars());
-        let mut gen: Vec<(Var, u64)> = Vec::new();
-        let mut kill: Vec<Var> = Vec::new();
-        let mut uses: Vec<(Var, u32)> = Vec::new();
-        for b in f.block_ids() {
-            let n = f.num_instrs(b);
-            let mut add_succ = |s: BlockId| {
-                let penalty = if f.loop_depth(s) < f.loop_depth(b) {
-                    LOOP_EXIT_DISTANCE
-                } else {
-                    0
-                };
-                facts.succs.items.push((s, penalty));
-            };
-            match f.terminator(b) {
-                Terminator::Jump(s) => add_succ(*s),
-                Terminator::Branch {
-                    then_block,
-                    else_block,
-                    ..
-                } => {
-                    add_succ(*then_block);
-                    add_succ(*else_block);
-                }
-                Terminator::Return { .. } => {}
-            }
-            facts.succs.close_row();
-
-            seen.clear();
-            gen.clear();
-            kill.clear();
-            uses.clear();
-            for (i, instr) in f.block_instrs(b).enumerate() {
-                for &u in instr.local_uses() {
-                    uses.push((u, i as u32));
-                    if seen.get(u).is_none() {
-                        seen.insert(u, 0);
-                        gen.push((u, i as u64));
-                    }
-                }
-                if let Some(d) = instr.def() {
-                    seen.insert(d, 0);
-                    kill.push(d);
-                }
-            }
-            for &u in f.terminator(b).uses() {
-                uses.push((u, n as u32));
-                if seen.get(u).is_none() {
-                    seen.insert(u, 0);
-                    gen.push((u, n as u64));
-                }
-            }
-            for &(s, penalty) in facts.succs.row(b.index()) {
-                for phi in f.phis(s) {
-                    if let InstrView::Phi { args, .. } = phi {
-                        for a in args.iter().filter(|a| a.pred == b) {
-                            facts.phi_args.items.push((a.value, penalty));
-                            uses.push((a.value, n as u32));
-                        }
-                    }
-                }
-            }
-            facts.phi_args.close_row();
-            gen.sort_unstable();
-            facts.gen.push_row(gen.iter().copied());
-            kill.sort_unstable();
-            kill.dedup();
-            facts.kill.push_row(kill.iter().copied());
-            uses.sort_unstable();
-            uses.dedup();
-            for group in uses.chunk_by(|a, b| a.0 == b.0) {
-                facts.used.items.push(group[0].0);
-                facts.use_pos.push_row(group.iter().map(|&(_, p)| p));
-            }
-            facts.used.close_row();
-        }
-        facts
     }
 }
 
@@ -267,99 +155,558 @@ impl BlockFacts {
 /// past the predecessor's exit (plus the loop-exit penalty of the edge, if
 /// any); φ-results are definitions at their block's entry and therefore
 /// never appear in that block's entry list.
+///
+/// The entry (exit) list of a block has one pair per member of its
+/// live-in (live-out) set, in ascending variable order: the distances are
+/// solved in arrays aligned to the [`Liveness`] sets.
 #[derive(Debug, Clone)]
 pub struct NextUse {
-    entry: Vec<Vec<(Var, u64)>>,
-    exit: Vec<Vec<(Var, u64)>>,
+    entry: Rows<(Var, u64)>,
+    exit: Rows<(Var, u64)>,
 }
 
 impl NextUse {
     /// Computes the boundary next-use distances of `f`: a backward min-plus
     /// fixpoint (a shortest-distance problem: all block lengths are
-    /// positive, so it has exactly one solution).
+    /// positive, so it has exactly one solution) over the live sets of a
+    /// fresh liveness solution.
     pub fn compute(f: &Function) -> NextUse {
-        NextUse::solve(f, &BlockFacts::of(f))
+        Plan::build(f, &Liveness::compute(f)).next_use
     }
 
     /// `(v, d)` pairs sorted by variable: `d` is the distance from the
-    /// entry of block `b` to the nearest use of `v`.  For strict SSA input
-    /// the variables are exactly the live-in set of `b`.
+    /// entry of block `b` to the nearest use of `v`; the variables are the
+    /// live-in set of `b`.
     pub fn entry(&self, b: BlockId) -> &[(Var, u64)] {
-        &self.entry[b.index()]
+        self.entry.row(b.index())
     }
 
     /// `(v, d)` pairs sorted by variable: `d` is the distance from the exit
     /// of block `b` (past its terminator) to the nearest use of `v` on any
-    /// outgoing path.  For strict SSA input the variables are exactly the
-    /// live-out set of `b`.
+    /// outgoing path; the variables are the live-out set of `b`.
     pub fn exit(&self, b: BlockId) -> &[(Var, u64)] {
-        &self.exit[b.index()]
+        self.exit.row(b.index())
+    }
+
+    /// The distance of `next`, seen from a point of a block of `n`
+    /// instructions.
+    fn distance(&self, next: Next, n: u64) -> u64 {
+        match next {
+            Next::At(p) => u64::from(p),
+            Next::Past(j) => (n + 1).saturating_add(self.exit.items[j as usize].1),
+            Next::Never => INFINITE,
+        }
     }
 
     /// The fixpoint, by a predecessor worklist seeded in reverse block
-    /// order: a block is revisited only when a successor's entry list
-    /// changed, and its entry list is recomputed only when its exit list
-    /// did.  The solution is unique, so the visit order cannot change it.
-    fn solve(f: &Function, facts: &BlockFacts) -> NextUse {
+    /// order: a block is revisited only when a successor's entry
+    /// distances changed, and its entry distances are recomputed only when
+    /// its exit distances did.  The solution is unique, so the visit order
+    /// cannot change it.
+    fn solve(&mut self, f: &Function, flow: &Flow) {
+        let Flow {
+            edges,
+            gather,
+            phi_args,
+            through,
+        } = flow;
         let nb = f.num_blocks();
-        let mut entry: Vec<Vec<(Var, u64)>> = vec![Vec::new(); nb];
-        let mut exit: Vec<Vec<(Var, u64)>> = vec![Vec::new(); nb];
-        let preds = f.predecessors();
-        let mut best = StampedMap::new(f.num_vars());
-        let (mut out, mut m) = (Vec::new(), Vec::new());
+        let preds = predecessors(nb, edges);
+        let mut out: Vec<u64> = Vec::new();
         let mut visited = vec![false; nb];
         let mut queued = vec![true; nb];
         let mut work: Vec<usize> = (0..nb).collect();
         while let Some(bi) = work.pop() {
             queued[bi] = false;
-            // Exit list: best distance over all outgoing edges; φ-arguments
+            // Exit distances: best over all outgoing edges; φ-arguments
             // along an edge are used right at the predecessor's exit.
-            best.clear();
-            for &(s, penalty) in facts.succs.row(bi) {
-                for &(v, d) in &entry[s.index()] {
-                    best.lower(v, d.saturating_add(penalty));
+            let exits = self.exit.range(bi);
+            let base = exits.start;
+            out.clear();
+            out.resize(exits.len(), INFINITE);
+            for e in edges.range(bi) {
+                let (s, penalty) = edges.items[e];
+                let entry = self.entry.row(s.index());
+                for (&(_, d), &j) in entry.iter().zip(gather.row(e)) {
+                    let best = &mut out[j as usize - base];
+                    *best = (*best).min(d.saturating_add(penalty));
                 }
             }
-            for &(v, penalty) in facts.phi_args.row(bi) {
-                best.lower(v, penalty);
+            for &(j, penalty) in phi_args.row(bi) {
+                let best = &mut out[j as usize - base];
+                *best = (*best).min(penalty);
             }
-            best.sorted_into(&mut out);
-            if visited[bi] && out == exit[bi] {
+            let exit = &mut self.exit.items[exits];
+            if visited[bi] && exit.iter().zip(&out).all(|(&(_, d), &o)| d == o) {
                 continue;
             }
             visited[bi] = true;
-            std::mem::swap(&mut exit[bi], &mut out);
-            // Entry list: a local first use wins; otherwise a value live
-            // past the exit and not defined here is `n + 1` slots further.
-            let n = f.num_instrs(BlockId::new(bi)) as u64;
-            let (gen, kill) = (facts.gen.row(bi), facts.kill.row(bi));
-            let mut gi = 0;
-            m.clear();
-            for &(v, d) in &exit[bi] {
-                while gi < gen.len() && gen[gi].0 < v {
-                    m.push(gen[gi]);
-                    gi += 1;
-                }
-                if gi < gen.len() && gen[gi].0 == v {
-                    m.push(gen[gi]);
-                    gi += 1;
-                } else if kill.binary_search(&v).is_err() {
-                    m.push((v, (n + 1).saturating_add(d)));
-                }
+            for (pair, &d) in exit.iter_mut().zip(&out) {
+                pair.1 = d;
             }
-            m.extend_from_slice(&gen[gi..]);
-            if m != entry[bi] {
-                std::mem::swap(&mut entry[bi], &mut m);
-                for &p in &preds[bi] {
-                    if !queued[p.index()] {
-                        queued[p.index()] = true;
-                        work.push(p.index());
+            // Entry distances: a local first use wins; otherwise a value
+            // live past the exit and not defined here is `n + 1` slots
+            // further.
+            let n = f.num_instrs(BlockId::new(bi)) as u64;
+            let mut changed = false;
+            for t in self.entry.range(bi) {
+                let d = self.distance(through[t], n);
+                changed |= self.entry.items[t].1 != d;
+                self.entry.items[t].1 = d;
+            }
+            if changed {
+                for &p in preds.row(bi) {
+                    if !queued[p as usize] {
+                        queued[p as usize] = true;
+                        work.push(p as usize);
                     }
                 }
             }
         }
-        NextUse { entry, exit }
     }
+}
+
+/// The control flow the distance solve reads, in flat indices of the
+/// [`NextUse`] lists.
+struct Flow {
+    /// Each block's successors with the loop-exit penalty of the edge.
+    edges: Rows<(BlockId, u64)>,
+    /// One row per edge, in the order of `edges.items`: for each entry
+    /// pair of the edge's successor, the flat index of the same variable
+    /// in the block's exit list.
+    gather: Rows<u32>,
+    /// Each block's φ-arguments toward its successors, as (flat exit
+    /// index, penalty of the edge).
+    phi_args: Rows<(u32, u64)>,
+    /// Per flat entry index: the value's first use in the block if it is
+    /// an instruction or terminator use, otherwise past the exit.
+    through: Vec<Next>,
+}
+
+/// The predecessors of every block, one entry per edge of `edges`.
+fn predecessors(nb: usize, edges: &Rows<(BlockId, u64)>) -> Rows<u32> {
+    let mut preds = Rows {
+        start: vec![0u32; nb + 1],
+        items: vec![0u32; edges.items.len()],
+    };
+    for &(s, _) in &edges.items {
+        preds.start[s.index() + 1] += 1;
+    }
+    for i in 0..nb {
+        preds.start[i + 1] += preds.start[i];
+    }
+    let mut fill = preds.start.clone();
+    for b in 0..nb {
+        for &(s, _) in edges.row(b) {
+            preds.items[fill[s.index()] as usize] = b as u32;
+            fill[s.index()] += 1;
+        }
+    }
+    preds
+}
+
+/// One non-φ instruction of a block, as a decision round reads it.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// Index of the instruction in its block.
+    pos: u32,
+    /// Its distinct operands are `op_vars[ops_start..ops_end]` of the plan.
+    ops_start: u32,
+    ops_end: u32,
+    /// The variable it defines, if any.
+    def: Option<Var>,
+    /// Next use of the definition after the instruction.
+    def_next: Next,
+}
+
+/// Everything the decision rounds read, derived once per call (the
+/// function does not change until the rewrite).
+struct Plan {
+    next_use: NextUse,
+    /// The non-φ instructions of each block, in order.
+    steps: Rows<Step>,
+    /// The distinct operands of every step, sorted by variable, and where
+    /// each one is used next after its step.
+    op_vars: Vec<Var>,
+    op_next: Vec<Next>,
+    /// Per block: the φ definitions with their first use.
+    phis: Rows<(Var, Next)>,
+    /// Per block: the live-in values with their first use, by ascending
+    /// entry distance (ties toward the lower variable).
+    entries: Rows<(Var, Next)>,
+    /// Per block: the distinct terminator uses and φ-arguments toward
+    /// successors, sorted.
+    end_uses: Rows<Var>,
+}
+
+impl Plan {
+    /// One backward walk per block, then the distance solve, then the
+    /// entry order.
+    fn build(f: &Function, live: &Liveness) -> Plan {
+        let (nb, instrs) = (f.num_blocks(), f.num_instrs_total());
+        let live_ins = f.block_ids().map(|b| live.live_in(b).len()).sum();
+        let live_outs = f.block_ids().map(|b| live.live_out(b).len()).sum();
+        let mut next_use = NextUse {
+            entry: Rows::with_capacity(nb, live_ins),
+            exit: Rows::with_capacity(nb, live_outs),
+        };
+        for b in f.block_ids() {
+            next_use
+                .entry
+                .push_row(live.live_in(b).iter().map(|v| (v, INFINITE)));
+            next_use
+                .exit
+                .push_row(live.live_out(b).iter().map(|v| (v, INFINITE)));
+        }
+        let mut plan = Plan {
+            next_use,
+            steps: Rows::with_capacity(nb, instrs),
+            op_vars: Vec::with_capacity(2 * instrs),
+            op_next: Vec::with_capacity(2 * instrs),
+            phis: Rows::with_capacity(nb, 0),
+            entries: Rows::with_capacity(nb, live_ins),
+            end_uses: Rows::with_capacity(nb, nb),
+        };
+        // The capacities are estimates: most blocks have one successor.
+        let mut flow = Flow {
+            edges: Rows::with_capacity(nb, 2 * nb),
+            gather: Rows::with_capacity(2 * nb, live_outs),
+            phi_args: Rows::with_capacity(nb, 0),
+            through: Vec::with_capacity(live_ins),
+        };
+        // Per flat entry index: the value's first use in the block.
+        let mut first: Vec<Next> = Vec::with_capacity(live_ins);
+        // The walk's cursor: where each variable is used next, seen from
+        // the current point (`Never` outside the block being walked).
+        let mut next = vec![Next::Never; f.num_vars()];
+        let mut end_uses: Vec<Var> = Vec::new();
+        for b in f.block_ids() {
+            end_uses.clear();
+            plan.link(f, b, &mut flow, &mut end_uses);
+            plan.walk(
+                f,
+                b,
+                &mut next,
+                &mut end_uses,
+                &mut flow.through,
+                &mut first,
+            );
+        }
+        plan.next_use.solve(f, &flow);
+
+        let mut order: Vec<(u64, Var, Next)> = Vec::new();
+        for bi in 0..nb {
+            let entries = plan.next_use.entry.range(bi);
+            order.clear();
+            order.extend(
+                plan.next_use.entry.items[entries.clone()]
+                    .iter()
+                    .zip(&first[entries])
+                    .map(|(&(v, d), &at)| (d, v, at)),
+            );
+            order.sort_unstable_by_key(|&(d, v, _)| (d, v));
+            plan.entries
+                .push_row(order.iter().map(|&(_, v, at)| (v, at)));
+        }
+        plan
+    }
+
+    /// The flat index of `v` in the exit list of block `bi`, if it is live
+    /// out there.
+    fn exit_index(&self, bi: usize, v: Var) -> Option<u32> {
+        let exits = self.next_use.exit.range(bi);
+        self.next_use.exit.items[exits.clone()]
+            .binary_search_by_key(&v, |&(u, _)| u)
+            .ok()
+            .map(|j| (exits.start + j) as u32)
+    }
+
+    /// Appends block `b`'s edges, their entry-to-exit index lists and its
+    /// outgoing φ-arguments to `flow`, and the φ-argument values to
+    /// `end_uses`.  A successor's live-in set excludes its φ definitions,
+    /// so it is a subset of the block's live-out set.
+    fn link(&self, f: &Function, b: BlockId, flow: &mut Flow, end_uses: &mut Vec<Var>) {
+        let exits = self.next_use.exit.range(b.index());
+        let exit = &self.next_use.exit.items[exits.clone()];
+        for s in f.successors(b) {
+            let penalty = if f.loop_depth(s) < f.loop_depth(b) {
+                LOOP_EXIT_DISTANCE
+            } else {
+                0
+            };
+            flow.edges.items.push((s, penalty));
+            let mut j = 0;
+            for &(v, _) in self.next_use.entry(s) {
+                while exit[j].0 != v {
+                    j += 1;
+                }
+                flow.gather.items.push((exits.start + j) as u32);
+            }
+            flow.gather.close_row();
+            for phi in f.phis(s) {
+                if let InstrView::Phi { args, .. } = phi {
+                    for a in args.iter().filter(|a| a.pred == b) {
+                        let j = self.exit_index(b.index(), a.value);
+                        flow.phi_args
+                            .items
+                            .push((j.expect("a φ-argument is live out"), penalty));
+                        end_uses.push(a.value);
+                    }
+                }
+            }
+        }
+        flow.edges.close_row();
+        flow.phi_args.close_row();
+    }
+
+    /// Lays out block `b`'s steps and walks them backwards from the
+    /// block's exit with the cursor `next`, recording every operand's and
+    /// definition's next use; then records the first uses of the φ
+    /// definitions and live-in values (`through` and `first`, aligned to
+    /// the entry list).  `end_uses` holds the outgoing φ-arguments on
+    /// entry; the cursor is left all `Never` again.
+    fn walk(
+        &mut self,
+        f: &Function,
+        b: BlockId,
+        next: &mut [Next],
+        end_uses: &mut Vec<Var>,
+        through: &mut Vec<Next>,
+        first: &mut Vec<Next>,
+    ) {
+        let (bi, n) = (b.index(), f.num_instrs(b) as u32);
+        // The walk starts past the block's end.
+        let exits = self.next_use.exit.range(bi);
+        for (j, &(v, _)) in self.next_use.exit.items[exits.clone()].iter().enumerate() {
+            next[v.index()] = Next::Past((exits.start + j) as u32);
+        }
+        let term_uses = f.terminator(b).uses();
+        end_uses.extend_from_slice(term_uses);
+        end_uses.sort_unstable();
+        end_uses.dedup();
+        for &u in end_uses.iter() {
+            next[u.index()] = Next::At(n);
+        }
+        self.end_uses.push_row(end_uses.iter().copied());
+
+        let (first_step, first_op) = (self.steps.items.len(), self.op_vars.len());
+        for (i, instr) in f.block_instrs(b).enumerate() {
+            if instr.is_phi() {
+                continue;
+            }
+            let ops_start = self.op_vars.len();
+            for &u in instr.local_uses() {
+                if !self.op_vars[ops_start..].contains(&u) {
+                    self.op_vars.push(u);
+                }
+            }
+            self.op_vars[ops_start..].sort_unstable();
+            self.steps.items.push(Step {
+                pos: i as u32,
+                ops_start: ops_start as u32,
+                ops_end: self.op_vars.len() as u32,
+                def: instr.def(),
+                def_next: Next::Never,
+            });
+        }
+        self.steps.close_row();
+        self.op_next.resize(self.op_vars.len(), Next::Never);
+        for step in self.steps.items[first_step..].iter_mut().rev() {
+            if let Some(d) = step.def {
+                step.def_next = next[d.index()];
+            }
+            let ops = step.ops_start as usize..step.ops_end as usize;
+            for (&u, at) in self.op_vars[ops.clone()].iter().zip(&mut self.op_next[ops]) {
+                *at = next[u.index()];
+                next[u.index()] = Next::At(step.pos);
+            }
+        }
+
+        // The cursor now stands at the block's entry.
+        self.phis.push_row(
+            f.phis(b)
+                .filter_map(|phi| phi.def())
+                .map(|d| (d, next[d.index()])),
+        );
+        for &(v, _) in self.next_use.entry(b) {
+            let at = next[v.index()];
+            first.push(at);
+            // The entry distance counts instruction and terminator uses,
+            // not φ-arguments: a value whose only local use is an outgoing
+            // φ-argument is reached past the exit.
+            through.push(match at {
+                Next::At(p) if p == n && !term_uses.contains(&v) => {
+                    self.exit_index(bi, v).map_or(Next::Never, Next::Past)
+                }
+                at => at,
+            });
+        }
+
+        let exit = self.next_use.exit.items[exits].iter().map(|&(v, _)| v);
+        let touched = exit.chain(end_uses.iter().copied());
+        for v in touched.chain(self.op_vars[first_op..].iter().copied()) {
+            next[v.index()] = Next::Never;
+        }
+    }
+
+    /// Scans block `b` against the current global spill set (extending
+    /// it) and appends the `(block, victim, position)` reloads it implies.
+    fn scan(&self, f: &Function, b: BlockId, k: usize, round: &mut Round) {
+        let Round {
+            w,
+            spilled,
+            order,
+            reloads,
+        } = round;
+        let (bi, n) = (b.index(), f.num_instrs(b) as u64);
+        let distance = |next: Next| self.next_use.distance(next, n);
+        let mut spill = |spilled: &mut [bool], v: Var| {
+            if !spilled[v.index()] {
+                spilled[v.index()] = true;
+                order.push(v);
+            }
+        };
+
+        // Block entry: φ-results are defined here no matter what — even
+        // the dead or already-spilled ones occupy a register at the entry
+        // point (they are all simultaneously live with the live-in set),
+        // so they consume entry capacity without entering `W`.  Then the
+        // nearest-used live-in values fill the remaining capacity; the
+        // rest start (or stay) in memory.
+        w.clear();
+        let mut entry_overhead = 0usize;
+        for &(d, at) in self.phis.row(bi) {
+            let nu = distance(at);
+            if spilled[d.index()] || nu == INFINITE {
+                entry_overhead += 1;
+                continue;
+            }
+            w.push(Resident {
+                var: d,
+                next_use: nu,
+                pinned: false,
+            });
+        }
+        let entry_capacity = k.saturating_sub(entry_overhead);
+        for &(v, at) in self.entries.row(bi) {
+            if spilled[v.index()] {
+                continue;
+            }
+            if w.len() < entry_capacity {
+                w.push(Resident {
+                    var: v,
+                    next_use: distance(at),
+                    pinned: false,
+                });
+            } else {
+                spill(spilled, v);
+            }
+        }
+
+        // Forward scan: ordinary instructions, then the block's end point
+        // (terminator uses plus outgoing φ-arguments) as position `n`.
+        for step in self.steps.row(bi) {
+            let i = u64::from(step.pos);
+            let ops = step.ops_start as usize..step.ops_end as usize;
+            let (uses, nexts) = (&self.op_vars[ops.clone()], &self.op_next[ops]);
+            // Every operand must be resident; spilled (or evicted-here)
+            // operands enter as pinned reload temporaries.
+            for (&u, &at) in uses.iter().zip(nexts) {
+                if w.iter().any(|r| r.var == u) {
+                    continue;
+                }
+                spill(spilled, u);
+                if w.len() >= k {
+                    if let Some(evicted) = evict_furthest(w, uses) {
+                        spill(spilled, evicted.var);
+                    }
+                }
+                reloads.push((bi, u, i));
+                w.push(Resident {
+                    var: u,
+                    next_use: at.local(),
+                    pinned: true,
+                });
+            }
+            // Operands consumed: advance their next use, drop the dead.
+            w.retain_mut(|r| {
+                let Some(j) = uses.iter().position(|&u| u == r.var) else {
+                    return true;
+                };
+                r.next_use = if r.pinned {
+                    nexts[j].local()
+                } else {
+                    distance(nexts[j])
+                };
+                r.next_use != INFINITE
+            });
+            // The result takes a register of its own — unless its own next
+            // use is the furthest of all (then Belady's rule spills the
+            // freshly defined value itself: store after the definition,
+            // reload at its distant uses).
+            let Some(d) = step.def else { continue };
+            if spilled[d.index()] || w.iter().any(|r| r.var == d) {
+                continue;
+            }
+            let nu = distance(step.def_next);
+            if nu == INFINITE {
+                continue;
+            }
+            if w.len() >= k {
+                let best = w
+                    .iter()
+                    .filter(|r| !r.pinned && !uses.contains(&r.var))
+                    .map(|r| (r.next_use, r.var))
+                    .max();
+                if best.is_some_and(|b| b > (nu, d)) {
+                    let evicted =
+                        evict_furthest(w, uses).expect("a furthest evictable resident exists");
+                    spill(spilled, evicted.var);
+                } else {
+                    // The definition itself is the furthest-used (or
+                    // nothing can go): it starts its life in memory.
+                    spill(spilled, d);
+                    continue;
+                }
+            }
+            w.push(Resident {
+                var: d,
+                next_use: nu,
+                pinned: false,
+            });
+        }
+        // Block end: terminator uses and φ-arguments toward successors.
+        let end_uses = self.end_uses.row(bi);
+        for &u in end_uses {
+            if w.iter().any(|r| r.var == u) {
+                continue;
+            }
+            spill(spilled, u);
+            if w.len() >= k {
+                if let Some(evicted) = evict_furthest(w, end_uses) {
+                    spill(spilled, evicted.var);
+                }
+            }
+            reloads.push((bi, u, n));
+            w.push(Resident {
+                var: u,
+                next_use: n,
+                pinned: true,
+            });
+        }
+        // W is discarded here: the next block rebuilds it from its own
+        // entry state (live-range splitting at the boundary).
+    }
+}
+
+/// What the decision rounds extend: the register-file model `W` (reused
+/// across blocks), the global spill set with its decision order, and the
+/// current round's `(block, victim, position)` reload records.
+struct Round {
+    w: Vec<Resident>,
+    spilled: Vec<bool>,
+    order: Vec<Var>,
+    reloads: Vec<(usize, Var, u64)>,
 }
 
 /// One value of the modelled register file `W`.
@@ -417,9 +764,18 @@ fn evict_furthest(w: &mut Vec<Resident>, protect: &[Var]) -> Option<Resident> {
 /// definition) — because the store still occupies the defining register
 /// at that single point.  `tests/ir_backend.rs` pins the resulting
 /// contract: `maxlive_precise ≤ max(k + 1, the pass's own k = 0 floor)`.
+///
+/// Solves liveness first; [`spill_belady_from`] starts from a solution
+/// the caller already holds.
 pub fn spill_belady(f: &mut Function, k: usize) -> SpillResult {
+    let liveness = Liveness::compute(f);
+    spill_belady_from(f, k, &liveness)
+}
+
+/// [`spill_belady`] with `liveness`, the caller's solution for `f`.
+pub fn spill_belady_from(f: &mut Function, k: usize, liveness: &Liveness) -> SpillResult {
     let _span = coalesce_stats::span!("ir/spill/belady");
-    let decisions = belady_decisions(f, k);
+    let decisions = belady_decisions(f, liveness, k);
     rewrite_spilled(f, decisions)
 }
 
@@ -434,13 +790,14 @@ pub fn spill_belady(f: &mut Function, k: usize) -> SpillResult {
 pub struct BeladyDecisions {
     /// The spilled variables, in decision order.
     pub order: Vec<Var>,
-    /// First reload position per `(block index, victim)`.
-    pub reloads: BTreeMap<(usize, Var), u64>,
+    /// `(block index, victim, first reload position)`, sorted by block
+    /// and victim, one entry per pair.
+    pub reloads: Vec<(usize, Var, u64)>,
 }
 
 /// Phase 1 (analysis only) of [`spill_belady`]: which values end up in
 /// memory, in the order the decisions were made, and where each block
-/// first reloads them.
+/// first reloads them.  `liveness` is the caller's solution for `f`.
 ///
 /// The per-block scans are iterated to a fixpoint of the global spill
 /// set.  A single pass is not enough: the blocks are scanned in index
@@ -452,291 +809,32 @@ pub struct BeladyDecisions {
 /// makes every block see the same memory-resident set; at the fixpoint
 /// every surviving direct use is a resident use, which is what lets the
 /// modelled register file bound the rewritten pressure.
-pub fn belady_decisions(f: &Function, k: usize) -> BeladyDecisions {
-    let facts = BlockFacts::of(f);
-    let next_use = NextUse::solve(f, &facts);
-    let mut scan = BlockScan {
-        f,
-        k,
-        facts: &facts,
-        next_use: &next_use,
-        slot: StampedMap::new(f.num_vars()),
-        exit: StampedMap::new(f.num_vars()),
+pub fn belady_decisions(f: &Function, liveness: &Liveness, k: usize) -> BeladyDecisions {
+    let plan = Plan::build(f, liveness);
+    let mut round = Round {
         w: Vec::new(),
-        entries: Vec::new(),
-        uses: Vec::new(),
-        end_uses: Vec::new(),
+        spilled: vec![false; f.num_vars()],
+        order: Vec::new(),
+        reloads: Vec::new(),
     };
-    let mut spilled = vec![false; f.num_vars()];
-    let mut order: Vec<Var> = Vec::new();
-    let mut reloads: Vec<(usize, Var, u64)> = Vec::new();
     loop {
-        let victims_before = order.len();
-        reloads.clear();
+        let victims_before = round.order.len();
+        round.reloads.clear();
         for b in f.block_ids() {
-            scan.block(b, &mut spilled, &mut order, &mut reloads);
+            plan.scan(f, b, k, &mut round);
         }
-        if order.len() == victims_before {
+        if round.order.len() == victims_before {
             break;
         }
     }
-    // Within a block, reload positions are recorded in increasing order,
-    // so the first record of a (block, victim) pair is its reload point.
-    let mut first = BTreeMap::new();
-    for (bi, v, p) in reloads {
-        first.entry((bi, v)).or_insert(p);
-    }
-    BeladyDecisions {
-        order,
-        reloads: first,
-    }
-}
-
-/// The per-block scan of one decision round, with the buffers it reuses
-/// across blocks and rounds.
-struct BlockScan<'a> {
-    f: &'a Function,
-    k: usize,
-    facts: &'a BlockFacts,
-    next_use: &'a NextUse,
-    /// The block's `use_pos` row of each variable it uses.
-    slot: StampedMap,
-    /// The block's exit distances.
-    exit: StampedMap,
-    w: Vec<Resident>,
-    entries: Vec<(u64, Var)>,
-    uses: Vec<Var>,
-    end_uses: Vec<Var>,
-}
-
-impl BlockScan<'_> {
-    /// Scans block `b` against the current global spill set (extending it)
-    /// and appends the `(block, victim, position)` reloads it implies.
-    fn block(
-        &mut self,
-        b: BlockId,
-        spilled: &mut [bool],
-        order: &mut Vec<Var>,
-        reloads: &mut Vec<(usize, Var, u64)>,
-    ) {
-        let BlockScan {
-            f,
-            k,
-            facts,
-            next_use,
-            slot,
-            exit,
-            w,
-            entries,
-            uses,
-            end_uses,
-        } = self;
-        let (f, k, facts) = (*f, *k, *facts);
-        let (bi, n) = (b.index(), f.num_instrs(b) as u64);
-        // Local use positions per variable, in increasing order:
-        // instruction index for ordinary uses, `n` for terminator uses and
-        // φ-arguments toward successors (both happen at the block's end
-        // and are served by the same per-block reload temporary).
-        let first_row = facts.used.start[bi] as usize;
-        slot.clear();
-        end_uses.clear();
-        for (j, &v) in facts.used.row(bi).iter().enumerate() {
-            slot.insert(v, (first_row + j) as u64);
-            if facts.use_pos.row(first_row + j).last() == Some(&(n as u32)) {
-                end_uses.push(v);
-            }
-        }
-        exit.clear();
-        for &(v, d) in next_use.exit(b) {
-            exit.insert(v, d);
-        }
-        let (slot, exit) = (&*slot, &*exit);
-        // Next use of `v` at or after position `from`; `local_only` stops
-        // at the block's end (the horizon of a reload temporary),
-        // otherwise the exit distance extends the search across the
-        // boundary.
-        let next_after = |v: Var, from: u64, local_only: bool| -> u64 {
-            if let Some(row) = slot.get(v) {
-                let ps = facts.use_pos.row(row as usize);
-                if let Some(&p) = ps.iter().find(|&&p| u64::from(p) >= from) {
-                    return u64::from(p);
-                }
-            }
-            if local_only {
-                return INFINITE;
-            }
-            match exit.get(v) {
-                Some(d) => (n + 1).saturating_add(d),
-                None => INFINITE,
-            }
-        };
-
-        // Block entry: φ-results are defined here no matter what — even
-        // the dead or already-spilled ones occupy a register at the entry
-        // point (they are all simultaneously live with the live-in set),
-        // so they consume entry capacity without entering `W`.  Then the
-        // nearest-used live-in values fill the remaining capacity; the
-        // rest start (or stay) in memory.
-        w.clear();
-        let mut entry_overhead = 0usize;
-        for phi in f.phis(b) {
-            if let Some(d) = phi.def() {
-                if spilled[d.index()] {
-                    entry_overhead += 1;
-                    continue;
-                }
-                let nu = next_after(d, 0, false);
-                if nu == INFINITE {
-                    entry_overhead += 1;
-                    continue;
-                }
-                w.push(Resident {
-                    var: d,
-                    next_use: nu,
-                    pinned: false,
-                });
-            }
-        }
-        let entry_capacity = k.saturating_sub(entry_overhead);
-        entries.clear();
-        entries.extend(
-            next_use
-                .entry(b)
-                .iter()
-                .filter(|(v, _)| !spilled[v.index()])
-                .map(|&(v, d)| (d, v)),
-        );
-        entries.sort_unstable();
-        for &(_, v) in entries.iter() {
-            if w.len() < entry_capacity {
-                let nu = next_after(v, 0, false);
-                w.push(Resident {
-                    var: v,
-                    next_use: nu,
-                    pinned: false,
-                });
-            } else if !spilled[v.index()] {
-                spilled[v.index()] = true;
-                order.push(v);
-            }
-        }
-
-        // Forward scan: ordinary instructions, then the block's end point
-        // (terminator uses plus outgoing φ-arguments) as position `n`.
-        for (i, instr) in f.block_instrs(b).enumerate() {
-            if instr.is_phi() {
-                continue;
-            }
-            let i = i as u64;
-            uses.clear();
-            uses.extend_from_slice(instr.local_uses());
-            uses.sort_unstable();
-            uses.dedup();
-            // Every operand must be resident; spilled (or evicted-here)
-            // operands enter as pinned reload temporaries.
-            for &u in uses.iter() {
-                if w.iter().any(|r| r.var == u) {
-                    continue;
-                }
-                if !spilled[u.index()] {
-                    spilled[u.index()] = true;
-                    order.push(u);
-                }
-                if w.len() >= k {
-                    if let Some(evicted) = evict_furthest(w, uses) {
-                        if !spilled[evicted.var.index()] {
-                            spilled[evicted.var.index()] = true;
-                            order.push(evicted.var);
-                        }
-                    }
-                }
-                reloads.push((bi, u, i));
-                w.push(Resident {
-                    var: u,
-                    next_use: next_after(u, i + 1, true),
-                    pinned: true,
-                });
-            }
-            // Operands consumed: advance their next use, drop the dead.
-            w.retain_mut(|r| {
-                if !uses.contains(&r.var) {
-                    return true;
-                }
-                r.next_use = next_after(r.var, i + 1, r.pinned);
-                r.next_use != INFINITE
-            });
-            // The result takes a register of its own — unless its own next
-            // use is the furthest of all (then Belady's rule spills the
-            // freshly defined value itself: store after the definition,
-            // reload at its distant uses).
-            if let Some(d) = instr.def() {
-                if !spilled[d.index()] && !w.iter().any(|r| r.var == d) {
-                    let nu = next_after(d, i + 1, false);
-                    if nu != INFINITE {
-                        let mut insert = true;
-                        if w.len() >= k {
-                            let best = w
-                                .iter()
-                                .filter(|r| !r.pinned && !uses.contains(&r.var))
-                                .map(|r| (r.next_use, r.var))
-                                .max();
-                            match best {
-                                Some(b) if b > (nu, d) => {
-                                    let evicted = evict_furthest(w, uses)
-                                        .expect("a furthest evictable resident exists");
-                                    if !spilled[evicted.var.index()] {
-                                        spilled[evicted.var.index()] = true;
-                                        order.push(evicted.var);
-                                    }
-                                }
-                                _ => {
-                                    // The definition itself is the
-                                    // furthest-used (or nothing can go):
-                                    // it starts its life in memory.
-                                    spilled[d.index()] = true;
-                                    order.push(d);
-                                    insert = false;
-                                }
-                            }
-                        }
-                        if insert {
-                            w.push(Resident {
-                                var: d,
-                                next_use: nu,
-                                pinned: false,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Block end: terminator uses and φ-arguments toward successors.
-        for &u in end_uses.iter() {
-            if w.iter().any(|r| r.var == u) {
-                continue;
-            }
-            if !spilled[u.index()] {
-                spilled[u.index()] = true;
-                order.push(u);
-            }
-            if w.len() >= k {
-                if let Some(evicted) = evict_furthest(w, end_uses) {
-                    if !spilled[evicted.var.index()] {
-                        spilled[evicted.var.index()] = true;
-                        order.push(evicted.var);
-                    }
-                }
-            }
-            reloads.push((bi, u, n));
-            w.push(Resident {
-                var: u,
-                next_use: n,
-                pinned: true,
-            });
-        }
-        // W is discarded here: the next block rebuilds it from its own
-        // entry state (live-range splitting at the boundary).
-    }
+    // Keep each (block, victim) pair's smallest position: its reload
+    // point.
+    let Round {
+        order, mut reloads, ..
+    } = round;
+    reloads.sort_unstable();
+    reloads.dedup_by_key(|&mut (bi, v, _)| (bi, v));
+    BeladyDecisions { order, reloads }
 }
 
 /// Phase 2: rewrites the uses the model served from memory through one
@@ -752,39 +850,36 @@ fn rewrite_spilled(f: &mut Function, decisions: BeladyDecisions) -> SpillResult 
         spilled: decisions.order,
         reloads: 0,
     };
-    // Group the recorded reloads per block: `(position, victim)` pairs.
-    let mut events: Vec<Vec<(u64, Var)>> = vec![Vec::new(); f.num_blocks()];
-    for (&(bi, v), &p) in &decisions.reloads {
-        events[bi].push((p, v));
-    }
-    let block_ids: Vec<BlockId> = f.block_ids().collect();
-    for b in block_ids {
-        if events[b.index()].is_empty() {
-            continue;
-        }
+    // Per victim of the current block: its reload temporary and the
+    // position from which the temporary serves its uses.  Temporaries lie
+    // past the original variables, so looking one up finds nothing.
+    let mut temp_of: Vec<Option<Var>> = vec![None; f.num_vars()];
+    let mut pos_of: Vec<u64> = vec![0; f.num_vars()];
+    let served = |temp_of: &[Option<Var>], u: Var| temp_of.get(u.index()).copied().flatten();
+    let mut by_pos: Vec<(u64, Var)> = Vec::new();
+    for events in decisions.reloads.chunk_by(|a, b| a.0 == b.0) {
+        let b = BlockId::new(events[0].0);
         let n = f.num_instrs(b) as u64;
-        // Allocate the temporaries.  A use at position `i` is served by
-        // the temporary iff `i >= pos_of[victim]`; terminator uses and
-        // φ-arguments sit at position `n`, past every recorded position.
-        let mut temp_of: BTreeMap<Var, Var> = BTreeMap::new();
-        let mut pos_of: BTreeMap<Var, u64> = BTreeMap::new();
-        for &(p, v) in &events[b.index()] {
-            let t = f.derive_var(v, "_reload");
-            temp_of.insert(v, t);
-            pos_of.insert(v, p);
+        for &(_, v, p) in events {
+            temp_of[v.index()] = Some(f.derive_var(v, "_reload"));
+            pos_of[v.index()] = p;
             result.reloads += 1;
         }
-        // Rewrite the ordinary uses (position-gated) and the terminator in
-        // place; positions are the pre-insertion ones until the splice.
+        // Rewrite the ordinary uses (position-gated: a use at position `i`
+        // is served by the temporary iff `i >= pos_of[victim]`) and the
+        // terminator in place; positions are the pre-insertion ones until
+        // the splice.
         for i in 0..f.num_instrs(b) {
             for u in f.uses_mut(b, i) {
-                if pos_of.get(u).is_some_and(|&p| i as u64 >= p) {
-                    *u = temp_of[u];
+                if let Some(t) = served(&temp_of, *u) {
+                    if i as u64 >= pos_of[u.index()] {
+                        *u = t;
+                    }
                 }
             }
         }
         for u in f.terminator_mut(b).uses_mut() {
-            if let Some(&t) = temp_of.get(u) {
+            if let Some(t) = served(&temp_of, *u) {
                 *u = t;
             }
         }
@@ -795,7 +890,7 @@ fn rewrite_spilled(f: &mut Function, decisions: BeladyDecisions) -> SpillResult 
             for i in 0..f.num_phis_in(s) {
                 for a in f.phi_args_mut(s, i) {
                     if a.pred == b {
-                        if let Some(&t) = temp_of.get(&a.value) {
+                        if let Some(t) = served(&temp_of, a.value) {
                             a.value = t;
                         }
                     }
@@ -806,20 +901,24 @@ fn rewrite_spilled(f: &mut Function, decisions: BeladyDecisions) -> SpillResult 
         // position keep ascending variable order; position `n` (a first use
         // at the terminator or along an outgoing edge) appends at the
         // block's end in descending order.
-        let mut by_pos = std::mem::take(&mut events[b.index()]);
+        by_pos.clear();
+        by_pos.extend(events.iter().map(|&(_, v, p)| (p, v)));
         by_pos.sort_unstable();
         let appended = by_pos.partition_point(|&(p, _)| p < n);
         by_pos[appended..].reverse();
         f.splice(
             b,
-            by_pos.into_iter().map(|(p, v)| {
+            by_pos.iter().map(|&(p, v)| {
                 let instr = Instr::Op {
-                    dst: Some(temp_of[&v]),
+                    dst: temp_of[v.index()],
                     uses: Vec::new(),
                 };
                 (p.min(n) as usize, instr)
             }),
         );
+        for &(_, v, _) in events {
+            temp_of[v.index()] = None;
+        }
     }
     debug_assert!(f.validate().is_ok());
     result

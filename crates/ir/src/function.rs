@@ -305,18 +305,39 @@ pub enum Terminator {
     },
 }
 
+/// The successor blocks of a [`Terminator`], in terminator order: an
+/// allocation-free iterator over at most two blocks.  It owns its blocks,
+/// so the function may be edited while it is walked.
+#[derive(Debug, Clone)]
+pub struct Successors(std::iter::Take<std::array::IntoIter<BlockId, 2>>);
+
+impl Iterator for Successors {
+    type Item = BlockId;
+
+    fn next(&mut self) -> Option<BlockId> {
+        self.0.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Successors {}
+
 impl Terminator {
-    /// Successor blocks of this terminator, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    /// Successor blocks of this terminator, in order, without allocating.
+    pub fn successors(&self) -> Successors {
+        let (blocks, len) = match self {
+            Terminator::Jump(b) => ([*b; 2], 1),
             Terminator::Branch {
                 then_block,
                 else_block,
                 ..
-            } => vec![*then_block, *else_block],
-            Terminator::Return { .. } => Vec::new(),
-        }
+            } => ([*then_block, *else_block], 2),
+            Terminator::Return { .. } => ([BlockId::new(0); 2], 0),
+        };
+        Successors(blocks.into_iter().take(len))
     }
 
     /// Variables used by this terminator.
@@ -582,8 +603,8 @@ impl Function {
         self.loop_depths[b.index()] = depth;
     }
 
-    /// Successors of a block.
-    pub fn successors(&self, b: BlockId) -> Vec<BlockId> {
+    /// Successors of a block, in terminator order, without allocating.
+    pub fn successors(&self, b: BlockId) -> Successors {
         self.terminator(b).successors()
     }
 
@@ -606,10 +627,8 @@ impl Function {
         let mut stack = vec![(self.entry, 0usize)];
         visited[self.entry.index()] = true;
         while let Some((b, i)) = stack.pop() {
-            let succs = self.successors(b);
-            if i < succs.len() {
+            if let Some(s) = self.successors(b).nth(i) {
                 stack.push((b, i + 1));
-                let s = succs[i];
                 if !visited[s.index()] {
                     visited[s.index()] = true;
                     stack.push((s, 0));
@@ -1397,7 +1416,10 @@ mod tests {
             else_block: BlockId::new(2),
         };
         t.replace_successor(BlockId::new(2), BlockId::new(5));
-        assert_eq!(t.successors(), vec![BlockId::new(1), BlockId::new(5)]);
+        assert_eq!(
+            t.successors().collect::<Vec<_>>(),
+            vec![BlockId::new(1), BlockId::new(5)]
+        );
     }
 
     #[test]

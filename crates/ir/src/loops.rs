@@ -159,10 +159,7 @@ pub fn is_reducible(f: &Function) -> bool {
     // Each frame carries the block's non-back-edge successors, computed
     // once when the block is first pushed.
     let forward_succs = |b: BlockId| -> Vec<BlockId> {
-        f.successors(b)
-            .into_iter()
-            .filter(|&s| !dom.dominates(s, b))
-            .collect()
+        f.successors(b).filter(|&s| !dom.dominates(s, b)).collect()
     };
     let mut stack: Vec<(BlockId, Vec<BlockId>, usize)> = vec![(f.entry, forward_succs(f.entry), 0)];
     color[f.entry.index()] = GRAY;

@@ -283,9 +283,9 @@ impl<'f> SpillInput<'f> {
 
     /// Runs `kind` on a clone of the input towards `Maxlive ≤ k`.
     ///
-    /// The pressure-greedy and spill-everywhere passes start from this
-    /// analysis instead of solving liveness again; the result is exactly
-    /// that of [`SpillerKind::run`] on a clone.
+    /// Every spiller starts from this analysis instead of solving
+    /// liveness again; the result is exactly that of [`SpillerKind::run`]
+    /// on a clone.
     pub fn spill(&self, kind: SpillerKind, k: usize) -> SpillRun {
         let mut function = self.function.clone();
         let result = match kind {
@@ -295,7 +295,9 @@ impl<'f> SpillInput<'f> {
             SpillerKind::PressureGreedy => {
                 spill_to_pressure_from(&mut function, k, self.liveness.clone(), &self.costs)
             }
-            SpillerKind::Belady => crate::belady::spill_belady(&mut function, k),
+            SpillerKind::Belady => {
+                crate::belady::spill_belady_from(&mut function, k, &self.liveness)
+            }
         };
         // Victims are pre-spill variables, so the pre-spill costs price
         // them: the weight of the chosen victims, not of the reload temps.

@@ -1,17 +1,21 @@
-//! Equivalence pin for the flat decision phase of the Belady spiller.
+//! Equivalence pin for the planned Belady spiller.
 //!
 //! The next-use distances and per-block scans of `coalesce_ir::belady`
 //! once kept every distance in per-block `BTreeMap`s and rebuilt a
 //! `BTreeMap` of use positions per block in every decision round.  The
-//! flat rewrite (var-sorted distance lists, a predecessor worklist,
-//! per-block use positions built once and read through stamped dense
-//! arrays) must decide exactly what the maps decided.  [`reference`]
-//! keeps the map-based pass verbatim; the tests compare boundary
-//! distances, victim order, reload positions, the `SpillResult`, the
-//! printed rewrite and the collected counters on every CFG shape ×
-//! pressure profile and on module-drawn functions, at `k` = 0, 2,
-//! `tight_k` and `Maxlive`.  A last property pins the documented key sets
-//! of the distance lists to the live-in and live-out sets.
+//! current pass derives a per-operand plan once per call, solves the
+//! distances on the caller's liveness and rewrites through dense arrays;
+//! it must decide exactly what the maps decided.  [`reference`] keeps the
+//! map-based pass verbatim; the tests compare boundary distances, victim
+//! order, reload positions, the `SpillResult`, the printed rewrite and the
+//! collected counters on every CFG shape × pressure profile and on
+//! module-drawn functions, at `k` = 0, 2, `tight_k` and `Maxlive`, and on
+//! the first 500 functions of the default seed-42 module at `tight_k`.
+//! The counters are collected around `SpillInput::spill`, so the liveness
+//! the pass reads may charge nothing there; the standalone
+//! `SpillerKind::run`, which solves its own liveness, must produce the
+//! same rewrite.  A last property pins the documented key sets of the
+//! distance lists to the live-in and live-out sets.
 
 use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, ModuleParams};
@@ -565,7 +569,7 @@ mod reference {
             // Rewrite φ-arguments in the successors: the per-block temporary
             // is defined before the block's end, so it is a legal value along
             // every outgoing edge.
-            let succs: Vec<BlockId> = f.successors(b);
+            let succs: Vec<BlockId> = f.successors(b).collect();
             for s in succs {
                 for i in 0..f.num_phis_in(s) {
                     let rewrite_phi = match f.instr(s, i) {
@@ -647,9 +651,53 @@ fn as_list(m: &BTreeMap<Var, u64>) -> Vec<(Var, u64)> {
     m.iter().map(|(&v, &d)| (v, d)).collect()
 }
 
-/// Asserts that the flat pass and [`reference`] agree on `f`: boundary
-/// distances, and at every `k` of interest the decisions, the spill
-/// result, the rewritten function and the counters.
+/// The reload positions as the sorted `(block, victim, position)` list
+/// `BeladyDecisions` stores.
+fn as_triples(m: &BTreeMap<(usize, Var), u64>) -> Vec<(usize, Var, u64)> {
+    m.iter().map(|(&(b, v), &p)| (b, v, p)).collect()
+}
+
+/// Asserts that the planned pass and [`reference`] agree on `f` at `k`:
+/// the decisions, and on the `SpillInput` path the spill result, the
+/// rewritten function and the counters (so the liveness the pass reads
+/// charges nothing to a caller that collects counters around the spill).
+/// The standalone [`SpillerKind::run`], which solves its own liveness,
+/// must rewrite exactly as the `SpillInput` path does.
+fn assert_same_belady_at(f: &Function, input: &SpillInput, k: usize) {
+    let decisions = belady_decisions(f, input.liveness(), k);
+    let old_decisions = reference::belady_decisions(f, k);
+    assert_eq!(
+        decisions.order, old_decisions.order,
+        "victim order at k = {k}"
+    );
+    assert_eq!(
+        decisions.reloads,
+        as_triples(&old_decisions.reloads),
+        "reload positions at k = {k}"
+    );
+
+    let (run, counters) = coalesce_stats::collect(|| input.spill(SpillerKind::Belady, k));
+    let ((old_result, old_f), old_counters) = coalesce_stats::collect(|| {
+        let mut g = f.clone();
+        let result = reference::spill_belady(&mut g, k);
+        (result, g)
+    });
+    assert_eq!(run.spilled, old_result.spilled, "spilled at k = {k}");
+    assert_eq!(run.reloads, old_result.reloads, "reloads at k = {k}");
+    let printed = run.function.to_string();
+    assert_eq!(printed, old_f.to_string(), "rewrite at k = {k}");
+    assert_eq!(counters, old_counters, "counters at k = {k}");
+
+    let mut g = f.clone();
+    let standalone = SpillerKind::Belady.run(&mut g, k);
+    assert_eq!(standalone.spilled, run.spilled, "run: spilled at k = {k}");
+    assert_eq!(standalone.reloads, run.reloads, "run: reloads at k = {k}");
+    assert_eq!(g.to_string(), printed, "run: rewrite at k = {k}");
+}
+
+/// Asserts that the planned pass and [`reference`] agree on `f`: boundary
+/// distances, and everything [`assert_same_belady_at`] checks at every
+/// `k` of interest.
 fn assert_same_belady(f: &Function) {
     let flat = NextUse::compute(f);
     let old = reference::NextUse::compute(f);
@@ -667,31 +715,7 @@ fn assert_same_belady(f: &Function) {
     ks.sort_unstable();
     ks.dedup();
     for k in ks {
-        let decisions = belady_decisions(f, k);
-        let old_decisions = reference::belady_decisions(f, k);
-        assert_eq!(
-            decisions.order, old_decisions.order,
-            "victim order at k = {k}"
-        );
-        assert_eq!(
-            decisions.reloads, old_decisions.reloads,
-            "reload positions at k = {k}"
-        );
-
-        let (run, counters) = coalesce_stats::collect(|| input.spill(SpillerKind::Belady, k));
-        let ((old_result, old_f), old_counters) = coalesce_stats::collect(|| {
-            let mut g = f.clone();
-            let result = reference::spill_belady(&mut g, k);
-            (result, g)
-        });
-        assert_eq!(run.spilled, old_result.spilled, "spilled at k = {k}");
-        assert_eq!(run.reloads, old_result.reloads, "reloads at k = {k}");
-        assert_eq!(
-            run.function.to_string(),
-            old_f.to_string(),
-            "rewrite at k = {k}"
-        );
-        assert_eq!(counters, old_counters, "counters at k = {k}");
+        assert_same_belady_at(f, &input, k);
     }
 }
 
@@ -726,6 +750,17 @@ fn flat_belady_matches_the_map_reference_on_every_cfg_profile() {
 fn next_use_keys_are_the_live_sets_on_every_cfg_profile() {
     for f in cfg_grid() {
         assert_keys_are_live_sets(&f);
+    }
+}
+
+/// The module whose slices the service's benchmark trace requests: the
+/// first 500 functions of the default seed-42 module, at `tight_k`.
+#[test]
+fn planned_belady_matches_the_map_reference_on_the_seed_42_module() {
+    for spec in module_specs(&ModuleParams::default(), 42).iter().take(500) {
+        let f = spec.generate();
+        let input = SpillInput::analyze(&f);
+        assert_same_belady_at(&f, &input, tight_k(input.maxlive()));
     }
 }
 
