@@ -15,15 +15,26 @@ use coalesce_ir::function::{Function, InstrView, Var};
 use coalesce_ir::interference::InterferenceGraph;
 use coalesce_ir::liveness::Liveness;
 use coalesce_ir::spill::loop_weight;
-use std::collections::BTreeMap;
 use std::fmt;
 
+/// Marks a variable without a register in [`RegisterAssignment`]'s table.
+const NO_REGISTER: usize = usize::MAX;
+
 /// A register assignment for (a lowered version of) a function.
+///
+/// Stored flat, indexed by variable: a register table holding each
+/// variable's register or the `usize::MAX` sentinel, a per-variable
+/// spilled flag, and the spilled variables in the order they were first
+/// spilled.  Every lookup is one array read; the tables grow on demand to
+/// the highest variable touched.
 #[derive(Debug, Clone, Default)]
 pub struct RegisterAssignment {
-    /// Register (color) of each variable that received one.
-    registers: BTreeMap<Var, usize>,
-    /// Variables that live in memory instead of a register.
+    /// Register (color) of each variable, [`NO_REGISTER`] when it has none.
+    registers: Vec<usize>,
+    /// Whether each variable lives in memory (it is then in `spilled`).
+    spilled_flag: Vec<bool>,
+    /// Variables that live in memory instead of a register, in the order
+    /// they were spilled.
     spilled: Vec<Var>,
 }
 
@@ -35,44 +46,69 @@ impl RegisterAssignment {
 
     /// Assigns register `r` to variable `v` (overwriting any previous
     /// assignment and removing `v` from the spilled set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is `usize::MAX`, the table's "no register" sentinel.
     pub fn assign(&mut self, v: Var, r: usize) {
-        self.registers.insert(v, r);
-        self.spilled.retain(|&s| s != v);
+        assert_ne!(r, NO_REGISTER, "register {r} is reserved as a sentinel");
+        self.grow_to(v);
+        self.registers[v.index()] = r;
+        if std::mem::take(&mut self.spilled_flag[v.index()]) {
+            self.spilled.retain(|&s| s != v);
+        }
     }
 
     /// Marks `v` as spilled (living in memory).
     pub fn spill(&mut self, v: Var) {
-        self.registers.remove(&v);
-        if !self.spilled.contains(&v) {
+        self.grow_to(v);
+        self.registers[v.index()] = NO_REGISTER;
+        if !std::mem::replace(&mut self.spilled_flag[v.index()], true) {
             self.spilled.push(v);
+        }
+    }
+
+    /// Extends both per-variable tables to cover `v`.
+    fn grow_to(&mut self, v: Var) {
+        if v.index() >= self.registers.len() {
+            self.registers.resize(v.index() + 1, NO_REGISTER);
+            self.spilled_flag.resize(v.index() + 1, false);
         }
     }
 
     /// The register assigned to `v`, if any.
     pub fn register_of(&self, v: Var) -> Option<usize> {
-        self.registers.get(&v).copied()
+        match self.registers.get(v.index()) {
+            Some(&r) if r != NO_REGISTER => Some(r),
+            _ => None,
+        }
     }
 
     /// `true` if `v` was spilled.
     pub fn is_spilled(&self, v: Var) -> bool {
-        self.spilled.contains(&v)
+        self.spilled_flag.get(v.index()).copied().unwrap_or(false)
     }
 
-    /// The spilled variables.
+    /// The spilled variables, in the order they were first spilled.
     pub fn spilled(&self) -> &[Var] {
         &self.spilled
     }
 
     /// Number of distinct registers actually used.
     pub fn registers_used(&self) -> usize {
-        let distinct: std::collections::BTreeSet<usize> =
-            self.registers.values().copied().collect();
-        distinct.len()
+        let mut used: Vec<usize> = self.iter().map(|(_, r)| r).collect();
+        used.sort_unstable();
+        used.dedup();
+        used.len()
     }
 
     /// Iterates over `(variable, register)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (Var, usize)> + '_ {
-        self.registers.iter().map(|(&v, &r)| (v, r))
+        self.registers
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r != NO_REGISTER)
+            .map(|(i, &r)| (Var::new(i), r))
     }
 
     /// Validates the assignment against `f`:

@@ -127,17 +127,23 @@ pub fn run_allocator_with_artifacts(
         AllocatorKind::ChaitinBriggs => {
             let outcome = chaitin_allocate(f, ChaitinConfig::new(k));
             let moves = outcome.assignment.move_costs(&outcome.function);
+            // Variables left in memory by the final round on top of those
+            // the spill rounds already count.
+            let mut spilled_in_rounds = vec![false; outcome.function.num_vars()];
+            for v in &outcome.spilled_values {
+                spilled_in_rounds[v.index()] = true;
+            }
+            let extra_spills = outcome
+                .assignment
+                .spilled()
+                .iter()
+                .filter(|v| !spilled_in_rounds[v.index()])
+                .count();
             let report = AllocationReport {
                 kind,
                 registers: k,
                 valid: outcome.assignment.is_valid(&outcome.function, k),
-                spilled_values: outcome.spilled_values.len()
-                    + outcome
-                        .assignment
-                        .spilled()
-                        .iter()
-                        .filter(|v| !outcome.spilled_values.contains(v))
-                        .count(),
+                spilled_values: outcome.spilled_values.len() + extra_spills,
                 reloads_inserted: outcome.reloads_inserted,
                 moves,
                 registers_used: outcome.assignment.registers_used(),

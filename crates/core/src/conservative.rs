@@ -16,7 +16,9 @@
 //!   §4);
 //!
 //! — plus an exponential [`conservative_exact`] used to measure how far the
-//! local rules are from the optimum on small instances.
+//! local rules are from the optimum on small instances.  Briggs' test and
+//! George's test in both directions come from one walk over the two
+//! neighbor rows, [`merge_tests`], which IRC's coalesce step shares.
 
 use crate::affinity::{Affinity, AffinityGraph, Coalescing, CoalescingStats};
 use coalesce_graph::{coloring, greedy, Graph, VertexId};
@@ -51,33 +53,97 @@ pub struct ConservativeResult {
     pub stats: CoalescingStats,
 }
 
+/// Briggs' and George's verdicts on merging `a` and `b` in the current
+/// (partially coalesced) graph, from one [`merge_tests`] walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeTests {
+    /// Briggs' verdict: the merged vertex has fewer than `k` neighbors of
+    /// significant degree (≥ `k`).
+    pub briggs: bool,
+    /// George's verdict in the direction "merge `a` into `b`".
+    pub george_a_into_b: bool,
+    /// George's verdict in the direction "merge `b` into `a`".
+    pub george_b_into_a: bool,
+}
+
+impl MergeTests {
+    /// The Briggs-then-George rule: Briggs, or George in either direction.
+    pub fn briggs_or_george(&self) -> bool {
+        self.briggs || self.george_a_into_b || self.george_b_into_a
+    }
+}
+
+/// Runs Briggs' test and George's test in both directions on merging `a`
+/// and `b`, in one two-pointer walk over their sorted neighbor rows.
+///
+/// Every vertex other than `a` and `b` in either row is a neighbor of the
+/// merged vertex, met once by the walk:
+///
+/// * in both rows, it loses one degree in the merged graph (its two edges
+///   become one), so Briggs counts it when `degree − 1 ≥ k`; George
+///   accepts a common neighbor in both directions;
+/// * in one row only, Briggs counts it when `degree ≥ k`, and then George
+///   fails in the direction that merges that row's vertex away.
+///
+/// Each neighbor costs one degree read, in place of a binary search into
+/// the other row per neighbor and per test.  The walk stops early once
+/// `k` significant neighbors are counted and both George directions have
+/// failed, since no verdict can change after that.
+pub fn merge_tests(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> MergeTests {
+    let (row_a, row_b) = (graph.neighbor_row(a), graph.neighbor_row(b));
+    let mut significant = 0;
+    let (mut george_a_into_b, mut george_b_into_a) = (true, true);
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (n, degree, only_a, only_b) = match (row_a.get(i), row_b.get(j)) {
+            (Some(&x), Some(&y)) if x == y => {
+                i += 1;
+                j += 1;
+                (x, graph.degree(x) - 1, false, false)
+            }
+            (Some(&x), Some(&y)) if x < y => {
+                i += 1;
+                (x, graph.degree(x), true, false)
+            }
+            (Some(&x), None) => {
+                i += 1;
+                (x, graph.degree(x), true, false)
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                (y, graph.degree(y), false, true)
+            }
+            (None, None) => break,
+        };
+        if n == a || n == b || degree < k {
+            continue;
+        }
+        significant += 1;
+        george_a_into_b &= !only_a;
+        george_b_into_a &= !only_b;
+        if significant >= k && !george_a_into_b && !george_b_into_a {
+            break;
+        }
+    }
+    MergeTests {
+        briggs: significant < k,
+        george_a_into_b,
+        george_b_into_a,
+    }
+}
+
 /// Briggs' test on the *current* (partially coalesced) graph: the vertex
 /// obtained by merging `a` and `b` has fewer than `k` neighbors of
-/// significant degree (≥ `k`).
-///
-/// Each neighbor of the merged vertex is counted once: every neighbor of
-/// `a` other than `b`, then every neighbor of `b` other than `a` that `a`
-/// does not already reach.  A common neighbor loses one degree in the
-/// merged graph (its two edges become one).
+/// significant degree (≥ `k`).  Reads [`merge_tests`].
 pub fn briggs_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
-    let significant_of_a = graph
-        .neighbors(a)
-        .filter(|&n| n != b && graph.degree(n) - usize::from(graph.has_edge(n, b)) >= k)
-        .count();
-    let significant_of_b_only = graph
-        .neighbors(b)
-        .filter(|&n| n != a && !graph.has_edge(n, a) && graph.degree(n) >= k)
-        .count();
-    significant_of_a + significant_of_b_only < k
+    merge_tests(graph, k, a, b).briggs
 }
 
 /// George's test on the current graph, in the direction "merge `a` into
 /// `b`": every neighbor of `a` with degree ≥ `k` is also a neighbor of `b`.
+/// Reads [`merge_tests`].
 pub fn george_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
-    graph
-        .neighbors(a)
-        .filter(|&n| n != b)
-        .all(|n| graph.degree(n) < k || graph.has_edge(n, b))
+    merge_tests(graph, k, a, b).george_a_into_b
 }
 
 /// The extended George test of §4, in the direction "merge `a` into `b`":
@@ -140,10 +206,11 @@ pub fn conservative_coalesce(
     let mut rejected: u64 = 0;
     // Keep looping over the affinities until a fixed point: a merge can make
     // a previously rejected merge acceptable.
+    let affinities = ag.affinities_by_weight();
     let mut changed = true;
     while changed {
         changed = false;
-        for aff in ag.affinities_by_weight() {
+        for aff in &affinities {
             let (ra, rb) = (coalescing.class_of(aff.a), coalescing.class_of(aff.b));
             if ra == rb || coalescing.merged_graph.has_edge(ra, rb) {
                 continue;
@@ -152,13 +219,10 @@ pub fn conservative_coalesce(
             let ok = match rule {
                 ConservativeRule::Briggs => briggs_test(graph, k, ra, rb),
                 ConservativeRule::George => {
-                    george_test(graph, k, ra, rb) || george_test(graph, k, rb, ra)
+                    let tests = merge_tests(graph, k, ra, rb);
+                    tests.george_a_into_b || tests.george_b_into_a
                 }
-                ConservativeRule::BriggsGeorge => {
-                    briggs_test(graph, k, ra, rb)
-                        || george_test(graph, k, ra, rb)
-                        || george_test(graph, k, rb, ra)
-                }
+                ConservativeRule::BriggsGeorge => merge_tests(graph, k, ra, rb).briggs_or_george(),
                 ConservativeRule::ExtendedGeorge => {
                     briggs_test(graph, k, ra, rb)
                         || extended_george_test(graph, k, ra, rb)

@@ -38,7 +38,7 @@
 //! challenge-style experiment (E8).
 
 use crate::affinity::{AffinityGraph, Coalescing, CoalescingStats};
-use crate::conservative::{briggs_test, george_test};
+use crate::conservative::merge_tests;
 use coalesce_graph::coloring::ColorScratch;
 use coalesce_graph::{Coloring, Graph, VertexId};
 
@@ -324,10 +324,7 @@ impl Worklists {
                 self.freeze_move(work, i, ra, rb);
                 continue;
             }
-            if briggs_test(work, k, ra, rb)
-                || george_test(work, k, ra, rb)
-                || george_test(work, k, rb, ra)
-            {
+            if merge_tests(work, k, ra, rb).briggs_or_george() {
                 // The merge makes this move inactive: drop it.
                 pick = Some((ra, rb));
                 break;

@@ -15,8 +15,6 @@
 
 use crate::coloring::{greedy_coloring_in_order, Coloring};
 use crate::graph::{Graph, VertexId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The result of running the greedy elimination scheme with bound `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,33 +118,46 @@ pub fn smallest_last_order(g: &Graph) -> Vec<VertexId> {
 /// `(residual degree, id)`, returning the removal order and
 /// `1 + max` degree at removal (0 for the empty graph).
 ///
-/// The candidates sit in a lazy-deletion min-heap keyed on
-/// `(degree, id)`: degrees only fall, so a popped entry whose degree is
-/// stale (or whose vertex is gone) is skipped, and the first current entry
-/// is the minimum over the remaining vertices.
+/// The candidates sit in a tournament (min-segment) tree over vertex ids:
+/// leaf `n + v` holds the key `(degree << 32) | v` of live vertex `v`
+/// (`u64::MAX` once `v` is removed or for a retired id), and each inner
+/// node holds the smaller of its two children, so the root is the minimum
+/// `(degree, id)` among the remaining vertices.  A removal resets one leaf
+/// and recomputes its path; a neighbor's degree drop lowers its leaf and
+/// climbs only while an ancestor's key is larger.
 fn smallest_last_peel(g: &Graph) -> (Vec<VertexId>, usize) {
-    let cap = g.capacity();
-    let mut degree = vec![0usize; cap];
-    let mut present = vec![false; cap];
-    let mut heap = BinaryHeap::with_capacity(g.num_vertices());
+    const GONE: u64 = u64::MAX;
+    let n = g.capacity();
+    let mut tree = vec![GONE; 2 * n];
     for v in g.vertices() {
-        degree[v.index()] = g.degree(v);
-        present[v.index()] = true;
-        heap.push(Reverse((degree[v.index()], v)));
+        tree[n + v.index()] = ((g.degree(v) as u64) << 32) | v.index() as u64;
+    }
+    for i in (1..n).rev() {
+        tree[i] = tree[2 * i].min(tree[2 * i + 1]);
     }
     let mut removal = Vec::with_capacity(g.num_vertices());
     let mut col = 0usize;
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if !present[v.index()] || d != degree[v.index()] {
-            continue;
-        }
-        col = col.max(d + 1);
-        present[v.index()] = false;
+    while n > 0 && tree[1] != GONE {
+        let key = tree[1];
+        let v = VertexId::new((key & u64::from(u32::MAX)) as usize);
+        col = col.max((key >> 32) as usize + 1);
         removal.push(v);
+        let mut i = n + v.index();
+        tree[i] = GONE;
+        while i > 1 {
+            i /= 2;
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+        }
         for u in g.neighbors(v) {
-            if present[u.index()] {
-                degree[u.index()] -= 1;
-                heap.push(Reverse((degree[u.index()], u)));
+            let mut i = n + u.index();
+            if tree[i] == GONE {
+                continue;
+            }
+            let lowered = tree[i] - (1 << 32);
+            tree[i] = lowered;
+            while i > 1 && tree[i / 2] > lowered {
+                i /= 2;
+                tree[i] = lowered;
             }
         }
     }

@@ -2,18 +2,25 @@
 //! test, biased select, the smallest-last peel and chordal coloring run
 //! on the graph's own state (liveness of the working graph, one
 //! [`ColorScratch`](coalesce_graph::coloring::ColorScratch) first-fit
-//! kernel, one lazy-heap peel) instead of the `BTreeSet` shadow state and
-//! duplicate loops they replaced.  [`reference`] keeps those versions
-//! verbatim; every test asserts identical outputs on random graphs with
-//! retired (merged or removed) vertices and random weighted affinities,
-//! on the affinity graphs of every generator shape profile at every
-//! pressure level, and on a sample of module functions.  The worklist IRC
-//! is also pinned on challenge instances, dense `G(n, p)` at small `k`,
-//! and affinity chains and stars with repeated pairs.
+//! kernel, one tournament-tree peel) instead of the `BTreeSet` shadow
+//! state and duplicate loops they replaced.  [`reference`] keeps those
+//! versions verbatim; every test asserts identical outputs on random
+//! graphs with retired (merged or removed) vertices and random weighted
+//! affinities, on the affinity graphs of every generator shape profile at
+//! every pressure level, and on a sample of module functions.  The
+//! worklist IRC is also pinned on challenge instances, dense `G(n, p)` at
+//! small `k`, and affinity chains and stars with repeated pairs.
+//!
+//! Briggs' and George's tests now read one two-pointer walk over the two
+//! neighbor rows ([`merge_tests`]), and the smallest-last peel runs on a
+//! tournament tree; [`scan_reference`] keeps the row scans and the
+//! lazy-deletion heap they replaced verbatim, and the coloring-layer
+//! check compares the walk's three verdicts, `george_test` in both
+//! directions and the peel against them.
 
 use coalesce_alloc::biased::biased_select;
 use coalesce_core::affinity::{Affinity, AffinityGraph};
-use coalesce_core::conservative::briggs_test;
+use coalesce_core::conservative::{briggs_test, george_test, merge_tests};
 use coalesce_core::irc::{self, IrcResult};
 use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
 use coalesce_gen::challenge::{challenge_instance, ChallengeParams};
@@ -391,6 +398,100 @@ mod reference {
     }
 }
 
+/// Briggs' and George's row scans and the lazy-deletion smallest-last
+/// peel as they stood before the one-walk test and the tournament tree,
+/// copied verbatim.
+mod scan_reference {
+    use coalesce_graph::{Graph, VertexId};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Briggs' test on the *current* (partially coalesced) graph: the vertex
+    /// obtained by merging `a` and `b` has fewer than `k` neighbors of
+    /// significant degree (≥ `k`).
+    ///
+    /// Each neighbor of the merged vertex is counted once: every neighbor of
+    /// `a` other than `b`, then every neighbor of `b` other than `a` that `a`
+    /// does not already reach.  A common neighbor loses one degree in the
+    /// merged graph (its two edges become one).
+    pub fn briggs_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
+        let significant_of_a = graph
+            .neighbors(a)
+            .filter(|&n| n != b && graph.degree(n) - usize::from(graph.has_edge(n, b)) >= k)
+            .count();
+        let significant_of_b_only = graph
+            .neighbors(b)
+            .filter(|&n| n != a && !graph.has_edge(n, a) && graph.degree(n) >= k)
+            .count();
+        significant_of_a + significant_of_b_only < k
+    }
+
+    /// George's test on the current graph, in the direction "merge `a` into
+    /// `b`": every neighbor of `a` with degree ≥ `k` is also a neighbor of `b`.
+    pub fn george_test(graph: &Graph, k: usize, a: VertexId, b: VertexId) -> bool {
+        graph
+            .neighbors(a)
+            .filter(|&n| n != b)
+            .all(|n| graph.degree(n) < k || graph.has_edge(n, b))
+    }
+
+    /// The smallest-last peel shared by [`coloring_number`] and
+    /// [`smallest_last_order`]: repeatedly removes the live vertex of minimum
+    /// `(residual degree, id)`, returning the removal order and
+    /// `1 + max` degree at removal (0 for the empty graph).
+    ///
+    /// The candidates sit in a lazy-deletion min-heap keyed on
+    /// `(degree, id)`: degrees only fall, so a popped entry whose degree is
+    /// stale (or whose vertex is gone) is skipped, and the first current entry
+    /// is the minimum over the remaining vertices.
+    fn smallest_last_peel(g: &Graph) -> (Vec<VertexId>, usize) {
+        let cap = g.capacity();
+        let mut degree = vec![0usize; cap];
+        let mut present = vec![false; cap];
+        let mut heap = BinaryHeap::with_capacity(g.num_vertices());
+        for v in g.vertices() {
+            degree[v.index()] = g.degree(v);
+            present[v.index()] = true;
+            heap.push(Reverse((degree[v.index()], v)));
+        }
+        let mut removal = Vec::with_capacity(g.num_vertices());
+        let mut col = 0usize;
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if !present[v.index()] || d != degree[v.index()] {
+                continue;
+            }
+            col = col.max(d + 1);
+            present[v.index()] = false;
+            removal.push(v);
+            for u in g.neighbors(v) {
+                if present[u.index()] {
+                    degree[u.index()] -= 1;
+                    heap.push(Reverse((degree[u.index()], u)));
+                }
+            }
+        }
+        (removal, col)
+    }
+
+    /// Computes the coloring number `col(G)`: the smallest `k` such that `g` is
+    /// greedy-k-colorable, via a smallest-last ordering.
+    ///
+    /// For the empty graph this is 0; for a graph with vertices but no edges it
+    /// is 1.
+    pub fn coloring_number(g: &Graph) -> usize {
+        smallest_last_peel(g).1
+    }
+
+    /// Returns a smallest-last ordering of the live vertices: the order in which
+    /// [`coloring_number`] removes them, **reversed** (so that greedily coloring
+    /// in this order uses at most `col(G)` colors).
+    pub fn smallest_last_order(g: &Graph) -> Vec<VertexId> {
+        let mut removal = smallest_last_peel(g).0;
+        removal.reverse();
+        removal
+    }
+}
+
 /// Asserts that [`irc::allocate`] and [`reference::allocate`] agree on
 /// `ag` at `k`: per-vertex colors, the representative coloring, the
 /// spilled vertices, the statistics and the coalescing classes.
@@ -421,8 +522,9 @@ fn assert_same_biased(ag: &AffinityGraph, k: usize, order: &[VertexId]) {
 }
 
 /// Asserts that every function of the coloring layer agrees with
-/// [`reference`] on `ag`, at each of `ks`.  Briggs' test runs on every
-/// affinity pair and on every pair among the first 64 live vertices.
+/// [`reference`] and [`scan_reference`] on `ag`, at each of `ks`.
+/// Briggs' and George's tests run on every affinity pair and on every
+/// pair among the first 64 live vertices.
 fn assert_same_coloring_layer(ag: &AffinityGraph, ks: &[usize]) {
     let g = &ag.graph;
     let order = greedy::smallest_last_order(g);
@@ -432,9 +534,19 @@ fn assert_same_coloring_layer(ag: &AffinityGraph, ks: &[usize]) {
         "smallest-last order"
     );
     assert_eq!(
+        order,
+        scan_reference::smallest_last_order(g),
+        "smallest-last order against the lazy heap"
+    );
+    assert_eq!(
         greedy::coloring_number(g),
         reference::coloring_number(g),
         "coloring number"
+    );
+    assert_eq!(
+        greedy::coloring_number(g),
+        scan_reference::coloring_number(g),
+        "coloring number against the lazy heap"
     );
     assert_eq!(
         chordal::chordal_coloring(g),
@@ -460,6 +572,7 @@ fn assert_same_coloring_layer(ag: &AffinityGraph, ks: &[usize]) {
                 reference::briggs_test(g, k, a, b),
                 "Briggs on ({a}, {b}) at k = {k}"
             );
+            assert_same_merge_tests(g, k, a, b);
         }
     }
     for &k in ks {
@@ -467,6 +580,29 @@ fn assert_same_coloring_layer(ag: &AffinityGraph, ks: &[usize]) {
         assert_same_biased(ag, k, &order);
         assert_same_biased(ag, k, &ascending);
     }
+}
+
+/// Asserts that the one-walk [`merge_tests`] and [`george_test`] in both
+/// directions give the verdicts of the [`scan_reference`] row scans on
+/// merging `a` and `b` at `k`.
+fn assert_same_merge_tests(g: &Graph, k: usize, a: VertexId, b: VertexId) {
+    let walk = merge_tests(g, k, a, b);
+    let briggs = scan_reference::briggs_test(g, k, a, b);
+    let (a_into_b, b_into_a) = (
+        scan_reference::george_test(g, k, a, b),
+        scan_reference::george_test(g, k, b, a),
+    );
+    let at = format!("({a}, {b}) at k = {k}");
+    assert_eq!(walk.briggs, briggs, "walk's Briggs on {at}");
+    assert_eq!(walk.george_a_into_b, a_into_b, "walk's George a→b on {at}");
+    assert_eq!(walk.george_b_into_a, b_into_a, "walk's George b→a on {at}");
+    assert_eq!(
+        walk.briggs_or_george(),
+        briggs || a_into_b || b_into_a,
+        "walk's Briggs+George on {at}"
+    );
+    assert_eq!(george_test(g, k, a, b), a_into_b, "George a→b on {at}");
+    assert_eq!(george_test(g, k, b, a), b_into_a, "George b→a on {at}");
 }
 
 /// Up to `count` weighted affinities between random non-adjacent pairs of
