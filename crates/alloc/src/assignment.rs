@@ -242,24 +242,9 @@ pub struct MoveCosts {
 }
 
 impl MoveCosts {
-    /// Copies that remain as real machine moves.
-    pub fn remaining_moves(&self) -> usize {
-        self.total_moves - self.eliminated_moves
-    }
-
     /// Weight of the remaining moves.
     pub fn remaining_weight(&self) -> u64 {
         self.total_weight - self.eliminated_weight
-    }
-
-    /// Fraction of the copy weight that was eliminated (1.0 when there is
-    /// nothing to eliminate).
-    pub fn eliminated_ratio(&self) -> f64 {
-        if self.total_weight == 0 {
-            1.0
-        } else {
-            self.eliminated_weight as f64 / self.total_weight as f64
-        }
     }
 }
 
@@ -381,7 +366,6 @@ mod tests {
         let costs = a.move_costs(&f);
         assert_eq!(costs.total_moves, 1);
         assert_eq!(costs.eliminated_moves, 0);
-        assert_eq!(costs.remaining_moves(), 1);
 
         // Under Chaitin's interference definition the copy-related x and y
         // do not interfere, so giving them the same register is exactly the
@@ -393,8 +377,7 @@ mod tests {
         assert!(coalesced.is_valid(&f, 2));
         let costs = coalesced.move_costs(&f);
         assert_eq!(costs.eliminated_moves, 1);
-        assert_eq!(costs.remaining_moves(), 0);
-        assert!((costs.eliminated_ratio() - 1.0).abs() < 1e-9);
+        assert_eq!(costs.remaining_weight(), 0);
     }
 
     #[test]

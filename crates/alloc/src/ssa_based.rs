@@ -167,8 +167,9 @@ pub fn ssa_allocate_with_spiller(
         .count();
 
     // Build the residual affinity graph on class representatives so that the
-    // biased select can still chase the uncoalesced moves.
-    let merged_graph = coalescing.merged_graph.clone();
+    // biased select can still chase the uncoalesced moves.  Only the class
+    // map is read from here on, so the merged graph moves out.
+    let merged_graph = std::mem::take(&mut coalescing.merged_graph);
     let residual_affinities: Vec<coalesce_core::affinity::Affinity> = ag
         .affinities
         .iter()

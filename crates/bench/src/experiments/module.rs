@@ -173,11 +173,6 @@ fn row_json(profile: ShapeProfile, pressure: PressureLevel, r: &E16Row) -> Json 
     ])
 }
 
-/// Runs E16 serially and packages the report.
-pub fn e16_report(base_seed: u64) -> ExperimentReport {
-    e16_report_with_jobs(base_seed, 1)
-}
-
 /// Runs E16 with the per-function work fanned over `jobs` workers.
 ///
 /// The specs are drawn serially (cheap), the functions are processed in

@@ -65,20 +65,10 @@ pub fn e1_row(seed: u64) -> E1Row {
     }
 }
 
-/// Computes the E1 rows for `count` consecutive seeds.
-pub fn e1_rows(base_seed: u64, count: u64) -> Vec<E1Row> {
-    e1_rows_with_jobs(base_seed, count, 1)
-}
-
 /// Computes the E1 rows for `count` consecutive seeds over `jobs` threads.
 pub fn e1_rows_with_jobs(base_seed: u64, count: u64, jobs: usize) -> Vec<E1Row> {
     let seeds: Vec<u64> = (0..count).map(|s| base_seed + s).collect();
     par_map(&seeds, jobs, |&s| e1_row(s))
-}
-
-/// Runs E1 and packages the report.
-pub fn e1_report(base_seed: u64) -> ExperimentReport {
-    e1_report_with_jobs(base_seed, 1)
 }
 
 /// Runs E1 with row-level parallelism and packages the report.
@@ -253,11 +243,6 @@ pub fn e4_row(seed: u64) -> E4Row {
     }
 }
 
-/// Runs E4 and packages the report.
-pub fn e4_report(base_seed: u64) -> ExperimentReport {
-    e4_report_with_jobs(base_seed, 1)
-}
-
 /// Runs E4 with row-level parallelism and packages the report.
 pub fn e4_report_with_jobs(base_seed: u64, jobs: usize) -> ExperimentReport {
     let seeds: Vec<u64> = (0..6u64).map(|s| base_seed + 40 + s).collect();
@@ -384,7 +369,7 @@ mod tests {
 
     #[test]
     fn e1_min_cut_equals_exact_aggressive_on_three_seeds() {
-        for row in e1_rows(0, 3) {
+        for row in e1_rows_with_jobs(0, 3, 1) {
             assert!(
                 row.invariant_holds(),
                 "seed {}: min cut {} != exact uncoalesced {}",

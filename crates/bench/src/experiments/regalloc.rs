@@ -266,11 +266,6 @@ pub fn e13_report_filtered(
     }
 }
 
-/// Runs E13 over the full profile × pressure sweep.
-pub fn e13_report_with_jobs(base_seed: u64, jobs: usize) -> ExperimentReport {
-    e13_report_filtered(base_seed, jobs, &[])
-}
-
 // ---------------------------------------------------------------------------
 // E14 — generated corpus through the coalescing strategies.
 // ---------------------------------------------------------------------------
@@ -528,11 +523,6 @@ pub fn e14_report_filtered(
             ("stats".into(), Json::counters(&totals)),
         ],
     }
-}
-
-/// Runs E14 over the full profile sweep.
-pub fn e14_report_with_jobs(base_seed: u64, jobs: usize) -> ExperimentReport {
-    e14_report_filtered(base_seed, jobs, &[])
 }
 
 #[cfg(test)]

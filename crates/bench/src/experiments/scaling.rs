@@ -252,11 +252,6 @@ fn cfg_row_json(r: &E15CfgRow) -> Json {
     ])
 }
 
-/// Runs E15 and packages the report.
-pub fn e15_report(base_seed: u64) -> ExperimentReport {
-    e15_report_with_jobs(base_seed, 1)
-}
-
 /// Runs E15 with row-level parallelism and packages the report; the rows
 /// fan over the worker pool and come back in spec order, so the serialized
 /// report is byte-identical for every `jobs` value.

@@ -188,11 +188,6 @@ impl ModuleAgg {
     }
 }
 
-/// Runs E17 serially and packages the report.
-pub fn e17_report(base_seed: u64) -> ExperimentReport {
-    e17_report_with_jobs(base_seed, 1)
-}
-
 /// Runs E17 with the grid cells and module functions fanned over `jobs`
 /// workers.  Work units come back in input order before aggregation, so
 /// every deterministic field of the report is byte-identical for any

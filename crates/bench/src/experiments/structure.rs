@@ -90,11 +90,6 @@ pub fn e5_row(base_seed: u64, n: usize) -> E5Row {
 /// n = 5000 the instance has ~2 million interference edges.
 pub const E5_SIZES: [usize; 7] = [15, 30, 60, 500, 1000, 2000, 5000];
 
-/// Runs E5 and packages the report.
-pub fn e5_report(base_seed: u64) -> ExperimentReport {
-    e5_report_with_jobs(base_seed, 1)
-}
-
 /// Runs E5 with row-level parallelism and packages the report.
 pub fn e5_report_with_jobs(base_seed: u64, jobs: usize) -> ExperimentReport {
     let rows: Vec<E5Row> = par_map(&E5_SIZES, jobs, |&n| e5_row(base_seed, n));
@@ -178,11 +173,6 @@ pub fn e7_row(seed: u64) -> E7Row {
         omega_is_maxlive: omega == Some(maxlive),
         greedy_omega_colorable: greedy::is_greedy_k_colorable(&ig.graph, omega.unwrap_or(0)),
     }
-}
-
-/// Runs E7 and packages the report.
-pub fn e7_report(base_seed: u64) -> ExperimentReport {
-    e7_report_with_jobs(base_seed, 1)
 }
 
 /// Runs E7 with row-level parallelism and packages the report.

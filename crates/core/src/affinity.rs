@@ -212,16 +212,6 @@ impl CoalescingStats {
     pub fn uncoalesced_weight(&self) -> u64 {
         self.total_weight - self.coalesced_weight
     }
-
-    /// Fraction of the affinity weight that was coalesced (1.0 when there
-    /// are no affinities).
-    pub fn coalesced_weight_ratio(&self) -> f64 {
-        if self.total_weight == 0 {
-            1.0
-        } else {
-            self.coalesced_weight as f64 / self.total_weight as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +276,6 @@ mod tests {
         assert_eq!(s.coalesced, 1);
         assert_eq!(s.coalesced_weight, 10);
         assert_eq!(s.uncoalesced_weight(), 5);
-        assert!((s.coalesced_weight_ratio() - 10.0 / 15.0).abs() < 1e-9);
     }
 
     #[test]

@@ -30,8 +30,7 @@
 
 use crate::affinity::{AffinityGraph, Coalescing, CoalescingStats};
 use crate::incremental::{IncrementalAnswer, PreparedChordal};
-use coalesce_graph::{coloring, fillin, VertexId};
-use std::collections::BTreeSet;
+use coalesce_graph::{coloring, fillin};
 
 /// How much of the witness the strategy merges after a positive query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,34 +164,6 @@ pub fn chordal_conservative_coalesce(
     })
 }
 
-/// Returns the set of original vertices that were merged into classes of
-/// size ≥ 2 without being endpoints of any coalesced affinity — a direct
-/// measure of how much "artificial" merging the witness-class policy did.
-pub fn artificially_merged_vertices(
-    ag: &AffinityGraph,
-    result: &mut ChordalStrategyResult,
-) -> BTreeSet<VertexId> {
-    let mut affinity_endpoints: BTreeSet<VertexId> = BTreeSet::new();
-    for aff in &ag.affinities {
-        if result.coalescing.same_class(aff.a, aff.b) {
-            affinity_endpoints.insert(aff.a);
-            affinity_endpoints.insert(aff.b);
-        }
-    }
-    let mut out = BTreeSet::new();
-    for class in result.coalescing.classes() {
-        if class.len() < 2 {
-            continue;
-        }
-        for v in class {
-            if !affinity_endpoints.contains(&v) {
-                out.insert(v);
-            }
-        }
-    }
-    out
-}
-
 /// Checks that the contraction of `ag.graph` by `result.coalescing` is
 /// `k`-colorable — the invariant every conservative strategy must preserve.
 /// Exposed so that integration tests and benches can re-validate results
@@ -206,7 +177,8 @@ mod tests {
     use super::*;
     use crate::affinity::Affinity;
     use crate::conservative::{conservative_coalesce, ConservativeRule};
-    use coalesce_graph::Graph;
+    use coalesce_graph::{Graph, VertexId};
+    use std::collections::BTreeSet;
 
     fn v(i: usize) -> VertexId {
         VertexId::new(i)
@@ -277,6 +249,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Returns the set of original vertices that were merged into classes of
+    /// size ≥ 2 without being endpoints of any coalesced affinity — a direct
+    /// measure of how much "artificial" merging the witness-class policy did.
+    fn artificially_merged_vertices(
+        ag: &AffinityGraph,
+        result: &mut ChordalStrategyResult,
+    ) -> BTreeSet<VertexId> {
+        let mut affinity_endpoints: BTreeSet<VertexId> = BTreeSet::new();
+        for aff in &ag.affinities {
+            if result.coalescing.same_class(aff.a, aff.b) {
+                affinity_endpoints.insert(aff.a);
+                affinity_endpoints.insert(aff.b);
+            }
+        }
+        let mut out = BTreeSet::new();
+        for class in result.coalescing.classes() {
+            if class.len() < 2 {
+                continue;
+            }
+            for v in class {
+                if !affinity_endpoints.contains(&v) {
+                    out.insert(v);
+                }
+            }
+        }
+        out
     }
 
     #[test]

@@ -343,24 +343,6 @@ impl<'g> ChordalIncremental<'g> {
     }
 }
 
-/// Applies a witness class returned by [`chordal_incremental`] or
-/// [`incremental_exact`]: merges every vertex of the class into one.
-///
-/// Returns the representative vertex.
-///
-/// # Panics
-///
-/// Panics if the class contains interfering vertices (a valid witness never
-/// does).
-pub fn apply_class(graph: &mut Graph, class: &BTreeSet<VertexId>) -> VertexId {
-    let mut iter = class.iter().copied();
-    let rep = iter.next().expect("class is non-empty");
-    for v in iter {
-        graph.merge(rep, v);
-    }
-    rep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,7 +529,9 @@ mod tests {
             }
             // Merging the class keeps the graph k-colorable (and chordal).
             let mut merged = g.clone();
-            apply_class(&mut merged, &class);
+            for &m in &members[1..] {
+                merged.merge(members[0], m);
+            }
             assert!(chordal::is_chordal(&merged));
             assert!(greedy::is_greedy_k_colorable(&merged, omega));
         } else {

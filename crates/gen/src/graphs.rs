@@ -95,30 +95,10 @@ pub fn random_chordal_graph(n: usize, max_clique: usize, rng: &mut ChaCha8Rng) -
     g
 }
 
-/// Random greedy-`k`-colorable graph: a random graph repaired by removing
-/// edges from its high-degree core until the greedy elimination succeeds.
-pub fn random_greedy_k_colorable(n: usize, p: f64, k: usize, rng: &mut ChaCha8Rng) -> Graph {
-    let mut g = random_graph(n, p, rng);
-    loop {
-        match coalesce_graph::greedy::high_degree_core(&g, k) {
-            None => return g,
-            Some(core) => {
-                // Remove a random edge inside the core.
-                let edges: Vec<(VertexId, VertexId)> = g
-                    .edges()
-                    .filter(|(u, v)| core.contains(u) && core.contains(v))
-                    .collect();
-                let (u, v) = edges[rng.gen_range(0..edges.len())];
-                g.remove_edge(u, v);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coalesce_graph::{chordal, cliques, greedy};
+    use coalesce_graph::{chordal, cliques};
 
     #[test]
     fn random_graph_respects_density_extremes() {
@@ -145,15 +125,6 @@ mod tests {
             let g = random_chordal_graph(25, 4, &mut r);
             assert!(chordal::is_chordal(&g), "seed {seed}");
             assert!(cliques::clique_number(&g) <= 4, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn greedy_generator_output_is_greedy_k_colorable() {
-        for seed in 0..5 {
-            let mut r = crate::rng(seed);
-            let g = random_greedy_k_colorable(20, 0.4, 4, &mut r);
-            assert!(greedy::is_greedy_k_colorable(&g, 4), "seed {seed}");
         }
     }
 

@@ -5,8 +5,7 @@
 //! redistributable, so this crate generates synthetic workloads with the
 //! same structural signatures:
 //!
-//! * [`graphs`] — random graphs, random interval/chordal graphs, random
-//!   greedy-`k`-colorable graphs;
+//! * [`graphs`] — random graphs and random interval/chordal graphs;
 //! * [`programs`] — random structured SSA programs (straight-line blocks and
 //!   if/else diamonds with φ-functions) with a configurable register
 //!   pressure;
@@ -33,7 +32,6 @@
 
 pub mod cfg;
 pub mod challenge;
-pub mod families;
 pub mod graphs;
 pub mod module;
 pub mod permutation;

@@ -17,8 +17,7 @@
 use crate::cfg::{PressureLevel, ShapeProfile};
 use crate::challenge::{challenge_instance, ChallengeParams};
 use crate::graphs::{random_chordal_graph, random_graph};
-use coalesce_core::AffinityGraph;
-use coalesce_graph::Graph;
+use coalesce_graph::format::{to_challenge, to_dimacs, ChallengeFile};
 use coalesce_stats::json::Json;
 use rand::Rng;
 
@@ -68,38 +67,6 @@ pub struct TraceRequest {
     pub line: String,
 }
 
-/// Serializes a graph as DIMACS `.col` text (1-based vertex ids).
-pub fn dimacs_text(g: &Graph) -> String {
-    let mut out = format!("p edge {} {}\n", g.capacity(), g.num_edges());
-    for (u, v) in g.edges() {
-        out.push_str(&format!("e {} {}\n", u.index() + 1, v.index() + 1));
-    }
-    out
-}
-
-/// Serializes an affinity graph as challenge text (1-based vertex ids).
-pub fn challenge_text(ag: &AffinityGraph, registers: usize) -> String {
-    let mut out = format!(
-        "p coalesce {} {} {}\nk {}\n",
-        ag.graph.capacity(),
-        ag.graph.num_edges(),
-        ag.affinities.len(),
-        registers
-    );
-    for (u, v) in ag.graph.edges() {
-        out.push_str(&format!("e {} {}\n", u.index() + 1, v.index() + 1));
-    }
-    for aff in &ag.affinities {
-        out.push_str(&format!(
-            "a {} {} {}\n",
-            aff.a.index() + 1,
-            aff.b.index() + 1,
-            aff.weight
-        ));
-    }
-    out
-}
-
 /// Generates the deterministic request trace for `seed`.
 pub fn trace(params: &TraceParams, seed: u64) -> Vec<TraceRequest> {
     let mut rng = crate::rng(seed);
@@ -117,7 +84,7 @@ pub fn trace(params: &TraceParams, seed: u64) -> Vec<TraceRequest> {
             } else {
                 random_graph(n, 0.25, &mut grng)
             };
-            dimacs_text(&g)
+            to_dimacs(&g)
         })
         .collect();
     let challenge_pool: Vec<String> = (0..pool.min(6))
@@ -125,7 +92,12 @@ pub fn trace(params: &TraceParams, seed: u64) -> Vec<TraceRequest> {
             let mut crng = crate::rng(seed ^ 0x6368_616c_6c00 | i as u64);
             let cparams = ChallengeParams::at_scale(24 + i * 8, 4 + i % 3);
             let inst = challenge_instance(&cparams, &mut crng);
-            challenge_text(&inst.affinity_graph, inst.registers)
+            let ag = inst.affinity_graph;
+            to_challenge(&ChallengeFile {
+                affinities: ag.affinities.iter().map(|a| (a.a, a.b, a.weight)).collect(),
+                graph: ag.graph,
+                registers: Some(inst.registers),
+            })
         })
         .collect();
 
@@ -243,11 +215,20 @@ mod tests {
     fn serialized_instances_round_trip_through_the_parsers() {
         let mut rng = crate::rng(3);
         let g = random_graph(20, 0.3, &mut rng);
-        let parsed = coalesce_graph::format::from_dimacs(&dimacs_text(&g)).expect("round trip");
+        let parsed = coalesce_graph::format::from_dimacs(&to_dimacs(&g)).expect("round trip");
         assert_eq!(parsed.num_edges(), g.num_edges());
 
         let inst = challenge_instance(&ChallengeParams::at_scale(30, 4), &mut rng);
-        let text = challenge_text(&inst.affinity_graph, inst.registers);
+        let text = to_challenge(&ChallengeFile {
+            graph: inst.affinity_graph.graph.clone(),
+            affinities: inst
+                .affinity_graph
+                .affinities
+                .iter()
+                .map(|a| (a.a, a.b, a.weight))
+                .collect(),
+            registers: Some(inst.registers),
+        });
         let file = coalesce_graph::format::from_challenge(&text).expect("round trip");
         assert_eq!(
             file.graph.num_edges(),

@@ -421,19 +421,6 @@ pub fn is_chordal(g: &Graph) -> bool {
     CliqueForest::of(g).chordal
 }
 
-/// Returns `true` if `v` is a *simplicial* vertex of `g`, i.e. its
-/// neighborhood is a clique.  Every chordal graph has a simplicial vertex
-/// (used by Property 1 of the paper).
-pub fn is_simplicial(g: &Graph, v: VertexId) -> bool {
-    let nbrs: Vec<VertexId> = g.neighbors(v).collect();
-    g.is_clique(&nbrs)
-}
-
-/// Finds a simplicial vertex of `g`, if any.
-pub fn find_simplicial_vertex(g: &Graph) -> Option<VertexId> {
-    g.vertices().find(|&v| is_simplicial(g, v))
-}
-
 /// Computes the clique number `ω(G)` of a **chordal** graph in linear
 /// time: it is the size of the largest clique the Blair–Peyton sweep
 /// discovers (equivalently `1 + max_v |later neighbors of v|` over a
@@ -538,6 +525,38 @@ mod tests {
     }
 
     #[test]
+    fn named_families_have_the_expected_chordality() {
+        // Five triangles sharing the edge 0-1.
+        let mut book = Graph::with_edges(7, [(0.into(), 1.into())]);
+        for p in 2..7usize {
+            book.add_edge(p.into(), 0.into());
+            book.add_edge(p.into(), 1.into());
+        }
+        assert!(is_chordal(&book));
+        // Ten unit intervals, each overlapping the next three.
+        let mut staircase = Graph::new(10);
+        for i in 0..10usize {
+            for j in i + 1..(i + 4).min(10) {
+                staircase.add_edge(i.into(), j.into());
+            }
+        }
+        assert!(is_chordal(&staircase));
+        // The 3 × 3 grid holds induced 4-cycles.
+        let mut grid = Graph::new(9);
+        for r in 0..3usize {
+            for c in 0..3usize {
+                if c + 1 < 3 {
+                    grid.add_edge((3 * r + c).into(), (3 * r + c + 1).into());
+                }
+                if r + 1 < 3 {
+                    grid.add_edge((3 * r + c).into(), (3 * r + c + 3).into());
+                }
+            }
+        }
+        assert!(!is_chordal(&grid));
+    }
+
+    #[test]
     fn chorded_cycle_is_chordal() {
         let mut g = cycle(5);
         g.add_edge(0.into(), 2.into());
@@ -583,16 +602,6 @@ mod tests {
         let c = chordal_coloring(&g).unwrap();
         assert!(c.is_proper(&g));
         assert_eq!(c.num_colors(), 5);
-    }
-
-    #[test]
-    fn simplicial_vertices() {
-        let mut g = complete(3);
-        let v = g.add_vertex();
-        g.add_edge(v, 0.into());
-        assert!(is_simplicial(&g, v));
-        assert!(is_simplicial(&g, 1.into()));
-        assert!(find_simplicial_vertex(&cycle(4)).is_none());
     }
 
     #[test]

@@ -60,18 +60,14 @@ fn bron_kerbosch(
     }
 }
 
-/// Returns a maximum clique of the live part of `g` (exponential time).
-pub fn maximum_clique(g: &Graph) -> BTreeSet<VertexId> {
-    maximal_cliques(g)
-        .into_iter()
-        .max_by_key(|c| c.len())
-        .unwrap_or_default()
-}
-
 /// Returns the clique number `ω(G)` of the live part of `g` (exponential
 /// time for general graphs).
 pub fn clique_number(g: &Graph) -> usize {
-    maximum_clique(g).len()
+    maximal_cliques(g)
+        .iter()
+        .map(BTreeSet::len)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -40,13 +40,6 @@ impl Coloring {
         self.colors[v.index()] = Some(c);
     }
 
-    /// Removes the color of `v`.
-    pub fn unassign(&mut self, v: VertexId) {
-        if v.index() < self.colors.len() {
-            self.colors[v.index()] = None;
-        }
-    }
-
     /// Returns the color of `v`, if assigned.
     pub fn color_of(&self, v: VertexId) -> Option<usize> {
         self.colors.get(v.index()).copied().flatten()
@@ -253,8 +246,6 @@ mod tests {
         assert_eq!(c.color_of(0.into()), None);
         c.assign(0.into(), 3);
         assert_eq!(c.color_of(0.into()), Some(3));
-        c.unassign(0.into());
-        assert_eq!(c.color_of(0.into()), None);
     }
 
     #[test]
@@ -363,6 +354,20 @@ mod tests {
             }
         }
         assert_eq!(chromatic_number(&g), 2);
+    }
+
+    #[test]
+    fn wheel_chromatic_number_depends_on_cycle_parity() {
+        // Even rims are 2-chromatic, so the wheel needs 3 colors; odd rims
+        // are 3-chromatic, so the wheel needs 4.
+        for (rim, chi) in [(4usize, 3usize), (5, 4), (6, 3), (7, 4)] {
+            let mut wheel = cycle(rim);
+            let hub = wheel.add_vertex();
+            for i in 0..rim {
+                wheel.add_edge(hub, i.into());
+            }
+            assert_eq!(chromatic_number(&wheel), chi, "W_{rim}");
+        }
     }
 
     #[test]

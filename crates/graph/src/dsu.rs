@@ -125,11 +125,6 @@ impl DisjointSets {
         self.find(a) == self.find(b)
     }
 
-    /// Returns, for every element, the representative of its set.
-    pub fn to_mapping(&mut self) -> Vec<usize> {
-        (0..self.len()).map(|x| self.find(x)).collect()
-    }
-
     /// Groups elements by set; each group is sorted, groups are sorted by
     /// their smallest element.
     pub fn groups(&mut self) -> Vec<Vec<usize>> {
@@ -201,14 +196,5 @@ mod tests {
         assert_eq!(x, 1);
         assert_eq!(d.num_sets(), 2);
         assert!(!d.same_set(0, 1));
-    }
-
-    #[test]
-    fn mapping_is_consistent() {
-        let mut d = DisjointSets::new(4);
-        d.union(0, 3);
-        let m = d.to_mapping();
-        assert_eq!(m[0], m[3]);
-        assert_ne!(m[1], m[2]);
     }
 }

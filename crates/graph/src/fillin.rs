@@ -14,18 +14,12 @@
 //! edges until the graph is chordal.  Adding interference edges is always a
 //! *conservative* operation for register allocation — it can only constrain
 //! the coloring further — so a triangulation never produces an invalid
-//! allocation, it merely (potentially) wastes colors.  Two algorithms are
-//! provided:
-//!
-//! * [`elimination_game`] — triangulate along an arbitrary elimination
-//!   order (the classical "elimination game"); with a minimum-degree order
-//!   this is the textbook heuristic;
-//! * [`mcs_m`] — the MCS-M algorithm of Berry, Blair, Heggernes and Peyton,
-//!   which computes a **minimal** triangulation (no fill edge can be removed
-//!   while keeping the graph chordal) in `O(n·m)` time.
-//!
-//! Both return the fill edges separately from the triangulated graph so
-//! that callers can account for how much the chordalisation costs.
+//! allocation, it merely (potentially) wastes colors.  [`mcs_m`] is the
+//! MCS-M algorithm of Berry, Blair, Heggernes and Peyton, which computes a
+//! **minimal** triangulation (no fill edge can be removed while keeping the
+//! graph chordal) in `O(n·m)` time.  It returns the fill edges separately
+//! from the triangulated graph so that callers can account for how much the
+//! chordalisation costs.
 
 use crate::chordal;
 use crate::graph::{Graph, VertexId};
@@ -49,76 +43,6 @@ impl Triangulation {
     pub fn fill_in(&self) -> usize {
         self.fill_edges.len()
     }
-
-    /// `true` if the input graph was already chordal (no fill was needed).
-    pub fn was_chordal(&self) -> bool {
-        self.fill_edges.is_empty()
-    }
-}
-
-/// Triangulates `g` by playing the elimination game along `order`: each
-/// vertex, when eliminated, has its (remaining) neighborhood turned into a
-/// clique.
-///
-/// The resulting graph is always chordal and `order` reversed is a perfect
-/// elimination ordering of it, but the fill-in is generally not minimal —
-/// it depends entirely on the quality of `order`.
-///
-/// # Panics
-///
-/// Panics if `order` does not contain exactly the live vertices of `g`.
-pub fn elimination_game(g: &Graph, order: &[VertexId]) -> Triangulation {
-    let live: BTreeSet<VertexId> = g.vertices().collect();
-    let given: BTreeSet<VertexId> = order.iter().copied().collect();
-    assert_eq!(
-        live, given,
-        "elimination order must contain exactly the live vertices"
-    );
-
-    let mut work = g.clone();
-    let mut filled = g.clone();
-    let mut fill_edges = Vec::new();
-    for &v in order {
-        let neighbors: Vec<VertexId> = work.neighbors(v).collect();
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if !filled.has_edge(a, b) {
-                    filled.add_edge(a, b);
-                    work.add_edge(a, b);
-                    fill_edges.push(ordered(a, b));
-                }
-            }
-        }
-        work.remove_vertex(v);
-    }
-    Triangulation {
-        graph: filled,
-        fill_edges,
-        elimination_order: order.to_vec(),
-    }
-}
-
-/// Triangulates `g` along a minimum-degree elimination order (recomputed
-/// after each elimination).  A classical fill-reducing heuristic.
-pub fn min_degree_triangulation(g: &Graph) -> Triangulation {
-    let mut work = g.clone();
-    let mut order = Vec::with_capacity(g.num_vertices());
-    while work.num_vertices() > 0 {
-        let v = work
-            .vertices()
-            .min_by_key(|&v| (work.degree(v), v))
-            .expect("non-empty graph has a vertex");
-        order.push(v);
-        // Eliminate: clique-ify the neighborhood in the working graph.
-        let neighbors: Vec<VertexId> = work.neighbors(v).collect();
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                work.add_edge(a, b);
-            }
-        }
-        work.remove_vertex(v);
-    }
-    elimination_game(g, &order)
 }
 
 /// Computes a **minimal** triangulation of `g` with the MCS-M algorithm
@@ -149,8 +73,8 @@ pub fn mcs_m(g: &Graph) -> Triangulation {
     // MCS-M numbers vertices from n down to 1; the resulting vector, read
     // from the *last* numbered to the first, is a PEO of the filled graph.
     // We record vertices in the order they are numbered and reverse at the
-    // end so that `elimination_order` matches the convention of
-    // [`elimination_game`] (eliminate front first).
+    // end so that `elimination_order` lists the vertices in elimination
+    // order (eliminate front first).
     let mut numbering: Vec<VertexId> = Vec::with_capacity(g.num_vertices());
 
     let live: Vec<VertexId> = g.vertices().collect();
@@ -312,7 +236,6 @@ mod tests {
     fn chordal_input_needs_no_fill() {
         let g = Graph::with_edges(4, [(v(0), v(1)), (v(1), v(2)), (v(0), v(2)), (v(2), v(3))]);
         let tri = mcs_m(&g);
-        assert!(tri.was_chordal());
         assert_eq!(tri.fill_in(), 0);
         assert!(chordal::is_chordal(&tri.graph));
     }
@@ -365,23 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn elimination_game_matches_the_chosen_order() {
-        let g = cycle(5);
-        let order: Vec<VertexId> = (0..5).map(v).collect();
-        let tri = elimination_game(&g, &order);
-        assert!(chordal::is_chordal(&tri.graph));
-        // Eliminating a cycle in numeric order fills (2,4)... exact count is
-        // 2 for C5 regardless of order since the elimination game on a cycle
-        // adds exactly n - 3 chords.
-        assert_eq!(tri.fill_in(), 2);
-        for &(a, b) in &tri.fill_edges {
-            assert!(!g.has_edge(a, b));
-            assert!(tri.graph.has_edge(a, b));
-        }
-    }
-
-    #[test]
-    fn min_degree_triangulation_is_chordal_and_no_worse_than_naive_order_on_grids() {
+    fn mcs_m_fill_on_the_grid_is_minimal() {
         // 3x3 grid graph.
         let mut g = Graph::new(9);
         let at = |r: usize, c: usize| v(r * 3 + c);
@@ -395,13 +302,8 @@ mod tests {
                 }
             }
         }
-        let naive = elimination_game(&g, &(0..9).map(v).collect::<Vec<_>>());
-        let mindeg = min_degree_triangulation(&g);
         let minimal = mcs_m(&g);
-        assert!(chordal::is_chordal(&naive.graph));
-        assert!(chordal::is_chordal(&mindeg.graph));
         assert!(chordal::is_chordal(&minimal.graph));
-        assert!(mindeg.fill_in() <= naive.fill_in() + 2);
         assert!(is_minimal_triangulation(&g, &minimal));
     }
 
@@ -414,22 +316,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exactly the live vertices")]
-    fn elimination_game_rejects_incomplete_orders() {
-        let g = cycle(4);
-        let _ = elimination_game(&g, &[v(0), v(1)]);
-    }
-
-    #[test]
     fn fill_edges_never_duplicate_existing_edges() {
         let g = cycle(7);
-        for tri in [mcs_m(&g), min_degree_triangulation(&g)] {
-            for &(a, b) in &tri.fill_edges {
-                assert!(!g.has_edge(a, b), "fill edge ({a},{b}) already existed");
-            }
-            // No duplicates among fill edges either.
-            let set: BTreeSet<_> = tri.fill_edges.iter().copied().collect();
-            assert_eq!(set.len(), tri.fill_edges.len());
+        let tri = mcs_m(&g);
+        for &(a, b) in &tri.fill_edges {
+            assert!(!g.has_edge(a, b), "fill edge ({a},{b}) already existed");
         }
+        // No duplicates among fill edges either.
+        let set: BTreeSet<_> = tri.fill_edges.iter().copied().collect();
+        assert_eq!(set.len(), tri.fill_edges.len());
     }
 }

@@ -452,26 +452,9 @@ impl Graph {
         self.induced_subgraph(&keep)
     }
 
-    /// Returns `true` if every pair of distinct vertices in `verts` is adjacent.
-    pub fn is_clique(&self, verts: &[VertexId]) -> bool {
-        for (i, &u) in verts.iter().enumerate() {
-            for &v in &verts[i + 1..] {
-                if u == v || !self.has_edge(u, v) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Maximum degree over live vertices (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-
-    /// Minimum degree over live vertices (0 for an empty graph).
-    pub fn min_degree(&self) -> usize {
-        self.vertices().map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
     /// Returns the complement graph restricted to live vertices, using the
@@ -719,21 +702,6 @@ mod tests {
         let c = g.complement();
         assert_eq!(c.num_edges(), 1);
         assert!(c.has_edge(0.into(), 2.into()));
-    }
-
-    #[test]
-    fn clique_detection() {
-        let g = Graph::with_edges(
-            3,
-            [
-                (0.into(), 1.into()),
-                (1.into(), 2.into()),
-                (0.into(), 2.into()),
-            ],
-        );
-        assert!(g.is_clique(&[0.into(), 1.into(), 2.into()]));
-        let h = path(3);
-        assert!(!h.is_clique(&[0.into(), 1.into(), 2.into()]));
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! * they provide an alternative *simplicial elimination* order for coloring
 //!   chordal interference graphs (Theorem 1 / Property 1 of the paper);
 //! * the **last** vertex of a LexBFS sweep of a chordal graph is simplicial,
-//!   which gives a cheap way to peel chordal graphs;
-//! * running a second sweep from the last vertex of the first (LexBFS⁺) is
-//!   the building block of interval-graph recognition (see
-//!   [`crate::interval`]).
+//!   which gives a cheap way to peel chordal graphs.
 
 use crate::chordal;
 use crate::graph::{Graph, VertexId};
@@ -107,47 +104,6 @@ pub fn lexbfs_from(g: &Graph, start: Option<VertexId>) -> LexBfsOrder {
         order.push(v);
         let neighbors: BTreeSet<VertexId> = g.neighbors(v).collect();
         // Refine every remaining cell against N(v).
-        let mut refined: Vec<Vec<VertexId>> = Vec::with_capacity(cells.len() * 2);
-        for cell in cells.drain(..) {
-            let (inside, outside): (Vec<VertexId>, Vec<VertexId>) =
-                cell.into_iter().partition(|u| neighbors.contains(u));
-            if !inside.is_empty() {
-                refined.push(inside);
-            }
-            if !outside.is_empty() {
-                refined.push(outside);
-            }
-        }
-        cells = refined;
-    }
-
-    LexBfsOrder { order, position }
-}
-
-/// Runs the LexBFS⁺ sweep: a second LexBFS whose initial tie-break prefers
-/// vertices visited **later** by `previous`.
-///
-/// Multi-sweep LexBFS is the standard engine behind linear-time recognition
-/// of interval graphs and unit-interval graphs; [`crate::interval`] uses it
-/// as a heuristic seed before falling back to exact search.
-pub fn lexbfs_plus(g: &Graph, previous: &LexBfsOrder) -> LexBfsOrder {
-    // Same partition refinement, but cells are kept sorted by decreasing
-    // previous rank so that ties resolve to the latest-visited vertex.
-    let mut initial: Vec<VertexId> = g.vertices().collect();
-    initial.sort_by_key(|v| std::cmp::Reverse(previous.position[v.index()]));
-    let mut cells: Vec<Vec<VertexId>> = vec![initial];
-    let mut order = Vec::with_capacity(g.num_vertices());
-    let mut position = vec![usize::MAX; g.capacity()];
-
-    while let Some(front) = cells.first_mut() {
-        if front.is_empty() {
-            cells.remove(0);
-            continue;
-        }
-        let v = front.remove(0);
-        position[v.index()] = order.len();
-        order.push(v);
-        let neighbors: BTreeSet<VertexId> = g.neighbors(v).collect();
         let mut refined: Vec<Vec<VertexId>> = Vec::with_capacity(cells.len() * 2);
         for cell in cells.drain(..) {
             let (inside, outside): (Vec<VertexId>, Vec<VertexId>) =
@@ -310,16 +266,6 @@ mod tests {
             coloring.num_colors(),
             chordal::chordal_clique_number(&g).unwrap()
         );
-    }
-
-    #[test]
-    fn lexbfs_plus_prefers_late_vertices_of_the_first_sweep() {
-        let g = Graph::with_edges(4, [(v(0), v(1)), (v(1), v(2)), (v(2), v(3))]);
-        let first = lexbfs(&g);
-        let second = lexbfs_plus(&g, &first);
-        // The second sweep starts from the last vertex of the first sweep.
-        assert_eq!(second.order[0], *first.order.last().unwrap());
-        assert_eq!(second.order.len(), 4);
     }
 
     #[test]

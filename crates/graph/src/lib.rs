@@ -7,9 +7,12 @@
 //! * an undirected [`Graph`] type with efficient vertex **merging**
 //!   (contraction), the fundamental operation behind coalescing;
 //! * **chordality** testing via Maximum Cardinality Search and perfect
-//!   elimination orderings ([`chordal`]);
+//!   elimination orderings ([`chordal`]), with LexBFS ([`lexbfs`]) kept as
+//!   the independent oracle the tests compare against;
 //! * **clique trees** of chordal graphs ([`cliquetree`]), used by the
 //!   polynomial incremental-coalescing algorithm of Theorem 5;
+//! * **minimal triangulation** by MCS-M fill-in ([`fillin`]), which makes a
+//!   graph chordal again after a merge;
 //! * **greedy-k-colorability** (the Chaitin/Briggs simplification scheme)
 //!   and the coloring number `col(G)` ([`greedy`]);
 //! * graph **coloring** algorithms: greedy over an order, DSATUR, and
@@ -17,8 +20,9 @@
 //! * the pruned exact-decision engine behind the exponential queries
 //!   ([`solver`]): component decomposition, clique seeding, fresh-color
 //!   symmetry breaking and a transposition table, with instrumentation;
-//! * maximal-clique enumeration and exact maximum clique for small graphs
-//!   ([`cliques`]);
+//! * maximal-clique enumeration and the exact clique number for small
+//!   graphs ([`cliques`]);
+//! * the DIMACS `.col` and coalescing-challenge text formats ([`mod@format`]);
 //! * the **clique lifting** of Property 2 that transports NP-completeness
 //!   results from `k` registers to `k + p` registers ([`lift`]);
 //! * a small disjoint-set (union-find) utility ([`dsu`]) used to track which
@@ -53,13 +57,11 @@ pub mod fillin;
 pub mod format;
 pub mod graph;
 pub mod greedy;
-pub mod interval;
 pub mod lexbfs;
 pub mod lift;
 pub mod solver;
-pub mod stats;
 
 pub use coloring::Coloring;
 pub use dsu::DisjointSets;
 pub use graph::{Graph, VertexId};
-pub use solver::{ExactSolver, SolverConfig, SolverStats};
+pub use solver::{ExactSolver, SolverStats};

@@ -39,34 +39,10 @@ use crate::coloring::Coloring;
 use crate::graph::{Graph, VertexId};
 use std::collections::HashSet;
 
-/// Tuning knobs of the [`ExactSolver`].  The defaults enable every
-/// pruning; individual knobs exist so tests can cross-validate the
-/// prunings against each other and benchmarks can measure their effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverConfig {
-    /// Color connected components independently (on by default).
-    pub decompose_components: bool,
-    /// Grow a maximal clique per component for lower-bound pruning and
-    /// seed the search with it (on by default).
-    pub clique_seeding: bool,
-    /// Memoize failed canonical partial assignments (on by default).
-    pub memoize: bool,
-    /// Maximum number of memoized dead ends kept per query; once the
-    /// table is full, further dead ends are no longer recorded (lookups
-    /// continue).  Bounds memory on adversarial instances.
-    pub memo_capacity: usize,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            decompose_components: true,
-            clique_seeding: true,
-            memoize: true,
-            memo_capacity: 1 << 20,
-        }
-    }
-}
+/// Maximum number of memoized dead ends kept per component search; once
+/// the table is full, further dead ends are no longer recorded (lookups
+/// continue).  Bounds memory on adversarial instances.
+const MEMO_CAPACITY: usize = 1 << 20;
 
 /// Instrumentation counters accumulated over the queries run by one
 /// [`ExactSolver`].  `reset` with [`ExactSolver::take_stats`].
@@ -117,27 +93,13 @@ impl SolverStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ExactSolver {
-    config: SolverConfig,
     stats: SolverStats,
 }
 
 impl ExactSolver {
-    /// Creates a solver with the default (fully pruned) configuration.
+    /// Creates a solver with zeroed counters.
     pub fn new() -> Self {
         ExactSolver::default()
-    }
-
-    /// Creates a solver with an explicit configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
-        ExactSolver {
-            config,
-            stats: SolverStats::default(),
-        }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
     }
 
     /// The counters accumulated since construction or the last
@@ -222,7 +184,7 @@ impl ExactSolver {
     }
 
     /// Colors a dense graph (identifiers `0..n`, no retired vertices),
-    /// decomposing into connected components when enabled.
+    /// one connected component at a time.
     fn solve_dense(&mut self, dense: &Graph, k: usize) -> Option<Coloring> {
         let n = dense.num_vertices();
         if n == 0 {
@@ -246,12 +208,7 @@ impl ExactSolver {
     fn solve_dense_inner(&mut self, dense: &Graph, k: usize) -> Option<Coloring> {
         let n = dense.num_vertices();
         let mut coloring = Coloring::new(n);
-        let components = if self.config.decompose_components {
-            dense.connected_components()
-        } else {
-            vec![dense.vertices().collect()]
-        };
-        for comp in components {
+        for comp in dense.connected_components() {
             // Component-local dense subgraph; `locals[i]` is the dense id
             // of local vertex `i`.
             let keep = comp.iter().copied().collect();
@@ -274,19 +231,16 @@ impl ExactSolver {
         }
         let adj = dense_adjacency(sub);
 
-        let mut colors: Vec<Option<u32>> = vec![None; n];
-        let mut assigned = 0usize;
-        if self.config.clique_seeding {
-            let clique = greedy_clique(&adj);
-            if clique.len() > k {
-                self.stats.clique_prunes += 1;
-                return None;
-            }
-            for (c, &v) in clique.iter().enumerate() {
-                colors[v] = Some(c as u32);
-                assigned += 1;
-            }
+        let clique = greedy_clique(&adj);
+        if clique.len() > k {
+            self.stats.clique_prunes += 1;
+            return None;
         }
+        let mut colors: Vec<Option<u32>> = vec![None; n];
+        for (c, &v) in clique.iter().enumerate() {
+            colors[v] = Some(c as u32);
+        }
+        let assigned = clique.len();
 
         // Register the seed assignment in the counters before the search
         // takes ownership of them.
@@ -315,7 +269,6 @@ impl ExactSolver {
             sat_count,
             color_usage,
             memo: HashSet::new(),
-            config: self.config,
             stats: SolverStats::default(),
         };
         let ok = search.backtrack(assigned);
@@ -350,13 +303,11 @@ fn greedy_clique(adj: &[Vec<u32>]) -> Vec<usize> {
     let n = adj.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(adj[v].len()), v));
-    let mut in_clique = vec![false; n];
     let mut clique: Vec<usize> = Vec::new();
     // adjacent_count[v] = members of the clique adjacent to v.
     let mut adjacent_count = vec![0usize; n];
     for v in order {
         if adjacent_count[v] == clique.len() {
-            in_clique[v] = true;
             clique.push(v);
             for &u in &adj[v] {
                 adjacent_count[u as usize] += 1;
@@ -375,7 +326,6 @@ struct Search<'a> {
     sat_count: Vec<u32>,
     color_usage: Vec<u32>,
     memo: HashSet<Box<[u64]>>,
-    config: SolverConfig,
     stats: SolverStats,
 }
 
@@ -446,7 +396,7 @@ impl Search<'_> {
         }
         self.stats.nodes_expanded += 1;
 
-        let memo_key = if self.config.memoize && assigned > 0 {
+        let memo_key = if assigned > 0 {
             let key = self.canonical_key();
             if self.memo.contains(&key) {
                 self.stats.memo_hits += 1;
@@ -508,7 +458,7 @@ impl Search<'_> {
         }
 
         if let Some(key) = memo_key {
-            if self.memo.len() < self.config.memo_capacity {
+            if self.memo.len() < MEMO_CAPACITY {
                 self.memo.insert(key);
                 self.stats.memo_entries += 1;
             }
@@ -666,43 +616,18 @@ mod tests {
 
     #[test]
     fn random_graphs_agree_with_the_oracle_for_every_config() {
-        let configs = [
-            SolverConfig::default(),
-            SolverConfig {
-                decompose_components: false,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                clique_seeding: false,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                memoize: false,
-                ..SolverConfig::default()
-            },
-            SolverConfig {
-                decompose_components: false,
-                clique_seeding: false,
-                memoize: false,
-                memo_capacity: 0,
-            },
-        ];
         for seed in 0..40u64 {
             let n = 4 + (seed % 6) as usize;
             let g = scrambled_graph(n, 30 + (seed % 5) * 15, seed);
             for k in 1..=4usize {
-                let expected = oracle_k_coloring(&g, k);
-                for config in configs {
-                    let mut s = ExactSolver::with_config(config);
-                    let got = s.k_coloring(&g, k, &[]);
-                    assert_eq!(
-                        got.is_some(),
-                        expected,
-                        "seed {seed} n {n} k {k} config {config:?}"
-                    );
-                    if let Some(c) = got {
-                        assert!(c.is_proper(&g));
-                    }
+                let got = ExactSolver::new().k_coloring(&g, k, &[]);
+                assert_eq!(
+                    got.is_some(),
+                    oracle_k_coloring(&g, k),
+                    "seed {seed} n {n} k {k}"
+                );
+                if let Some(c) = got {
+                    assert!(c.is_proper(&g));
                 }
             }
         }
@@ -757,18 +682,6 @@ mod tests {
         let mut memoized = ExactSolver::new();
         assert!(!memoized.is_k_colorable(&g, 4));
         assert!(memoized.stats().memo_hits > 0, "{:?}", memoized.stats());
-
-        let mut plain = ExactSolver::with_config(SolverConfig {
-            memoize: false,
-            ..SolverConfig::default()
-        });
-        assert!(!plain.is_k_colorable(&g, 4));
-        assert!(
-            memoized.stats().nodes_expanded <= plain.stats().nodes_expanded,
-            "memoization must not expand more nodes ({} vs {})",
-            memoized.stats().nodes_expanded,
-            plain.stats().nodes_expanded
-        );
     }
 
     #[test]

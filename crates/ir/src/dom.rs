@@ -76,16 +76,6 @@ impl DominatorTree {
         }
     }
 
-    /// Immediate dominator of `b` (`None` for the entry block and for
-    /// unreachable blocks).
-    pub fn immediate_dominator(&self, b: BlockId) -> Option<BlockId> {
-        if b == self.entry {
-            None
-        } else {
-            self.idom[b.index()]
-        }
-    }
-
     /// Returns `true` if `a` dominates `b` (every block dominates itself).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if self.idom[b.index()].is_none() {
@@ -185,11 +175,11 @@ mod tests {
     fn idoms_of_diamond() {
         let (f, [entry, then_, else_, join, exit]) = diamond_with_exit();
         let dom = DominatorTree::compute(&f);
-        assert_eq!(dom.immediate_dominator(entry), None);
-        assert_eq!(dom.immediate_dominator(then_), Some(entry));
-        assert_eq!(dom.immediate_dominator(else_), Some(entry));
-        assert_eq!(dom.immediate_dominator(join), Some(entry));
-        assert_eq!(dom.immediate_dominator(exit), Some(join));
+        assert_eq!(dom.idom[entry.index()], Some(entry));
+        assert_eq!(dom.idom[then_.index()], Some(entry));
+        assert_eq!(dom.idom[else_.index()], Some(entry));
+        assert_eq!(dom.idom[join.index()], Some(entry));
+        assert_eq!(dom.idom[exit.index()], Some(join));
     }
 
     #[test]
@@ -228,8 +218,8 @@ mod tests {
         b.ret(exit, &[]);
         let f = b.finish();
         let dom = DominatorTree::compute(&f);
-        assert_eq!(dom.immediate_dominator(body), Some(header));
-        assert_eq!(dom.immediate_dominator(exit), Some(header));
+        assert_eq!(dom.idom[body.index()], Some(header));
+        assert_eq!(dom.idom[exit.index()], Some(header));
         // The loop body's dominance frontier contains the header.
         let df = dom.dominance_frontiers(&f);
         assert!(df[body.index()].contains(&header));
@@ -247,7 +237,7 @@ mod tests {
         let dom = DominatorTree::compute(&f);
         assert!(!dom.is_reachable(dead));
         assert!(dom.is_reachable(entry));
-        assert_eq!(dom.immediate_dominator(dead), None);
+        assert_eq!(dom.idom[dead.index()], None);
     }
 
     #[test]

@@ -364,11 +364,6 @@ impl Liveness {
         self.live_in[b.index()].contains(v)
     }
 
-    /// Returns `true` if variable `v` is live at the exit of block `b`.
-    pub fn is_live_out(&self, b: BlockId, v: Var) -> bool {
-        self.live_out[b.index()].contains(v)
-    }
-
     /// Patches the solution in place after a spill-everywhere rewrite of
     /// `victim` ([`crate::spill::spill_everywhere`]), instead of re-running
     /// the whole fixpoint.  The patch is **exact**:
@@ -492,11 +487,11 @@ mod tests {
         b.ret(j, &[w]);
         let f = b.finish();
         let live = Liveness::compute(&f);
-        assert!(live.is_live_out(entry, x));
+        assert!(live.live_out(entry).contains(x));
         assert!(live.is_live_in(t, x));
         assert!(live.is_live_in(e, x));
         // y is live out of `t` (φ use), but not live into `j` (φ handles it).
-        assert!(live.is_live_out(t, y));
+        assert!(live.live_out(t).contains(y));
         assert!(!live.is_live_in(j, y));
         assert!(!live.is_live_in(j, w));
     }
@@ -527,11 +522,11 @@ mod tests {
         let live = Liveness::compute(&f);
         // The branch condition is live around the whole loop.
         assert!(live.is_live_in(header, c));
-        assert!(live.is_live_out(body, c));
+        assert!(live.live_out(body).contains(c));
         // The φ result is live through the body and out of the loop.
         assert!(live.is_live_in(body, iphi));
         assert!(live.is_live_in(exit, iphi));
-        assert!(live.is_live_out(body, i1));
+        assert!(live.live_out(body).contains(i1));
         assert!(live.maxlive_precise(&f) >= 2);
     }
 
@@ -546,8 +541,8 @@ mod tests {
         b.ret(next, &[x]);
         let f = b.finish();
         let live = Liveness::compute(&f);
-        assert!(live.is_live_out(entry, x));
-        assert!(!live.is_live_out(entry, d));
+        assert!(live.live_out(entry).contains(x));
+        assert!(!live.live_out(entry).contains(d));
         assert!(!live.is_live_in(next, d));
     }
 

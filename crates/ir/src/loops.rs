@@ -127,14 +127,6 @@ impl LoopInfo {
         self.depth[b.index()]
     }
 
-    /// The innermost loop containing `b`, if any (the smallest loop body).
-    pub fn innermost_loop(&self, b: BlockId) -> Option<&NaturalLoop> {
-        self.loops
-            .iter()
-            .filter(|l| l.contains(b))
-            .min_by_key(|l| l.len())
-    }
-
     /// Number of detected loops.
     pub fn num_loops(&self) -> usize {
         self.loops.len()
@@ -263,8 +255,10 @@ mod tests {
         assert_eq!(info.depth_of(b2), 2);
         assert_eq!(info.depth_of(l1), 1);
         assert_eq!(info.depth_of(exit), 0);
-        let inner = info.innermost_loop(b2).unwrap();
-        assert_eq!(inner.header, h2);
+        let outer = info.loops.iter().find(|l| l.header == h1).unwrap();
+        let inner = info.loops.iter().find(|l| l.header == h2).unwrap();
+        assert!(inner.contains(b2));
+        assert!(inner.body.is_subset(&outer.body) && inner.len() < outer.len());
     }
 
     #[test]
@@ -276,7 +270,7 @@ mod tests {
         let f = b.finish();
         let info = LoopInfo::compute(&f);
         assert_eq!(info.num_loops(), 0);
-        assert!(info.innermost_loop(entry).is_none());
+        assert_eq!(info.depth_of(entry), 0);
     }
 
     #[test]

@@ -196,12 +196,6 @@ impl Server {
         self.shared.panics_isolated.load(Ordering::Relaxed)
     }
 
-    /// Live worker threads (a finished/joined handle means a dead worker;
-    /// the zero-worker-death invariant checks this stays constant).
-    pub fn live_workers(&self) -> usize {
-        self.workers.iter().filter(|h| !h.is_finished()).count()
-    }
-
     /// Drains the queue and joins every worker.  Queued requests are
     /// still served; new submissions are rejected as overloaded.  The
     /// returned summary is read *after* the join, so it covers every
@@ -308,6 +302,12 @@ mod tests {
         )
     }
 
+    /// Worker threads still running (a finished handle means a dead
+    /// worker).
+    fn live_workers(server: &Server) -> usize {
+        server.workers.iter().filter(|h| !h.is_finished()).count()
+    }
+
     #[test]
     fn serves_and_shuts_down_cleanly() {
         let server = chaos_server(2, 8);
@@ -316,7 +316,7 @@ mod tests {
         );
         assert_eq!(resp.status(), "ok");
         assert_eq!(server.served(), 1);
-        assert_eq!(server.live_workers(), 2);
+        assert_eq!(live_workers(&server), 2);
         server.shutdown();
     }
 
@@ -342,7 +342,7 @@ mod tests {
         let resp =
             server.execute_blocking(r#"{"id":14,"kind":"dimacs","text":"p edge 2 1\ne 1 2\n"}"#);
         assert_eq!(resp.status(), "ok");
-        assert_eq!(server.live_workers(), 2, "no worker died");
+        assert_eq!(live_workers(&server), 2, "no worker died");
         server.shutdown();
     }
 

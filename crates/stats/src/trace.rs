@@ -113,11 +113,6 @@ pub fn take_events() -> Vec<TraceEvent> {
         .unwrap_or_default()
 }
 
-/// Test hook: the open-span nesting depth on this thread.
-pub fn span_depth() -> usize {
-    SPAN_DEPTH.with(Cell::get)
-}
-
 /// Renders events as chrome "trace event format" JSON — the file
 /// `--trace-out` writes, loadable by chrome://tracing and Perfetto.
 /// Every span is a complete event (`"ph":"X"`) under `pid` 1 with the
@@ -178,6 +173,11 @@ pub fn summary_lines(events: &[TraceEvent]) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::with_level;
+
+    /// The open-span nesting depth on this thread.
+    fn span_depth() -> usize {
+        SPAN_DEPTH.with(Cell::get)
+    }
 
     #[test]
     fn spans_are_inactive_below_trace_level() {

@@ -15,7 +15,7 @@ use coalesce_core::conservative::{conservative_coalesce, ConservativeRule};
 use coalesce_core::optimistic::optimistic_coalesce;
 use coalesce_gen::challenge::{challenge_instance, ChallengeParams};
 use coalesce_graph::format::{from_challenge, to_challenge, ChallengeFile};
-use coalesce_graph::stats::GraphStats;
+use coalesce_graph::{chordal, greedy};
 
 fn main() {
     let params = ChallengeParams::default();
@@ -53,7 +53,13 @@ fn main() {
     let ag = AffinityGraph::new(parsed.graph.clone(), affinities);
     let k = parsed.registers.expect("the writer recorded k");
 
-    println!("structure: {}", GraphStats::compute(&ag.graph, 24));
+    println!(
+        "structure: {} vertices, {} edges, chordal: {}, col(G) = {}, k = {k}",
+        ag.graph.num_vertices(),
+        ag.graph.num_edges(),
+        chordal::is_chordal(&ag.graph),
+        greedy::coloring_number(&ag.graph)
+    );
 
     // Run the strategies on the parsed copy.
     for rule in [

@@ -745,7 +745,9 @@ proptest! {
         // Every clique really is a clique, and the tree is junction-valid.
         for clique in &new {
             let members: Vec<VertexId> = clique.iter().copied().collect();
-            prop_assert!(g.is_clique(&members));
+            for (i, &u) in members.iter().enumerate() {
+                prop_assert!(members[i + 1..].iter().all(|&v| g.has_edge(u, v)));
+            }
         }
         let tree = CliqueTree::build(&g).expect("interval graphs are chordal");
         prop_assert_eq!(tree.num_nodes(), new.len());

@@ -1,16 +1,14 @@
 //! Property-based tests for the graph-substrate extensions: LexBFS,
-//! minimal triangulation, interval models, file formats and the
-//! Theorem-5-guided chordal coalescing strategy.
+//! minimal triangulation, file formats and the Theorem-5-guided chordal
+//! coalescing strategy.
 
 use coalesce_core::affinity::{Affinity, AffinityGraph};
 use coalesce_core::chordal_strategy::{
     chordal_conservative_coalesce, result_is_k_colorable, ChordalMode,
 };
-use coalesce_gen::{families, graphs};
+use coalesce_gen::graphs;
 use coalesce_graph::format::{from_challenge, to_challenge, to_dimacs, ChallengeFile};
-use coalesce_graph::{
-    chordal, cliques, coloring, fillin, format, interval, lexbfs, stats, Graph, VertexId,
-};
+use coalesce_graph::{chordal, cliques, coloring, fillin, format, greedy, lexbfs, Graph, VertexId};
 use proptest::prelude::*;
 
 fn arbitrary_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -102,37 +100,6 @@ proptest! {
     }
 
     #[test]
-    fn interval_models_realise_their_own_intersection_graphs(
-        spans in proptest::collection::vec((0usize..20, 0usize..6), 1..8)
-    ) {
-        let model = interval::IntervalModel::new(
-            spans.len(),
-            spans.iter().enumerate().map(|(i, &(s, len))| (VertexId::new(i), s, s + len)),
-        );
-        let g = model.to_graph();
-        prop_assert!(model.is_model_of(&g));
-        prop_assert!(interval::is_interval_graph(&g));
-        let recovered = interval::interval_model(&g).expect("interval graph has a model");
-        prop_assert!(recovered.is_model_of(&g));
-        prop_assert_eq!(model.max_overlap(), cliques::clique_number(&g));
-    }
-
-    #[test]
-    fn graph_stats_are_internally_consistent(g in arbitrary_graph(9)) {
-        let st = stats::GraphStats::compute(&g, 16);
-        prop_assert_eq!(st.vertices, g.num_vertices());
-        prop_assert_eq!(st.edges, g.num_edges());
-        prop_assert!(st.min_degree <= st.max_degree);
-        prop_assert!(st.clique_number <= st.vertices.max(1));
-        // col(G) is an upper bound on χ(G) which is at least ω(G).
-        if st.clique_bound_is_exact() {
-            prop_assert!(st.coloring_number() >= st.clique_number);
-        }
-        let hist = stats::degree_histogram(&g);
-        prop_assert_eq!(hist.iter().sum::<usize>(), g.num_vertices());
-    }
-
-    #[test]
     fn chordal_strategy_outputs_are_k_colorable_on_random_interval_graphs(
         seed in 0u64..500,
         n in 4usize..12,
@@ -163,18 +130,47 @@ proptest! {
 
 #[test]
 fn named_families_expose_the_expected_structure_to_the_strategies() {
-    // The interval staircase is the "easy" chordal case: every strategy can
-    // run on it and the coloring number equals the clique number.
-    let g = families::interval_staircase(20, 3);
-    let st = stats::GraphStats::compute(&g, 32);
-    assert!(st.chordal);
-    assert!(st.interval);
-    assert_eq!(st.coloring_number(), st.clique_number);
+    // The interval staircase (each of 20 unit intervals overlapping the next
+    // 3) is the "easy" chordal case: every strategy can run on it and the
+    // coloring number equals the clique number.
+    let mut g = Graph::new(20);
+    for i in 0..20usize {
+        for j in i + 1..(i + 4).min(20) {
+            g.add_edge(i.into(), j.into());
+        }
+    }
+    assert!(chordal::is_chordal(&g));
+    assert_eq!(cliques::clique_number(&g), 4);
+    assert_eq!(greedy::coloring_number(&g), 4);
 
-    // The Mycielski graph is the adversarial case: clique number 2, growing
-    // chromatic number — greedy reasoning about colors is maximally wrong.
-    let m4 = families::mycielski(4);
+    // The Mycielski graph M4 (the Grötzsch graph) is the adversarial case:
+    // clique number 2, chromatic number 4 — greedy reasoning about colors
+    // is maximally wrong.
+    let m4 = mycielski(4);
+    assert_eq!(m4.num_vertices(), 11);
     assert_eq!(cliques::clique_number(&m4), 2);
     assert_eq!(coloring::chromatic_number(&m4), 4);
     assert!(!chordal::is_chordal(&m4));
+}
+
+/// The Mycielski graph `M_i`: `M_2 = K_2`, and each step adds a shadow of
+/// every vertex (adjacent to that vertex's neighbors) plus an apex adjacent
+/// to every shadow.  Triangle-free with chromatic number `i`.
+fn mycielski(i: usize) -> Graph {
+    let mut g = Graph::with_edges(2, [(0.into(), 1.into())]);
+    for _ in 2..i {
+        let n = g.capacity();
+        let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+        let mut next = Graph::new(2 * n + 1);
+        for (u, v) in edges {
+            next.add_edge(u, v);
+            next.add_edge(VertexId::new(n + u.index()), v);
+            next.add_edge(u, VertexId::new(n + v.index()));
+        }
+        for s in n..2 * n {
+            next.add_edge(VertexId::new(2 * n), VertexId::new(s));
+        }
+        g = next;
+    }
+    g
 }

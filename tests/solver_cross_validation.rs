@@ -3,13 +3,13 @@
 //!
 //! The fast [`ExactSolver`] (component decomposition, clique seeding,
 //! symmetry breaking, transposition table) must be *provably equivalent*
-//! to the naive backtracker it replaced: on random small graphs every
-//! configuration of the solver must return the same yes/no answer as a
-//! verbatim copy of the seed's brute force, and on chordal instances the
+//! to the naive backtracker it replaced: on random small graphs the
+//! solver must return the same yes/no answer as a verbatim copy of the
+//! seed's brute force, and on chordal instances the
 //! polynomial Theorem 5 algorithm must agree with the exact engine.
 
 use coalesce_core::incremental::{chordal_incremental, incremental_exact, ChordalIncremental};
-use coalesce_graph::solver::{ExactSolver, SolverConfig};
+use coalesce_graph::solver::ExactSolver;
 use coalesce_graph::{chordal, coloring, Graph, VertexId};
 use proptest::prelude::*;
 
@@ -57,32 +57,6 @@ fn oracle_same_color_k_colorable(g: &Graph, k: usize, x: VertexId, y: VertexId) 
     oracle_is_k_colorable(&merged, k)
 }
 
-/// Every pruning configuration worth cross-validating, including the
-/// fully-disabled one (which is the seed algorithm modulo vertex order).
-fn solver_configs() -> Vec<SolverConfig> {
-    vec![
-        SolverConfig::default(),
-        SolverConfig {
-            decompose_components: false,
-            ..SolverConfig::default()
-        },
-        SolverConfig {
-            clique_seeding: false,
-            ..SolverConfig::default()
-        },
-        SolverConfig {
-            memoize: false,
-            ..SolverConfig::default()
-        },
-        SolverConfig {
-            decompose_components: false,
-            clique_seeding: false,
-            memoize: false,
-            memo_capacity: 0,
-        },
-    ]
-}
-
 /// Strategy: a random undirected graph on `n ≤ 9` vertices given as an
 /// edge bitmask over the C(9, 2) = 36 possible edges.
 fn arbitrary_graph() -> impl Strategy<Value = Graph> {
@@ -124,25 +98,20 @@ fn arbitrary_interval_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Plain k-colorability: every solver configuration equals the seed
-    /// brute force, and returned witnesses are proper.
+    /// Plain k-colorability: the solver equals the seed brute force, and
+    /// returned witnesses are proper.
     #[test]
     fn solver_matches_oracle_on_random_graphs(g in arbitrary_graph(), k in 1usize..5) {
-        let expected = oracle_is_k_colorable(&g, k);
-        for config in solver_configs() {
-            let mut solver = ExactSolver::with_config(config);
-            let witness = solver.k_coloring(&g, k, &[]);
-            prop_assert_eq!(
-                witness.is_some(),
-                expected,
-                "config {:?} on {:?} with k = {}",
-                config,
-                g,
-                k
-            );
-            if let Some(c) = witness {
-                prop_assert!(c.is_proper(&g));
-            }
+        let witness = ExactSolver::new().k_coloring(&g, k, &[]);
+        prop_assert_eq!(
+            witness.is_some(),
+            oracle_is_k_colorable(&g, k),
+            "{:?} with k = {}",
+            g,
+            k
+        );
+        if let Some(c) = witness {
+            prop_assert!(c.is_proper(&g));
         }
     }
 

@@ -35,7 +35,7 @@ fn every_allocator_kind_yields_a_valid_assignment_on_a_fixed_seed_program() {
 /// fixed seeds.
 #[test]
 fn e1_min_multiway_cut_equals_exact_aggressive_uncoalesced_on_three_seeds() {
-    for row in reductions::e1_rows(0, 3) {
+    for row in reductions::e1_rows_with_jobs(0, 3, 1) {
         assert_eq!(
             row.min_cut, row.exact_uncoalesced,
             "seed {}: Theorem 2 equivalence violated",
