@@ -1,6 +1,6 @@
 //! E16 — whole-module parallel allocation over the flat IR.
 //!
-//! The flat-arena IR of PR 6 exists so that allocator-scale workloads are
+//! The compact IR exists so that allocator-scale workloads are
 //! *modules*, not single functions: a [`coalesce_gen::module`] translation
 //! unit of 1000 functions (profile × pressure × size drawn per function
 //! from one seeded mix) is generated, analysed and spilled to a tight `k`,
@@ -50,7 +50,7 @@ pub struct E16FnStats {
     pub pressure: PressureLevel,
     /// Instructions (φs and bodies, terminators excluded).
     pub instrs: usize,
-    /// Arena footprint of the function in bytes ([`ir_bytes`]).
+    /// Layout footprint of the function in bytes ([`ir_bytes`]).
     ///
     /// [`ir_bytes`]: coalesce_ir::Function::ir_bytes
     pub ir_bytes: usize,
@@ -112,7 +112,7 @@ pub struct E16Row {
     pub functions: usize,
     /// Total instructions.
     pub instrs: usize,
-    /// Total arena bytes.
+    /// Total layout bytes.
     pub ir_bytes: usize,
     /// Total basic blocks.
     pub blocks: usize,
@@ -144,7 +144,7 @@ impl E16Row {
         self.counters.merge(&s.counters);
     }
 
-    /// Arena bytes per instruction × 100 (fixed-point, two decimals), so
+    /// Layout bytes per instruction × 100 (fixed-point, two decimals), so
     /// the footprint rides in the report without float formatting.
     pub fn bytes_per_instr_x100(&self) -> u64 {
         if self.instrs == 0 {

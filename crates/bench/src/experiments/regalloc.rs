@@ -84,7 +84,7 @@ pub struct E13Row {
     pub vars: usize,
     /// φ-functions of the program.
     pub phis: usize,
-    /// Arena footprint of the program in bytes
+    /// Layout footprint of the program in bytes
     /// ([`Function::ir_bytes`]).
     pub ir_bytes: usize,
     /// Natural loops detected in the CFG.

@@ -143,7 +143,7 @@ pub struct E15CfgRow {
     pub vars: usize,
     /// φ-functions of the program.
     pub phis: usize,
-    /// Arena footprint of the program in bytes
+    /// Layout footprint of the program in bytes
     /// ([`Function::ir_bytes`]).
     pub ir_bytes: usize,
     /// The program is strict SSA.

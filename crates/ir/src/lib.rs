@@ -4,9 +4,9 @@
 //! from programs, in particular from programs in strict SSA form.  This
 //! crate is the compiler substrate of the reproduction:
 //!
-//! * [`function`]: control-flow graphs of basic blocks of instructions in a
-//!   flat arena layout (u32 handles, shared operand pools, blocks as order
-//!   ranges), with a builder API and a textual printer;
+//! * [`function`]: control-flow graphs of basic blocks that own their
+//!   16-byte instruction records (operands in shared pools), with a
+//!   builder API and a textual printer;
 //! * [`dom`]: dominator trees and dominance frontiers (Cooper–Harvey–Kennedy);
 //! * [`ssa`]: SSA construction (φ placement at dominance frontiers and
 //!   variable renaming) and strictness/SSA validation;
@@ -67,7 +67,7 @@ pub mod spill;
 pub mod splitting;
 pub mod ssa;
 
-pub use function::{BlockId, Function, FunctionBuilder, Instr, InstrId, InstrView, PhiArg, Var};
+pub use function::{BlockId, Function, FunctionBuilder, Instr, InstrView, PhiArg, Var};
 pub use interference::{Affinity, InterferenceGraph};
 pub use liveness::{Liveness, VarSet};
 pub use loops::LoopInfo;

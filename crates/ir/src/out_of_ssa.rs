@@ -142,7 +142,7 @@ pub fn destruct_ssa(f: &mut Function) -> OutOfSsaStats {
             }
         }
         stats.phis_removed += phis.len();
-        // Remove the φs from the block (in place, no order-array growth).
+        // Remove the φs from the block in place.
         f.remove_phis(b);
     }
 

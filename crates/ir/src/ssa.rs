@@ -3,13 +3,15 @@
 //! [`construct_ssa`] rewrites a function with arbitrary (multiply-defined)
 //! variables into strict SSA form using the classical Cytron et al.
 //! algorithm: φ-functions are placed at the iterated dominance frontier of
-//! every variable's definition blocks, then variables are renamed along the
-//! dominator tree.  [`is_ssa`] and [`is_strict`] check the two defining
+//! every variable's definition blocks, pruned to the blocks where the
+//! variable is live-in, then variables are renamed along the dominator
+//! tree.  [`is_ssa`] and [`is_strict`] check the two defining
 //! properties of strict SSA that Theorem 1 relies on: unique textual
 //! definitions, and definitions dominating uses.
 
 use crate::dom::DominatorTree;
 use crate::function::{BlockId, Function, Instr, InstrView, Var};
+use crate::liveness::Liveness;
 use std::collections::BTreeSet;
 
 /// Returns `true` if every variable of `f` has at most one definition.
@@ -91,14 +93,18 @@ pub fn is_strict(f: &Function) -> bool {
 
 /// Converts `f` into strict SSA form.
 ///
-/// Variables that are already singly-defined and only used in their defining
-/// block are left untouched; all others get φ-functions at their iterated
-/// dominance frontier and fresh names per definition.
+/// Singly-defined variables are left untouched; every other variable gets
+/// fresh names per definition and φ-functions at the blocks of its
+/// iterated dominance frontier where it is live-in (pruned SSA: a dead φ
+/// would need an argument from a predecessor the variable may not reach).
 ///
 /// # Panics
 ///
 /// Panics if a reachable use has no reaching definition on some path (the
-/// input must be a *strict* program in the paper's sense).
+/// input must be a *strict* program in the paper's sense).  A variable
+/// that is dead where its definitions meet, such as one a lowered function
+/// defines only inside a loop, gets no φ there and needs no definition
+/// before the loop.
 pub fn construct_ssa(f: &Function) -> Function {
     let mut out = f.clone();
     let dom = DominatorTree::compute(&out);
@@ -118,11 +124,13 @@ pub fn construct_ssa(f: &Function) -> Function {
     // definition (even within a single block).
     let needs_rename: Vec<bool> = def_count.iter().map(|&c| c > 1).collect();
 
-    // 2. Place φ-functions at iterated dominance frontiers, defining the
-    // *original* variable for now (renaming replaces both the def and the
-    // args).  Each block's φs are appended to its φ-group in placement
-    // order, with one splice per block.
+    // 2. Place φ-functions at iterated dominance frontiers where the
+    // variable is live-in, defining the *original* variable for now
+    // (renaming replaces both the def and the args).  Each block's φs are
+    // appended to its φ-group in placement order, with one splice per
+    // block.
     let frontiers = dom.dominance_frontiers(&out);
+    let live = Liveness::compute(f);
     let mut placed: Vec<Vec<(usize, Instr)>> = vec![Vec::new(); out.num_blocks()];
     for (v, blocks) in def_blocks.iter().enumerate() {
         if blocks.len() <= 1 {
@@ -131,12 +139,12 @@ pub fn construct_ssa(f: &Function) -> Function {
             // program).
             continue;
         }
+        let var = Var::new(v);
         let mut work: Vec<BlockId> = blocks.iter().copied().collect();
         let mut has_phi: BTreeSet<BlockId> = BTreeSet::new();
         while let Some(b) = work.pop() {
             for &y in &frontiers[b.index()] {
-                if has_phi.insert(y) {
-                    let var = Var::new(v);
+                if has_phi.insert(y) && live.is_live_in(y, var) {
                     let args: Vec<(BlockId, Var)> =
                         preds[y.index()].iter().map(|&p| (p, var)).collect();
                     let pos = out.num_phis_in(y);

@@ -27,8 +27,7 @@ const BOUNDARIES_INTERFERENCE_INSTRS: usize = 20_000;
 /// boundaries level.
 const BOUNDARIES_TRANSFER_BLOCKS: usize = 256;
 
-/// The full suite, in audit order (CFG first — `verify` aborts on arena
-/// corruption before later checkers touch the instruction stream).
+/// The full suite, in audit order.
 pub fn standard_suite() -> [&'static dyn Verifier; 8] {
     [
         &CfgChecker,
@@ -92,8 +91,7 @@ fn as_btree(set: &coalesce_ir::VarSet) -> BTreeSet<Var> {
 // CFG well-formedness.
 // ---------------------------------------------------------------------
 
-/// Entry reachability, terminator/edge agreement, and flat-arena
-/// block-range integrity.
+/// Entry reachability and terminator/edge agreement.
 #[derive(Debug)]
 pub struct CfgChecker;
 
@@ -103,66 +101,12 @@ impl Verifier for CfgChecker {
     }
 
     fn rules(&self) -> &'static [Rule] {
-        &[
-            rules::CFG_ENTRY_REACHABLE,
-            rules::CFG_TERMINATOR_EDGES,
-            rules::CFG_BLOCK_RANGES,
-        ]
+        &[rules::CFG_ENTRY_REACHABLE, rules::CFG_TERMINATOR_EDGES]
     }
 
     fn run(&self, cx: &VerifyCtx<'_>, out: &mut Vec<Violation>) {
         let Some(f) = cx.function else { return };
         let site = cx.site;
-
-        // Block-range integrity first, from the raw layout only — the
-        // sliced accessors panic on exactly the corruption we must report.
-        let order = f.raw_order();
-        let arena_len = f.raw_arena_len();
-        let mut slot_owner = vec![u32::MAX; order.len()];
-        let mut seen_instr = vec![false; arena_len];
-        let mut ranges = Capped::new(out, rules::CFG_BLOCK_RANGES);
-        for b in f.block_ids() {
-            let (start, len) = f.raw_block_range(b);
-            let (start, len) = (start as usize, len as usize);
-            if start.checked_add(len).is_none_or(|end| end > order.len()) {
-                ranges.push(
-                    format!("{site}:{b}"),
-                    format!(
-                        "order range ({start}, {len}) exceeds order array of {}",
-                        order.len()
-                    ),
-                );
-                continue;
-            }
-            for slot in start..start + len {
-                if slot_owner[slot] != u32::MAX {
-                    ranges.push(
-                        format!("{site}:{b}"),
-                        format!(
-                            "order slot {slot} is owned by both b{} and {b}",
-                            slot_owner[slot]
-                        ),
-                    );
-                    break;
-                }
-                slot_owner[slot] = b.index() as u32;
-                let id = order[slot];
-                if id.index() >= arena_len {
-                    ranges.push(
-                        format!("{site}:{b}"),
-                        format!("order slot {slot} references arena record {id:?} of {arena_len}"),
-                    );
-                } else if seen_instr[id.index()] {
-                    ranges.push(
-                        format!("{site}:{b}"),
-                        format!("arena record {id:?} appears in more than one block"),
-                    );
-                } else {
-                    seen_instr[id.index()] = true;
-                }
-            }
-        }
-        ranges.finish(site);
 
         // Terminator targets and uses in range.
         let mut terms = Capped::new(out, rules::CFG_TERMINATOR_EDGES);

@@ -120,11 +120,6 @@ pub mod rules {
         id: "cfg-terminator-edges",
         summary: "terminator successors and uses are in range",
     };
-    /// Flat-arena block ranges are in bounds, disjoint, and alias-free.
-    pub const CFG_BLOCK_RANGES: Rule = Rule {
-        id: "cfg-block-ranges",
-        summary: "flat-arena block ranges are in bounds, disjoint and alias-free",
-    };
     /// Every variable has at most one textual definition.
     pub const SSA_SINGLE_DEF: Rule = Rule {
         id: "ssa-single-def",
@@ -212,10 +207,9 @@ pub mod rules {
     };
 
     /// The full catalog, in boundary order.
-    pub const CATALOG: [Rule; 20] = [
+    pub const CATALOG: [Rule; 19] = [
         CFG_ENTRY_REACHABLE,
         CFG_TERMINATOR_EDGES,
-        CFG_BLOCK_RANGES,
         SSA_SINGLE_DEF,
         SSA_DOMINANCE,
         SSA_PHI_COHERENCE,
@@ -380,24 +374,18 @@ pub trait Verifier {
 /// Runs the full standard suite over one boundary context.
 ///
 /// Returns every violation found; empty means the boundary checks out.  At
-/// [`VerifyLevel::Off`] this returns immediately.  If the flat-arena block
-/// ranges are corrupt, only the CFG checker's findings are returned — the
-/// remaining checkers cannot safely read the instruction stream.
+/// [`VerifyLevel::Off`] this returns immediately.
 pub fn verify(cx: &VerifyCtx<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     if !cx.level.is_on() {
         return out;
     }
     let _span = coalesce_stats::span!("verify/suite");
-    let mut checks_run: u64 = 0;
-    for checker in checks::standard_suite() {
+    let suite = checks::standard_suite();
+    for checker in suite {
         checker.run(cx, &mut out);
-        checks_run += 1;
-        if checker.name() == "cfg" && out.iter().any(|v| v.rule == rules::CFG_BLOCK_RANGES.id) {
-            break;
-        }
     }
-    coalesce_stats::counter!("verify.checks_run", checks_run);
+    coalesce_stats::counter!("verify.checks_run", suite.len() as u64);
     coalesce_stats::counter!("verify.violations", out.len() as u64);
     out
 }

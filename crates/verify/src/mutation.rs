@@ -3,7 +3,7 @@
 //! Each [`Fault`] builds the clean pipeline artifacts for a small
 //! hand-written program, corrupts exactly one of them the way a real bug
 //! would (a dropped interference edge, a moved reload, a miscolored
-//! vertex, a broken φ, a corrupt block range...), and runs the suite on
+//! vertex, a broken φ, an unreachable block...), and runs the suite on
 //! the affected boundary.  The suite must flag the corruption with the
 //! fault's [`Fault::expected_rule`]; on the uncorrupted artifacts it must
 //! stay silent ([`verify_clean_sample`]).
@@ -161,8 +161,6 @@ pub enum Fault {
     BreakPhi,
     /// Define an already-defined variable a second time.
     DuplicateDef,
-    /// Grow a block's flat-arena order range past the order array.
-    CorruptBlockRange,
     /// Add a block no edge reaches.
     UnreachableBlock,
     /// Bypass a terminator to an out-of-range block.
@@ -183,7 +181,7 @@ pub enum Fault {
 
 impl Fault {
     /// Every injector, in catalog order.
-    pub const ALL: [Fault; 17] = [
+    pub const ALL: [Fault; 16] = [
         Fault::DropInterferenceEdge,
         Fault::AddSpuriousEdge,
         Fault::MoveReload,
@@ -192,7 +190,6 @@ impl Fault {
         Fault::MissingAssignment,
         Fault::BreakPhi,
         Fault::DuplicateDef,
-        Fault::CorruptBlockRange,
         Fault::UnreachableBlock,
         Fault::BadTerminator,
         Fault::CorruptLiveness,
@@ -214,7 +211,6 @@ impl Fault {
             Fault::MissingAssignment => crate::rules::ALLOC_UNASSIGNED.id,
             Fault::BreakPhi => crate::rules::SSA_PHI_COHERENCE.id,
             Fault::DuplicateDef => crate::rules::SSA_SINGLE_DEF.id,
-            Fault::CorruptBlockRange => crate::rules::CFG_BLOCK_RANGES.id,
             Fault::UnreachableBlock => crate::rules::CFG_ENTRY_REACHABLE.id,
             Fault::BadTerminator => crate::rules::CFG_TERMINATOR_EDGES.id,
             Fault::CorruptLiveness => crate::rules::LIVE_TRANSFER.id,
@@ -331,15 +327,6 @@ impl Fault {
                         uses: vec![],
                     },
                 );
-                let mut cx = VerifyCtx::at(VerifyLevel::Paranoid, site);
-                cx.function = Some(&f);
-                verify(&cx)
-            }
-            Fault::CorruptBlockRange => {
-                let mut f = a.function.clone();
-                let (start, _) = f.raw_block_range(f.entry);
-                let len = f.raw_order().len() as u32 - start + 1;
-                f.set_raw_block_range(f.entry, start, len);
                 let mut cx = VerifyCtx::at(VerifyLevel::Paranoid, site);
                 cx.function = Some(&f);
                 verify(&cx)

@@ -1,7 +1,7 @@
-//! Equivalence suite for the PR-6 flat-arena IR backend.
+//! Equivalence suite for the compact IR backend.
 //!
-//! The flat `Function` (one instruction arena, handle-indexed blocks,
-//! pooled operands) replaced the per-block `Vec<Instr>` layout; these
+//! The compact `Function` (16-byte instruction records owned by their
+//! blocks, pooled operands) replaced the per-block `Vec<Instr>` layout; these
 //! tests pin the analyses that consume it to verbatim reference
 //! implementations of the old per-block-`Vec` behavior, materialized
 //! through [`Function::block_instrs_owned`]: identical live-in/live-out
@@ -27,7 +27,9 @@ use coalesce_bench::experiments::spillers::{windowed_program, E17_MODULE_FUNCTIO
 use coalesce_gen::cfg::{generate, PressureLevel, ShapeProfile};
 use coalesce_gen::module::{module_specs, ModuleParams};
 use coalesce_ir::belady::{NextUse, LOOP_EXIT_DISTANCE};
-use coalesce_ir::function::{BlockId, Function, FunctionBuilder, Instr, Var};
+use coalesce_ir::function::{
+    BlockId, Function, FunctionBuilder, Instr, InstrView, Terminator, Var,
+};
 use coalesce_ir::interference::{BuildOptions, InterferenceGraph, InterferenceKind};
 use coalesce_ir::liveness::Liveness;
 use coalesce_ir::out_of_ssa::destruct_ssa;
@@ -938,32 +940,40 @@ fn every_victim_is_a_pre_spill_variable() {
 }
 
 // ---------------------------------------------------------------------------
-// Arena layout of the rewrite passes.
+// Storage left behind by the rewrite passes.
 // ---------------------------------------------------------------------------
 
-/// Arena records no block references any more.
-fn orphans(f: &Function) -> usize {
-    f.raw_arena_len() - f.num_instrs_total()
+/// `Function::ir_bytes` as its documented formula gives it over live
+/// content only: 16 bytes per instruction record, 4 per value operand of
+/// a live op or copy, 8 per argument of a live φ, 12 per block and
+/// 16 + 4·uses per terminator.
+fn live_bytes(f: &Function) -> usize {
+    let instrs: usize = f
+        .instructions()
+        .map(|(_, _, i)| match i {
+            InstrView::Op { uses, .. } => 16 + 4 * uses.len(),
+            InstrView::Copy { .. } => 16 + 4,
+            InstrView::Phi { args, .. } => 16 + 8 * args.len(),
+        })
+        .sum();
+    let terminators: usize = f
+        .block_ids()
+        .map(|b| match f.terminator(b) {
+            Terminator::Return { uses } => 16 + 4 * uses.len(),
+            _ => 16,
+        })
+        .sum();
+    instrs + 12 * f.num_blocks() + terminators
 }
 
-/// Asserts that one rewrite call relocated each block at most once: the
-/// order array grew by at most the live length of the blocks whose order
-/// range the call changed (or created).
-fn assert_one_relocation_per_block(before: &Function, after: &Function, pass: &str) {
-    let grown = after.raw_order().len() - before.raw_order().len();
-    let touched: usize = after
-        .block_ids()
-        .filter(|&b| {
-            b.index() >= before.num_blocks()
-                || after.raw_block_range(b) != before.raw_block_range(b)
+/// Bytes of every φ-argument in `f`.
+fn phi_arg_bytes(f: &Function) -> usize {
+    f.instructions()
+        .map(|(_, _, i)| match i {
+            InstrView::Phi { args, .. } => 8 * args.len(),
+            _ => 0,
         })
-        .map(|b| after.num_instrs(b))
-        .sum();
-    assert!(
-        grown <= touched,
-        "{}: {pass} grew the order array by {grown} slots for {touched} live instructions in the blocks it touched",
-        after.name
-    );
+        .sum()
 }
 
 /// A non-SSA loop that SSA construction accepts: `x` is defined before
@@ -988,56 +998,140 @@ fn redefined_in_a_loop() -> Function {
     b.finish()
 }
 
-/// Every rewrite edits operands in place and splices each block once:
-/// generated functions hold no orphaned record, no spiller, splitting or
-/// SSA construction leaves one, out-of-SSA orphans exactly the φs it
-/// removes, and each single rewrite call copies a block's order range at
-/// most once.
+/// Every rewrite edits operands in place and splices insertions into
+/// the block it edits, so no spiller, per-victim `spill_everywhere` call,
+/// splitting or SSA construction leaves storage behind: `ir_bytes` equals
+/// its formula over live content.  Out-of-SSA leaves exactly the pooled
+/// arguments of the φs it removes.
 #[test]
-fn rewrites_orphan_no_record_and_relocate_each_block_once() {
+fn rewrites_leave_no_dead_storage() {
     let functions = workload_functions()
         .into_iter()
         .chain((0..4).flat_map(module_functions));
     for f in functions {
-        assert_eq!(orphans(&f), 0, "{}: generated", f.name);
+        assert_eq!(f.ir_bytes(), live_bytes(&f), "{}: generated", f.name);
         let k = spill::tight_k(Liveness::compute(&f).maxlive_precise(&f));
         for kind in SpillerKind::ALL {
             let mut g = f.clone();
             kind.run(&mut g, k);
-            assert_eq!(orphans(&g), 0, "{}: {}", f.name, kind.name());
-            if kind == SpillerKind::Belady {
-                assert_one_relocation_per_block(&f, &g, kind.name());
-            }
+            assert_eq!(g.ir_bytes(), live_bytes(&g), "{}: {}", f.name, kind.name());
         }
         let mut g = f.clone();
         for victim in spill::spill_to_pressure(&mut f.clone(), k).spilled {
-            let before = g.clone();
             spill_everywhere(&mut g, victim, &mut SpillResult::default());
-            assert_one_relocation_per_block(&before, &g, "spill_everywhere");
+            assert_eq!(g.ir_bytes(), live_bytes(&g), "{}: spill_everywhere", f.name);
         }
-        assert_eq!(orphans(&g), 0, "{}: spill_everywhere", f.name);
 
         let mut split = f.clone();
         split_at_block_boundaries(&mut split);
-        assert_eq!(orphans(&split), 0, "{}: splitting", f.name);
-        assert_one_relocation_per_block(&f, &split, "splitting");
+        assert_eq!(
+            split.ir_bytes(),
+            live_bytes(&split),
+            "{}: splitting",
+            f.name
+        );
 
         let mut lowered = f.clone();
         let stats = destruct_ssa(&mut lowered);
+        assert_eq!(stats.phis_removed, f.num_phis(), "{}: out of SSA", f.name);
         assert_eq!(
-            orphans(&lowered),
-            stats.phis_removed,
+            lowered.ir_bytes() - live_bytes(&lowered),
+            phi_arg_bytes(&f),
             "{}: out of SSA",
             f.name
         );
-        assert_one_relocation_per_block(&f, &lowered, "out of SSA");
     }
     for f in workload_functions()
         .into_iter()
         .chain([redefined_in_a_loop()])
     {
         let g = construct_ssa(&f);
-        assert_eq!(orphans(&g), 0, "{}: SSA construction", f.name);
-        assert_one_relocation_per_block(&f, &g, "SSA construction");
+        assert_eq!(g.ir_bytes(), live_bytes(&g), "{}: SSA construction", f.name);
+    }
+}
+
+/// A block of `len` distinct copies `%i = %0`, as owned instructions.
+fn copy_block(len: usize, first_dst: usize) -> Vec<Instr> {
+    (0..len)
+        .map(|i| Instr::Copy {
+            dst: Var::new(first_dst + i),
+            src: Var::new(0),
+        })
+        .collect()
+}
+
+/// Splices `insertions` into a one-block function holding `len` copies
+/// and checks the result against `Vec::insert` on the owned block, each
+/// insertion shifted by the number inserted before it.
+fn assert_splice_matches_vec_insert(len: usize, insertions: &[(usize, Instr)]) {
+    let mut b = FunctionBuilder::new("splice");
+    let entry = b.entry_block();
+    let mut model = copy_block(len, 1);
+    for instr in &model {
+        b.function_mut().push_instr(entry, instr.clone());
+    }
+    let mut f = b.function_mut().clone();
+    f.splice(entry, insertions.iter().cloned());
+    for (shift, (pos, instr)) in insertions.iter().enumerate() {
+        model.insert(pos + shift, instr.clone());
+    }
+    assert_eq!(
+        f.block_instrs_owned(entry),
+        model,
+        "{insertions:?} into {len}"
+    );
+    assert_eq!(f.ir_bytes(), live_bytes(&f), "{insertions:?} into {len}");
+}
+
+#[test]
+fn splice_handles_equal_positions_appends_and_no_insertions() {
+    let ops = |dsts: &[usize]| -> Vec<Instr> {
+        dsts.iter()
+            .map(|&d| Instr::Op {
+                dst: Some(Var::new(d)),
+                uses: vec![Var::new(0), Var::new(1)],
+            })
+            .collect()
+    };
+    for len in [0, 1, 5] {
+        assert_splice_matches_vec_insert(len, &[]);
+        let appends: Vec<(usize, Instr)> = ops(&[40, 41]).into_iter().map(|i| (len, i)).collect();
+        assert_splice_matches_vec_insert(len, &appends);
+        let equal: Vec<(usize, Instr)> = ops(&[50, 51, 52])
+            .into_iter()
+            .map(|i| (len / 2, i))
+            .collect();
+        assert_splice_matches_vec_insert(len, &equal);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random non-decreasing positions, repeats and appends included,
+    /// with op, copy and φ insertions of varying operand counts.
+    #[test]
+    fn splice_matches_a_vec_insert_model(
+        len in 0usize..10,
+        raw in proptest::collection::vec((0usize..16, 0u8..3, 0usize..4), 0..12),
+    ) {
+        let mut insertions: Vec<(usize, Instr)> = raw
+            .iter()
+            .enumerate()
+            .map(|(n, &(pos, kind, operands))| {
+                let dst = Var::new(100 + n);
+                let instr = match kind {
+                    0 => Instr::Op { dst: Some(dst), uses: (0..operands).map(Var::new).collect() },
+                    1 => Instr::Copy { dst, src: Var::new(operands) },
+                    _ => Instr::Phi {
+                        dst,
+                        args: (0..operands).map(|p| (BlockId::new(p), Var::new(p))).collect(),
+                    },
+                };
+                (pos % (len + 1), instr)
+            })
+            .collect();
+        insertions.sort_by_key(|&(pos, _)| pos);
+        assert_splice_matches_vec_insert(len, &insertions);
     }
 }

@@ -19,7 +19,8 @@
 //! The same module keeps, verbatim, the rewrite passes as they stood
 //! before in-place operand substitution and block splices: the
 //! spill-everywhere rewrite (which the reference spillers above call),
-//! SSA construction, block-boundary splitting and out-of-SSA with its
+//! SSA construction (with only the pruned φ placement added),
+//! block-boundary splitting and out-of-SSA with its
 //! critical-edge splitting.  They call the removed single-instruction
 //! edits through [`legacy_edits`] (and name `Terminator` without its
 //! `crate::function::` path).  The rewrite pins compare the printed
@@ -40,7 +41,7 @@ use coalesce_ir::spill::{
     tight_k, SpillResult,
 };
 use coalesce_ir::splitting::split_variables_at_block_boundaries;
-use coalesce_ir::ssa::{construct_ssa, is_ssa};
+use coalesce_ir::ssa::{construct_ssa, is_ssa, is_strict};
 use proptest::prelude::*;
 
 mod legacy_edits;
@@ -566,6 +567,7 @@ mod reference {
 
         // 2. Place φ-functions at iterated dominance frontiers.
         let frontiers = dom.dominance_frontiers(&out);
+        let live = Liveness::compute(f);
         // phi_placed[v] = blocks where a φ for original variable v was inserted.
         let mut phi_for: BTreeMap<(BlockId, usize), usize> = BTreeMap::new(); // (block, orig var) -> instr index
         for (v, blocks) in def_blocks.iter().enumerate() {
@@ -579,7 +581,7 @@ mod reference {
             let mut has_phi: BTreeSet<BlockId> = BTreeSet::new();
             while let Some(b) = work.pop() {
                 for &y in &frontiers[b.index()] {
-                    if has_phi.insert(y) {
+                    if has_phi.insert(y) && live.is_live_in(y, Var::new(v)) {
                         // Insert a φ defining the *original* variable v for now;
                         // renaming will replace both the def and the args.
                         let var = Var::new(v);
@@ -1251,31 +1253,19 @@ fn spill_everywhere_matches_the_verbatim_rewrite() {
     assert!(reloads > 0, "no spill_everywhere call inserted a reload");
 }
 
-/// Most lowered inputs make both implementations panic: φ placement is
-/// not pruned, so a φ at a loop header gets an argument from the
-/// preheader, where a variable defined only inside the loop has no
-/// reaching definition.  The pin therefore requires the same outcome,
-/// panic or rewrite, and at least one renamed non-SSA input.
+/// Both implementations place a φ only where its variable is live-in
+/// (the verbatim copy with that one condition added), so every input,
+/// lowered ones included, converts to strict SSA, and at least one
+/// non-SSA input is renamed.
 #[test]
 fn construct_ssa_matches_the_verbatim_renaming() {
     let mut renamed = 0;
     for f in rewrite_inputs() {
-        let run = |construct: fn(&Function) -> Function| {
-            std::panic::catch_unwind(|| coalesce_stats::collect(|| ((), construct(&f))))
-        };
-        match (run(construct_ssa), run(reference::construct_ssa)) {
-            (Ok(new), Ok(old)) => {
-                assert!(is_ssa(&(new.0).1), "{}: not SSA", f.name);
-                renamed += usize::from(!is_ssa(&f));
-                assert_same_rewrite(&f, "construct_ssa", new, old);
-            }
-            (Err(_), Err(_)) => {}
-            (new, _) => panic!(
-                "{}: only the {} pass panicked",
-                f.name,
-                if new.is_err() { "new" } else { "reference" }
-            ),
-        }
+        let new = coalesce_stats::collect(|| ((), construct_ssa(&f)));
+        let old = coalesce_stats::collect(|| ((), reference::construct_ssa(&f)));
+        assert!(is_strict(&(new.0).1), "{}: not strict SSA", f.name);
+        renamed += usize::from(!is_ssa(&f));
+        assert_same_rewrite(&f, "construct_ssa", new, old);
     }
     assert!(renamed > 0, "no non-SSA input was renamed");
 }
