@@ -10,10 +10,17 @@
 //!   coalescing + biased coloring failed to remove;
 //! * **spill cost** — the number of spilled values and of reload
 //!   temporaries the allocator had to introduce.
+//!
+//! [`RegisterAssignment::validate`] audits an assignment independently of
+//! the allocator that produced it: one liveness solve of its own plus one
+//! backward walk per block that counts, per register, the live variables
+//! holding it.  It checks the interference relation of
+//! [`InterferenceGraph::build`] without building the graph.
+//!
+//! [`InterferenceGraph::build`]: coalesce_ir::interference::InterferenceGraph::build
 
 use coalesce_ir::function::{Function, InstrView, Var};
-use coalesce_ir::interference::InterferenceGraph;
-use coalesce_ir::liveness::Liveness;
+use coalesce_ir::liveness::{Liveness, VarSet};
 use coalesce_ir::spill::loop_weight;
 use std::fmt;
 
@@ -116,11 +123,18 @@ impl RegisterAssignment {
     /// * every variable of `f` either has a register `< k` or is spilled;
     /// * no two *interfering* variables share a register.
     ///
-    /// Returns the list of violations (empty means valid).
+    /// Interference is the relation
+    /// [`InterferenceGraph::build`](coalesce_ir::interference::InterferenceGraph::build) adds
+    /// edges for (Chaitin's), checked without building the graph: one
+    /// independent [`Liveness::compute`] and one backward walk per block
+    /// that counts, per register, the live variables holding it.
+    ///
+    /// Returns the list of violations (empty means valid): range and
+    /// unassigned violations in variable order, then the interfering
+    /// pairs `(a, b)`, `a < b`, in ascending order — the order of the
+    /// graph's edge list.
     pub fn validate(&self, f: &Function, k: usize) -> Vec<Violation> {
         let mut violations = Vec::new();
-        let live = Liveness::compute(f);
-        let ig = InterferenceGraph::build(f, &live);
         for i in 0..f.num_vars() {
             let v = Var::new(i);
             match self.register_of(v) {
@@ -136,24 +150,118 @@ impl RegisterAssignment {
                 }
             }
         }
-        for (a, b) in ig.graph.edges() {
-            let (va, vb) = (Var::new(a.index()), Var::new(b.index()));
-            if let (Some(ra), Some(rb)) = (self.register_of(va), self.register_of(vb)) {
-                if ra == rb {
-                    violations.push(Violation::InterferenceSharesRegister {
-                        a: va,
-                        b: vb,
-                        register: ra,
-                    });
-                }
-            }
-        }
+        let mut pairs = self.shared_register_pairs(f, k);
+        pairs.sort_unstable();
+        pairs.dedup();
+        violations.extend(
+            pairs
+                .into_iter()
+                .map(|(a, b)| Violation::InterferenceSharesRegister {
+                    a,
+                    b,
+                    register: self.registers[a.index()],
+                }),
+        );
         violations
     }
 
-    /// `true` if [`RegisterAssignment::validate`] reports no violation.
+    /// `true` if [`RegisterAssignment::validate`] reports no violation:
+    /// one liveness solve plus one walk over the blocks, no graph.
     pub fn is_valid(&self, f: &Function, k: usize) -> bool {
         self.validate(f, k).is_empty()
+    }
+
+    /// The pairs of interfering variables of `f` that share a register,
+    /// each as `(min, max)`, unsorted and possibly repeated.
+    ///
+    /// Walks each block backwards from its live-out set plus the
+    /// terminator's uses, keeping the live cursor and, per register slot,
+    /// the number of cursor members holding it.  Registers below
+    /// `min(k, num_vars)` get one slot each (the cap bounds the table for
+    /// a huge `k`); every higher register shares one slot, and the
+    /// unregistered variables a bin that is never read.  A definition `d`
+    /// conflicts when its slot holds more than `d` itself and, for a
+    /// copy, its source: a dense slot then holds a conflict for certain,
+    /// the shared one possibly.  Either way the cold path scans the cursor
+    /// for the exact partners.  At the block entry the cursor is the
+    /// live-in set; adding the φ results checks the two rules the graph
+    /// adds beyond points: φ results of one block pairwise, and each
+    /// against the live-in set.  (Every φ's live-after set contains the
+    /// live-in set, so only the pairwise rule, for a dead φ result, can
+    /// add a pair the points have not.)
+    fn shared_register_pairs(&self, f: &Function, k: usize) -> Vec<(Var, Var)> {
+        let liveness = Liveness::compute(f);
+        let dense = k.min(f.num_vars());
+        let (shared, unregistered) = (dense, dense + 1);
+        let slot = |v: Var| match self.registers.get(v.index()) {
+            Some(&r) if r < dense => r,
+            Some(&NO_REGISTER) | None => unregistered,
+            Some(_) => shared,
+        };
+        let mut holders = vec![0u32; dense + 2];
+        let mut live = VarSet::new(f.num_vars());
+        let mut pairs = Vec::new();
+        // Lists the cursor members other than `d` and `exempt` that hold
+        // `d`'s register.
+        let scan = |pairs: &mut Vec<(Var, Var)>, live: &VarSet, d: Var, exempt: Option<Var>| {
+            let r = self.registers[d.index()];
+            for v in live.iter() {
+                if v != d && Some(v) != exempt && self.registers.get(v.index()) == Some(&r) {
+                    pairs.push((d.min(v), d.max(v)));
+                }
+            }
+        };
+        for b in f.block_ids() {
+            live.copy_from(liveness.live_out(b));
+            for &u in f.terminator(b).uses() {
+                live.insert(u);
+            }
+            holders.fill(0);
+            for v in live.iter() {
+                holders[slot(v)] += 1;
+            }
+            for instr in f.block_instrs(b).rev() {
+                if let Some(d) = instr.def() {
+                    let s = slot(d);
+                    if s != unregistered {
+                        // The copy's source holds the same value as `d`
+                        // at the copy itself (Chaitin's relaxation).
+                        let exempt = match instr {
+                            InstrView::Copy { src, .. } if src != d => Some(src),
+                            _ => None,
+                        };
+                        let mut others = holders[s] - u32::from(live.contains(d));
+                        if let Some(src) = exempt {
+                            others -= u32::from(slot(src) == s && live.contains(src));
+                        }
+                        if others > 0 {
+                            scan(&mut pairs, &live, d, exempt);
+                        }
+                    }
+                    if live.remove(d) {
+                        holders[slot(d)] -= 1;
+                    }
+                }
+                for &u in instr.local_uses() {
+                    if live.insert(u) {
+                        holders[slot(u)] += 1;
+                    }
+                }
+            }
+            debug_assert!(live == *liveness.live_in(b), "walk ends at live-in");
+            for p in f.phis(b).filter_map(|p| p.def()) {
+                if live.insert(p) {
+                    holders[slot(p)] += 1;
+                }
+            }
+            for p in f.phis(b).filter_map(|p| p.def()) {
+                let s = slot(p);
+                if s != unregistered && holders[s] > 1 {
+                    scan(&mut pairs, &live, p, None);
+                }
+            }
+        }
+        pairs
     }
 
     /// Move-cost metrics of this assignment on `f`.
@@ -252,6 +360,7 @@ impl MoveCosts {
 mod tests {
     use super::*;
     use coalesce_ir::function::FunctionBuilder;
+    use coalesce_ir::interference::InterferenceGraph;
 
     fn two_copy_function() -> (Function, Var, Var, Var) {
         let mut b = FunctionBuilder::new("copies");

@@ -366,23 +366,26 @@ pub fn spill_to_pressure(f: &mut Function, k: usize) -> SpillResult {
 ///   over-pressure candidate, in no particular order, with
 ///   `candidate_refs[v]` counting the listings and `candidate_pos[v]` the
 ///   position of a listed `v` (so a retract swap-removes it in O(1));
-/// * `blocks_of[v]` — the inverted contribution index: one entry per
-///   segment of `v` some block's statistics close, so a block appears once
-///   per segment (a non-SSA input can close several segments of one
-///   variable in one block).  For a victim its distinct entries are
+/// * `blocks_of` — the inverted contribution index ([`BlockChains`]): one
+///   entry per segment of `v` some block's statistics close, so a block
+///   appears once per segment (a non-SSA input can close several segments
+///   of one variable in one block).  For a victim its distinct entries are
 ///   exactly the blocks whose statistics its removal can change, which
 ///   replaces an O(blocks) boundary-liveness scan;
 /// * `pressure_count[m]` — the blocks whose cached precise Maxlive is `m`,
 ///   with `cur_max` pointing at the top non-empty bucket (it only ever
 ///   needs correcting downwards, so a whole pass scans each bucket level
 ///   at most once).
+///
+/// Every aggregate is a flat buffer, so a spill call allocates a constant
+/// number of them however many variables it indexes.
 #[derive(Debug, Default)]
 struct PressureIndex {
     occurrences: Vec<u64>,
     candidate_refs: Vec<u32>,
     candidate_pos: Vec<u32>,
     candidates: Vec<Var>,
-    blocks_of: Vec<Vec<u32>>,
+    blocks_of: BlockChains,
     pressure_count: Vec<u32>,
     cur_max: usize,
 }
@@ -393,14 +396,14 @@ impl PressureIndex {
         self.occurrences.resize(num_vars, 0);
         self.candidate_refs.resize(num_vars, 0);
         self.candidate_pos.resize(num_vars, 0);
-        self.blocks_of.resize_with(num_vars, Vec::new);
+        self.blocks_of.grow(num_vars);
     }
 
     /// Adds the statistics `s` of block `b`.
     fn fold(&mut self, b: u32, s: &BlockSpillStats) {
         for &(v, c) in &s.contributions {
             self.occurrences[v.index()] += c;
-            self.blocks_of[v.index()].push(b);
+            self.blocks_of.link(v, b);
         }
         for &v in &s.candidates {
             self.candidate_refs[v.index()] += 1;
@@ -421,12 +424,7 @@ impl PressureIndex {
     fn retract(&mut self, b: u32, s: &BlockSpillStats) {
         for &(v, c) in &s.contributions {
             self.occurrences[v.index()] -= c;
-            let row = &mut self.blocks_of[v.index()];
-            let at = row
-                .iter()
-                .position(|&x| x == b)
-                .expect("inverted index out of sync with block statistics");
-            row.swap_remove(at);
+            self.blocks_of.unlink(v, b);
         }
         for &v in &s.candidates {
             self.candidate_refs[v.index()] -= 1;
@@ -439,6 +437,80 @@ impl PressureIndex {
             }
         }
         self.pressure_count[s.maxlive] -= 1;
+    }
+}
+
+/// End of a chain in [`BlockChains`].
+const NIL: u32 = u32::MAX;
+
+/// A multiset of blocks per variable, kept in one arena: `head[v]` starts
+/// `v`'s singly linked chain of `(block, next)` entries, and `free` lists
+/// the entries [`BlockChains::unlink`] freed, for reuse.  The chain order
+/// is unspecified.
+#[derive(Debug, Default)]
+struct BlockChains {
+    head: Vec<u32>,
+    entries: Vec<(u32, u32)>,
+    free: Vec<u32>,
+}
+
+impl BlockChains {
+    /// Makes room for variables `0..num_vars`.
+    fn grow(&mut self, num_vars: usize) {
+        self.head.resize(num_vars, NIL);
+    }
+
+    /// Adds one entry of block `b` to `v`'s chain.
+    fn link(&mut self, v: Var, b: u32) {
+        #[cfg(test)]
+        tests::log_chain_edit(true, v, b);
+        let next = self.head[v.index()];
+        let at = if let Some(at) = self.free.pop() {
+            self.entries[at as usize] = (b, next);
+            at
+        } else {
+            self.entries.push((b, next));
+            self.entries.len() as u32 - 1
+        };
+        self.head[v.index()] = at;
+    }
+
+    /// Removes one entry of block `b` from `v`'s chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain holds no entry of `b`.
+    fn unlink(&mut self, v: Var, b: u32) {
+        #[cfg(test)]
+        tests::log_chain_edit(false, v, b);
+        let mut prev = NIL;
+        let mut at = self.head[v.index()];
+        while at != NIL && self.entries[at as usize].0 != b {
+            prev = at;
+            at = self.entries[at as usize].1;
+        }
+        assert!(
+            at != NIL,
+            "inverted index out of sync with block statistics"
+        );
+        let next = self.entries[at as usize].1;
+        if prev == NIL {
+            self.head[v.index()] = next;
+        } else {
+            self.entries[prev as usize].1 = next;
+        }
+        self.free.push(at);
+    }
+
+    /// The blocks of `v`'s chain, one per entry.
+    fn blocks(&self, v: Var) -> impl Iterator<Item = u32> + '_ {
+        let mut at = self.head[v.index()];
+        std::iter::from_fn(move || {
+            // `NIL` indexes past every entry.
+            let (b, next) = *self.entries.get(at as usize)?;
+            at = next;
+            Some(b)
+        })
     }
 }
 
@@ -535,9 +607,10 @@ pub fn spill_to_pressure_from(
         // changed blocks is safe and yields identical statistics.
         affected_epoch += 1;
         affected.clear();
-        let touched = index.blocks_of[victim.index()]
-            .iter()
-            .map(|&bi| bi as usize)
+        let touched = index
+            .blocks_of
+            .blocks(victim)
+            .map(|bi| bi as usize)
             .chain(def_block[victim.index()].map(BlockId::index));
         for bi in touched {
             if affected_stamp[bi] != affected_epoch {
@@ -820,7 +893,191 @@ pub fn spill_everywhere(f: &mut Function, victim: Var, result: &mut SpillResult)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::FunctionBuilder;
+    use crate::function::{FunctionBuilder, Instr, Terminator};
+    use crate::out_of_ssa::destruct_ssa;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// The [`BlockChains`] edits `(linked, var, block)` made on this
+        /// thread while recording is on (`Some`).
+        static CHAIN_LOG: RefCell<Option<Vec<(bool, Var, u32)>>> = const { RefCell::new(None) };
+    }
+
+    /// Records one chain edit if recording is on.
+    pub(super) fn log_chain_edit(linked: bool, v: Var, b: u32) {
+        CHAIN_LOG.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push((linked, v, b));
+            }
+        });
+    }
+
+    /// Spills a clone of `f` with the pressure spiller at `k`, returning
+    /// the rewrite and the chain edits the call made.
+    fn recorded_spill(f: &Function, k: usize) -> (Function, Vec<(bool, Var, u32)>) {
+        CHAIN_LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        let mut g = f.clone();
+        spill_to_pressure(&mut g, k);
+        let log = CHAIN_LOG
+            .with(|log| log.borrow_mut().take())
+            .unwrap_or_default();
+        (g, log)
+    }
+
+    /// `g`, a function of the generator crate's build of this crate,
+    /// rebuilt instruction by instruction as a function of this build.
+    macro_rules! local_copy {
+        ($g:expr) => {{
+            let g = &mut $g;
+            assert_eq!(g.entry.index(), 0, "generated entry is block 0");
+            let mut builder = FunctionBuilder::new(g.name.clone());
+            let f = builder.function_mut();
+            // Generated variables are unnamed.
+            for _ in 0..g.num_vars() {
+                f.new_var("");
+            }
+            for b in g.block_ids() {
+                let term = g.terminator(b);
+                let succ: Vec<BlockId> =
+                    term.successors().map(|s| BlockId::new(s.index())).collect();
+                let uses: Vec<Var> = term.uses().iter().map(|u| Var::new(u.index())).collect();
+                let term = match succ[..] {
+                    [] => Terminator::Return { uses },
+                    [to] => Terminator::Jump(to),
+                    [then_block, else_block] => Terminator::Branch {
+                        cond: uses[0],
+                        then_block,
+                        else_block,
+                    },
+                    _ => unreachable!("at most two successors"),
+                };
+                let local = if b.index() == 0 {
+                    *f.terminator_mut(BlockId::new(0)) = term;
+                    f.set_loop_depth(BlockId::new(0), g.loop_depth(b));
+                    BlockId::new(0)
+                } else {
+                    f.add_block(term, g.loop_depth(b))
+                };
+                for i in 0..g.num_instrs(b) {
+                    let instr = g.instr(b, i);
+                    let def = instr.def().map(|d| Var::new(d.index()));
+                    let uses: Vec<Var> = instr
+                        .local_uses()
+                        .iter()
+                        .map(|u| Var::new(u.index()))
+                        .collect();
+                    let (is_copy, is_phi) = (instr.is_copy(), instr.is_phi());
+                    let instr = if is_phi {
+                        let args = g.phi_args_mut(b, i).iter();
+                        let args = args
+                            .map(|a| (BlockId::new(a.pred.index()), Var::new(a.value.index())))
+                            .collect();
+                        Instr::Phi {
+                            dst: def.unwrap(),
+                            args,
+                        }
+                    } else if is_copy {
+                        Instr::Copy {
+                            dst: def.unwrap(),
+                            src: uses[0],
+                        }
+                    } else {
+                        Instr::Op { dst: def, uses }
+                    };
+                    f.push_instr(local, instr);
+                }
+            }
+            let f = builder.finish();
+            assert_eq!(f.to_string(), g.to_string(), "local copy of {}", g.name);
+            f
+        }};
+    }
+
+    /// Applies `log` to a fresh [`BlockChains`] and to a `Vec<Vec<u32>>`
+    /// multiset per variable, comparing the edited variable's blocks after
+    /// every step and every variable's at the end.
+    fn assert_chains_match_rows(log: &[(bool, Var, u32)]) {
+        let mut chains = BlockChains::default();
+        let mut rows: Vec<Vec<u32>> = Vec::new();
+        let sorted = |mut blocks: Vec<u32>| {
+            blocks.sort_unstable();
+            blocks
+        };
+        for (step, &(linked, v, b)) in log.iter().enumerate() {
+            if v.index() >= rows.len() {
+                chains.grow(v.index() + 1);
+                rows.resize_with(v.index() + 1, Vec::new);
+            }
+            let row = &mut rows[v.index()];
+            if linked {
+                chains.link(v, b);
+                row.push(b);
+            } else {
+                chains.unlink(v, b);
+                let at = row.iter().position(|&x| x == b).expect("reference row");
+                row.swap_remove(at);
+            }
+            assert_eq!(
+                sorted(chains.blocks(v).collect()),
+                sorted(rows[v.index()].clone()),
+                "{v:?} after step {step}"
+            );
+        }
+        for (i, row) in rows.iter().enumerate() {
+            let v = Var::new(i);
+            assert_eq!(
+                sorted(chains.blocks(v).collect()),
+                sorted(row.clone()),
+                "{v:?}"
+            );
+        }
+    }
+
+    /// The chain edits of the pressure spiller on the seed-42 module
+    /// functions and one E15 CFG scaling program (thousands of blocks), at
+    /// `tight_k` and at the module's `k = 12`, and on their spilled forms
+    /// lowered out of SSA (where one block can close several segments of a
+    /// variable), replayed on the arena and on per-variable `Vec` rows.
+    #[test]
+    fn block_chains_match_vec_rows_on_recorded_spills() {
+        let mut functions: Vec<Function> = coalesce_gen::module::module_specs(
+            &coalesce_gen::module::ModuleParams { functions: 120 },
+            42,
+        )
+        .iter()
+        .map(|spec| local_copy!(spec.generate()))
+        .collect();
+        // One E15 CFG scaling program, the int-branchy row's at seed 42
+        // (`e15_cfg_program`): thousands of blocks.
+        let mut params = coalesce_gen::cfg::ShapeProfile::IntBranchy.params(8);
+        params.regions = 400;
+        let mut big = coalesce_gen::cfg::generate(&params, &mut coalesce_gen::rng(42 + 1550));
+        let big = local_copy!(big);
+        assert!(big.num_blocks() >= 2_000, "{} blocks", big.num_blocks());
+        functions.push(big);
+        let (mut unlinks, mut lowered_unlinks) = (0, 0);
+        for f in &functions {
+            let maxlive = Liveness::compute(f).maxlive_precise(f);
+            let k = tight_k(maxlive);
+            for k in [k, 12] {
+                let (_, log) = recorded_spill(f, k);
+                assert_chains_match_rows(&log);
+                unlinks += log.iter().filter(|e| !e.0).count();
+            }
+            let (mut lowered, _) = recorded_spill(f, k);
+            destruct_ssa(&mut lowered);
+            for k in [3, k - 1] {
+                let (_, log) = recorded_spill(&lowered, k);
+                assert_chains_match_rows(&log);
+                lowered_unlinks += log.iter().filter(|e| !e.0).count();
+            }
+        }
+        // About 295 000 and 224 000.
+        assert!(
+            unlinks > 100_000 && lowered_unlinks > 100_000,
+            "{unlinks} / {lowered_unlinks} unlinks"
+        );
+    }
 
     /// A straight-line block with `n` values all live at the same point.
     fn high_pressure(n: usize) -> Function {

@@ -11,11 +11,23 @@
 //! and with random damage (unassigned variables, out-of-range registers,
 //! shared registers, re-spills and un-spills), must also give the same
 //! `move_costs` and the same `validate` violations in the same order.
+//!
+//! `validate` no longer builds an interference graph: it walks each block
+//! backwards with per-register holder counts.  The reference keeps the
+//! graph-based check, so the same comparison also runs on un-lowered SSA
+//! functions (φ results of one block checked pairwise and against the
+//! live-in set), with damage aimed at what the walk handles specially:
+//! copies whose destination takes its source's register (the source is
+//! exempt at the copy, and may stay live past it), φ results sharing one
+//! register, and registers far above `k` (which share one holder slot
+//! that a conflict must be confirmed in).
 
-use coalesce_alloc::assignment::RegisterAssignment;
+use coalesce_alloc::assignment::{RegisterAssignment, Violation};
 use coalesce_alloc::{chaitin_allocate, ssa_allocate, ChaitinConfig, CoalescingStrategy};
 use coalesce_gen::module::{module_specs, ModuleParams};
-use coalesce_ir::function::{Function, Var};
+use coalesce_ir::function::{Function, FunctionBuilder, InstrView, Var};
+use coalesce_ir::interference::InterferenceGraph;
+use coalesce_ir::liveness::Liveness;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -287,6 +299,135 @@ fn flat_assignment_matches_the_map_on_the_seed_42_module() {
         damaged_invalid > 100,
         "only {damaged_invalid} damaged replays were invalid"
     );
+}
+
+/// Two distinct registers far above any `k` (`usize::MAX` itself is the
+/// table's sentinel).
+const FAR: [usize; 2] = [usize::MAX - 1, usize::MAX - 2];
+
+/// A greedy coloring of `f`'s interference graph in variable order: each
+/// variable takes the lowest register none of its colored neighbors holds.
+fn greedy_assignment(f: &Function) -> RegisterAssignment {
+    let ig = InterferenceGraph::build(f, &Liveness::compute(f));
+    let mut a = RegisterAssignment::new();
+    for i in 0..f.num_vars() {
+        let v = Var::new(i);
+        let taken: Vec<usize> = ig
+            .graph
+            .neighbors(ig.vertex(v))
+            .filter_map(|u| a.register_of(ig.var(u)))
+            .collect();
+        let free = (0..=taken.len()).find(|r| !taken.contains(r));
+        a.assign(v, free.expect("one of degree + 1 registers is free"));
+    }
+    a
+}
+
+/// `a`'s edits on `f` followed by targeted damage: the φ results of half
+/// the blocks with several φs move to one register, a third of the copies
+/// give their destination the source's register, and one variable in
+/// sixteen moves to a [`FAR`] register.
+fn targeted_damage(a: &RegisterAssignment, f: &Function, seed: u64) -> Vec<Op> {
+    let mut rng = coalesce_gen::rng(seed);
+    let mut out = ops_of(a, f);
+    for b in f.block_ids() {
+        let phis: Vec<Var> = f.phis(b).filter_map(|p| p.def()).collect();
+        if phis.len() > 1 && rng.gen_bool(0.5) {
+            let r = rng.gen_range(0..4);
+            out.extend(phis.iter().map(|&p| Op::Assign(p, r)));
+        }
+        for instr in f.block_instrs(b) {
+            if let InstrView::Copy { dst, src } = instr {
+                if let Some(r) = a.register_of(src) {
+                    if rng.gen_bool(0.3) {
+                        out.push(Op::Assign(dst, r));
+                    }
+                }
+            }
+        }
+    }
+    for _ in 0..f.num_vars() / 16 {
+        let v = Var::new(rng.gen_range(0..f.num_vars()));
+        out.push(Op::Assign(v, FAR[rng.gen_range(0..FAR.len())]));
+    }
+    out
+}
+
+/// Un-lowered SSA functions (greedy colorings of their own graphs) as they
+/// are, with random damage and with targeted damage, and the SSA
+/// allocator's lowered output with targeted damage.
+#[test]
+fn walk_matches_the_graph_on_ssa_functions_copies_and_far_registers() {
+    const K: usize = 12;
+    let (mut with_phis, mut targeted_invalid) = (0, 0);
+    for spec in module_specs(&ModuleParams { functions: 200 }, 42) {
+        let f = spec.generate();
+        with_phis += usize::from(f.num_phis() > 0);
+        let colored = greedy_assignment(&f);
+        assert_same_allocation(&colored, &f, K, spec.seed);
+        let ssa = ssa_allocate(&f, K, CoalescingStrategy::BriggsGeorge);
+        for (a, g, seed) in [
+            (&colored, &f, spec.seed),
+            (&ssa.assignment, &ssa.function, !spec.seed),
+        ] {
+            let (new, old) = replay(&targeted_damage(a, g, seed));
+            assert_same_on(&new, &old, g, K);
+            targeted_invalid += usize::from(!old.is_valid(g, K));
+        }
+    }
+    assert!(with_phis > 100, "only {with_phis} functions have φs");
+    assert!(
+        targeted_invalid > 300,
+        "only {targeted_invalid} targeted replays were invalid"
+    );
+}
+
+/// The cases the walk treats specially, one at a time: a dead φ result
+/// sharing the register of a later φ's, a copy whose source stays live
+/// sharing its destination's register, and far registers that are equal
+/// (a conflict) or distinct (none).
+#[test]
+fn walk_matches_the_graph_on_phis_live_copy_sources_and_far_registers() {
+    let mut b = FunctionBuilder::new("cases");
+    let entry = b.entry_block();
+    let (t, e, j) = (b.new_block(), b.new_block(), b.new_block());
+    let c = b.def(entry, "c");
+    let x = b.def(entry, "x");
+    b.branch(entry, c, t, e);
+    let (a1, b1) = (b.def(t, "a1"), b.def(t, "b1"));
+    b.jump(t, j);
+    let (a2, b2) = (b.def(e, "a2"), b.def(e, "b2"));
+    b.jump(e, j);
+    let dead = b.phi(j, "dead", &[(t, a1), (e, a2)]);
+    let p = b.phi(j, "p", &[(t, b1), (e, b2)]);
+    let y = b.copy(j, "y", x);
+    let z = b.op(j, "z", &[p]);
+    b.ret(j, &[x, y, z]);
+    let f = b.finish();
+    let vars = [c, x, a1, b1, a2, b2, dead, p, y, z];
+    let base: Vec<Op> = vars
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| Op::Assign(v, i))
+        .collect();
+    // `base` gives every variable its own register: `x` holds 1, `p` 7.
+    let cases: [&[Op]; 5] = [
+        &[Op::Assign(dead, 7)],
+        &[Op::Assign(y, 1)],
+        &[Op::Assign(x, FAR[0]), Op::Assign(z, FAR[0])],
+        &[Op::Assign(x, FAR[0]), Op::Assign(z, FAR[1])],
+        &[Op::Assign(x, FAR[0]), Op::Assign(y, FAR[0])],
+    ];
+    let mut conflicts = Vec::new();
+    for case in cases {
+        let (new, old) = replay(&[&base[..], case].concat());
+        assert_same_on(&new, &old, &f, 12);
+        let shares = |v: &Violation| matches!(v, Violation::InterferenceSharesRegister { .. });
+        conflicts.push(new.validate(&f, 12).iter().any(shares));
+    }
+    // The dead φ and the equal far registers conflict; the live copy
+    // source and the distinct far registers do not.
+    assert_eq!(conflicts, [true, false, true, false, false]);
 }
 
 proptest! {
