@@ -17,10 +17,12 @@
 //! directly), `has_edge` is a binary search (`O(log d)`, no pointer
 //! chasing), and bulk construction ([`Graph::from_edges`]) fills, sorts and
 //! deduplicates whole rows at once instead of paying a set insertion per
-//! edge.  Merging folds the retired row into the surviving one with a
-//! single two-pointer union plus one binary-searched splice per incident
-//! row, and a union-find alias array ([`Graph::representative`]) keeps
-//! resolving retired identifiers to the vertex that absorbed them.
+//! edge.  Both bulk paths end in [`Graph::from_sorted_rows`], which takes
+//! finished rows as they are (the interference builder emits them sorted
+//! from a bit matrix).  Merging folds the retired row into the surviving
+//! one with a single two-pointer union plus one binary-searched splice per
+//! incident row, and a union-find alias array ([`Graph::representative`])
+//! keeps resolving retired identifiers to the vertex that absorbed them.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -108,12 +110,54 @@ pub struct Graph {
 impl Graph {
     /// Creates a graph with `n` isolated vertices, numbered `0..n`.
     pub fn new(n: usize) -> Self {
+        Self::from_sorted_rows(vec![Vec::new(); n])
+    }
+
+    /// Builds a graph from finished adjacency rows, one per vertex:
+    /// `rows[u]` lists `u`'s neighbors strictly ascending, in range and
+    /// without `u` itself, and the rows are symmetric (`v` is in `rows[u]`
+    /// iff `u` is in `rows[v]`).  The rows are taken as they are — no
+    /// sort, no dedup — and only the edge count is computed.
+    ///
+    /// The row invariants are `debug_assert!`ed; a release build trusts
+    /// the caller.
+    ///
+    /// ```
+    /// use coalesce_graph::{Graph, VertexId};
+    /// let v = VertexId::new;
+    /// let g = Graph::from_sorted_rows(vec![vec![v(1), v(2)], vec![v(0)], vec![v(0)]]);
+    /// assert_eq!(g.num_edges(), 2);
+    /// assert!(g.has_edge(v(2), v(0)));
+    /// ```
+    pub fn from_sorted_rows(rows: Vec<Vec<VertexId>>) -> Self {
+        let n = rows.len();
+        if cfg!(debug_assertions) {
+            for (u, row) in rows.iter().enumerate() {
+                let u = VertexId::new(u);
+                debug_assert!(
+                    row.windows(2).all(|w| w[0] < w[1]),
+                    "row {u} is not strictly ascending"
+                );
+                for &v in row {
+                    debug_assert!(
+                        v.index() < n,
+                        "edge ({u}, {v}) out of range for {n} vertices"
+                    );
+                    debug_assert_ne!(u, v, "self-loops are not allowed");
+                    debug_assert!(
+                        rows[v.index()].binary_search(&u).is_ok(),
+                        "edge ({u}, {v}) has no reverse entry"
+                    );
+                }
+            }
+        }
+        let num_edges = rows.iter().map(Vec::len).sum::<usize>() / 2;
         Graph {
-            adj: vec![Vec::new(); n],
+            adj: rows,
             alive: vec![true; n],
             alias: (0..n).map(|i| i as u32).collect(),
             num_live: n,
-            num_edges: 0,
+            num_edges,
         }
     }
 
@@ -161,19 +205,11 @@ impl Graph {
             adj[u.index()].push(v);
             adj[v.index()].push(u);
         }
-        let mut num_edges = 0usize;
         for row in &mut adj {
             row.sort_unstable();
             row.dedup();
-            num_edges += row.len();
         }
-        Graph {
-            adj,
-            alive: vec![true; n],
-            alias: (0..n).map(|i| i as u32).collect(),
-            num_live: n,
-            num_edges: num_edges / 2,
-        }
+        Self::from_sorted_rows(adj)
     }
 
     /// Adds a fresh isolated vertex and returns its identifier.

@@ -16,9 +16,22 @@
 //! otherwise have to insert on the incoming edge.  Affinity weights model
 //! dynamic execution counts as `10^loop_depth`, clamped by
 //! [`crate::spill::loop_weight`].
+//!
+//! # Representation
+//!
+//! The build keeps interference as a dense bit matrix, as the classical
+//! Chaitin and Briggs–Cooper–Torczon allocators did: one row of
+//! `⌈n/64⌉` words per variable, `n·⌈n/64⌉·8` bytes in all for `n`
+//! variables.  Each definition ORs the live-after cursor of the liveness
+//! walk into its row a word at a time, one pass closes the matrix under
+//! symmetry, and scanning a row's set bits yields it sorted and
+//! deduplicated for [`Graph::from_sorted_rows`].  On the seed-42 module
+//! (4 000 functions, SSA and lowered forms) the largest function has 637
+//! variables, a 51 KB matrix; the largest E15 CFG program (12 648
+//! variables) needs about 20 MB for the length of the build.
 
 use crate::function::{Function, InstrView, Var};
-use crate::liveness::Liveness;
+use crate::liveness::{Liveness, VarSet};
 use crate::spill::loop_weight;
 use coalesce_graph::{Graph, VertexId};
 
@@ -85,15 +98,26 @@ impl InterferenceGraph {
 
     /// Builds the interference graph of `f` with explicit options.
     ///
-    /// One pass over the blocks collects every interference edge into a
-    /// flat list — an edge may be emitted more than once, e.g. when a
-    /// non-SSA variable is defined several times while the other end is
-    /// live — and [`Graph::from_edges`] bulk-builds the sorted,
-    /// deduplicated rows at the end.  Affinities on the same unordered pair
-    /// are merged by one sort of the normalised `(a ≤ b)` pairs, their
-    /// weights summed with saturation; the result is ordered by pair.
+    /// One pass over the blocks fills an `n × ⌈n/64⌉` bit matrix, `n =
+    /// f.num_vars()`, so it takes `n·⌈n/64⌉·8` bytes while it lives:
+    ///
+    /// * each definition ORs the reverse liveness walk's live-after cursor
+    ///   into its row, one word at a time.  A Chaitin copy then clears its
+    ///   source's bit again unless the row held it before the OR — another
+    ///   definition of the same variable may have made that pair interfere;
+    /// * the φ results of a block interfere pairwise, dead ones included.
+    ///   Their edges to the block's live-in set need no extra rule: the
+    ///   live-after cursor of every φ holds that set;
+    /// * the diagonal is cleared, one pass over the set bits closes the
+    ///   matrix under symmetry, and each row's set bits are read out in
+    ///   ascending order, which is the sorted, deduplicated row
+    ///   [`Graph::from_sorted_rows`] takes as it is.
+    ///
+    /// Affinities on the same unordered pair are merged by one sort of the
+    /// normalised `(a ≤ b)` pairs, their weights summed with saturation;
+    /// the result is ordered by pair.
     pub fn build_with(f: &Function, liveness: &Liveness, options: BuildOptions) -> Self {
-        let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+        let mut matrix = BitMatrix::new(f.num_vars());
         let mut affinities = Vec::new();
 
         for b in f.block_ids() {
@@ -101,17 +125,9 @@ impl InterferenceGraph {
 
             // Parallel φ definitions at the block entry are simultaneously
             // live; make them pairwise interfere.
-            let phi_defs: Vec<Var> = f.phis(b).filter_map(|p| p.def()).collect();
-            for (i, &p) in phi_defs.iter().enumerate() {
-                for &q in &phi_defs[i + 1..] {
-                    add_edge(&mut edges, p, q);
-                }
-                // φ results also interfere with everything live into the
-                // block (other than themselves).
-                for v in liveness.live_in(b).iter() {
-                    if v != p {
-                        add_edge(&mut edges, p, v);
-                    }
+            for (i, p) in f.phis(b).filter_map(|p| p.def()).enumerate() {
+                for q in f.phis(b).filter_map(|q| q.def()).skip(i + 1) {
+                    matrix.set(p, q);
                 }
             }
 
@@ -124,20 +140,18 @@ impl InterferenceGraph {
                     return;
                 }
                 let instr = f.instr(b, point - 1);
-                if let Some(d) = instr.def() {
-                    for v in live_after.iter() {
-                        if v == d {
-                            continue;
+                let Some(d) = instr.def() else {
+                    return;
+                };
+                match instr {
+                    InstrView::Copy { src, .. } if options.kind == InterferenceKind::Chaitin => {
+                        let held = matrix.contains(d, src);
+                        matrix.or_row(d, live_after);
+                        if !held {
+                            matrix.clear(d, src);
                         }
-                        if options.kind == InterferenceKind::Chaitin {
-                            if let InstrView::Copy { src, .. } = instr {
-                                if v == src {
-                                    continue;
-                                }
-                            }
-                        }
-                        add_edge(&mut edges, d, v);
                     }
+                    _ => matrix.or_row(d, live_after),
                 }
             });
 
@@ -183,7 +197,7 @@ impl InterferenceGraph {
         });
 
         InterferenceGraph {
-            graph: Graph::from_edges(f.num_vars(), edges),
+            graph: matrix.into_graph(),
             affinities,
         }
     }
@@ -226,9 +240,89 @@ impl InterferenceGraph {
     }
 }
 
-fn add_edge(edges: &mut Vec<(VertexId, VertexId)>, a: Var, b: Var) {
-    if a != b {
-        edges.push((VertexId::new(a.index()), VertexId::new(b.index())));
+/// A square bit matrix over variables: row `v` is `words` `u64`s whose
+/// bit `u % 64` of word `u / 64` marks the pair `(v, u)`.
+struct BitMatrix {
+    n: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitMatrix {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitMatrix {
+            n,
+            words,
+            bits: vec![0; n * words],
+        }
+    }
+
+    fn index(&self, v: Var, u: Var) -> (usize, u64) {
+        (
+            v.index() * self.words + u.index() / 64,
+            1 << (u.index() % 64),
+        )
+    }
+
+    fn contains(&self, v: Var, u: Var) -> bool {
+        let (w, mask) = self.index(v, u);
+        self.bits[w] & mask != 0
+    }
+
+    fn set(&mut self, v: Var, u: Var) {
+        let (w, mask) = self.index(v, u);
+        self.bits[w] |= mask;
+    }
+
+    fn clear(&mut self, v: Var, u: Var) {
+        let (w, mask) = self.index(v, u);
+        self.bits[w] &= !mask;
+    }
+
+    /// ORs `set` into row `v`.
+    fn or_row(&mut self, v: Var, set: &VarSet) {
+        let row = &mut self.bits[v.index() * self.words..][..self.words];
+        for (dst, &src) in row.iter_mut().zip(set.words()) {
+            *dst |= src;
+        }
+    }
+
+    /// Clears the diagonal, closes the matrix under symmetry and reads the
+    /// rows out as a [`Graph`].
+    fn into_graph(mut self) -> Graph {
+        let (n, words) = (self.n, self.words);
+        for v in 0..n {
+            self.bits[v * words + v / 64] &= !(1 << (v % 64));
+        }
+        // A bit set in row `v` at column `u` sets `(u, v)`; a bit this
+        // pass sets is the mirror of one already set, so one pass closes.
+        for v in 0..n {
+            for w in 0..words {
+                let mut word = self.bits[v * words + w];
+                while word != 0 {
+                    let u = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    self.bits[u * words + v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+        let rows = (0..n)
+            .map(|v| {
+                let row = &self.bits[v * words..][..words];
+                let degree = row.iter().map(|w| w.count_ones() as usize).sum();
+                let mut out = Vec::with_capacity(degree);
+                for (w, &word) in row.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        out.push(VertexId::new(w * 64 + word.trailing_zeros() as usize));
+                        word &= word - 1;
+                    }
+                }
+                out
+            })
+            .collect();
+        Graph::from_sorted_rows(rows)
     }
 }
 

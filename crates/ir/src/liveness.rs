@@ -128,6 +128,12 @@ impl VarSet {
         changed
     }
 
+    /// The backing words: bit `v % 64` of word `v / 64` is set iff `v` is
+    /// a member.  Bits past the last word are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterates over the members in ascending variable order.
     pub fn iter(&self) -> impl Iterator<Item = Var> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {

@@ -150,6 +150,35 @@ proptest! {
         }
     }
 
+    /// Finished rows handed to `Graph::from_sorted_rows` give the same
+    /// graph as `from_edges` on the raw edge list, duplicates included:
+    /// edges, degrees, edge count and every adjacency query.
+    #[test]
+    fn sorted_rows_and_edge_list_construction_agree(
+        (n, edges) in arbitrary_edge_list()
+    ) {
+        let mut reference = SetGraph::new(n);
+        for &(a, b) in &edges {
+            reference.add_edge(a, b);
+        }
+        let rows = reference
+            .adj
+            .iter()
+            .map(|row| row.iter().map(|&v| VertexId::new(v)).collect())
+            .collect();
+        let from_rows = Graph::from_sorted_rows(rows);
+        let from_edges = Graph::from_edges(
+            n,
+            edges.iter().map(|&(a, b)| (VertexId::new(a), VertexId::new(b))),
+        );
+        assert_same_graph(&from_rows, &reference);
+        assert_same_graph(&from_edges, &reference);
+        prop_assert_eq!(from_rows.num_vertices(), from_edges.num_vertices());
+        for v in (0..n).map(VertexId::new) {
+            prop_assert_eq!(from_rows.neighbor_row(v), from_edges.neighbor_row(v), "row of {}", v);
+        }
+    }
+
     /// Random valid merge sequences leave the flat graph and the reference
     /// with identical edges, degrees and edge counts.
     #[test]

@@ -768,6 +768,161 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Hand-built edge cases of the interference bit matrix.
+// ---------------------------------------------------------------------------
+
+/// Builds `f` under both interference definitions.
+fn both_kinds(f: &Function) -> [InterferenceGraph; 2] {
+    let live = Liveness::compute(f);
+    [InterferenceKind::Intersection, InterferenceKind::Chaitin].map(|kind| {
+        InterferenceGraph::build_with(
+            f,
+            &live,
+            BuildOptions {
+                kind,
+                ..Default::default()
+            },
+        )
+    })
+}
+
+/// Exactly `n` variables: the first `n - 2` are defined together, every
+/// third one dies at an effect, then the last two (which straddle a word
+/// boundary for `n` = 65 and 129) are defined next to the survivors,
+/// which stay live into a second block.
+fn word_boundary_function(n: usize) -> Function {
+    let mut b = FunctionBuilder::new(format!("words{n}"));
+    let (entry, tail) = (b.entry_block(), b.new_block());
+    let mut vars: Vec<Var> = (0..n - 2).map(|_| b.def(entry, "")).collect();
+    let early: Vec<Var> = vars.iter().copied().step_by(3).collect();
+    b.effect(entry, &early);
+    vars.push(b.def(entry, ""));
+    vars.push(b.def(entry, ""));
+    b.jump(entry, tail);
+    let late: Vec<Var> = vars
+        .iter()
+        .copied()
+        .filter(|v| v.index() % 3 != 0)
+        .collect();
+    b.ret(tail, &late);
+    let f = b.finish();
+    assert_eq!(f.num_vars(), n);
+    f
+}
+
+/// `y = x` while another definition of `y` also sees `x` live.  With
+/// `copy_first` the other definition comes later in the block, so the
+/// reverse walk reaches it before the copy.
+fn redefined_copy_destination(copy_first: bool) -> (Function, Var, Var) {
+    let mut b = FunctionBuilder::new(format!("copy_dst_redefined_{copy_first}"));
+    let entry = b.entry_block();
+    let x = b.def(entry, "x");
+    let y = b.fresh_var("y");
+    if copy_first {
+        b.copy_to(entry, y, x);
+        b.effect(entry, &[y]);
+        b.function_mut().emit_op(entry, Some(y), &[]);
+    } else {
+        b.function_mut().emit_op(entry, Some(y), &[]);
+        b.effect(entry, &[y]);
+        b.copy_to(entry, y, x);
+    }
+    b.ret(entry, &[x, y]);
+    (b.finish(), x, y)
+}
+
+/// The bit-matrix build at its edge cases, each equal to the
+/// owned-layout reference under both interference definitions: rows that
+/// cross word boundaries (63, 64, 65 and 129 variables), a Chaitin copy
+/// whose destination meets the source through another definition, `x =
+/// x`, dead definitions and dead φs, and a φ group with an empty live-in
+/// set.
+#[test]
+fn interference_matrix_edge_cases_match_the_reference() {
+    for n in [63, 64, 65, 129] {
+        let f = word_boundary_function(n);
+        assert_same_interference(&f);
+        let (first, last) = (Var::new(1), Var::new(n - 1));
+        for ig in both_kinds(&f) {
+            assert!(ig.interferes(first, last) && ig.interferes(last, first));
+            assert!(!ig.interferes(Var::new(0), last));
+        }
+    }
+
+    for copy_first in [true, false] {
+        let (f, x, y) = redefined_copy_destination(copy_first);
+        assert_same_interference(&f);
+        for ig in both_kinds(&f) {
+            assert!(ig.interferes(x, y), "copy_first = {copy_first}");
+        }
+    }
+
+    // x = x while y is live: only the x–y edge.
+    let mut b = FunctionBuilder::new("self_copy");
+    let entry = b.entry_block();
+    let x = b.def(entry, "x");
+    let y = b.def(entry, "y");
+    b.copy_to(entry, x, x);
+    b.ret(entry, &[x, y]);
+    let f = b.finish();
+    assert_same_interference(&f);
+    for ig in both_kinds(&f) {
+        assert_eq!(ig.graph.num_edges(), 1);
+        assert!(ig.interferes(x, y));
+        assert!(ig.affinities.is_empty());
+    }
+
+    // Dead definitions and a dead φ: a dead value still interferes with
+    // everything live across its definition, a dead φ with the other φ
+    // and with the block's live-in set.
+    let mut b = FunctionBuilder::new("dead_values");
+    let entry = b.entry_block();
+    let (t, e, j) = (b.new_block(), b.new_block(), b.new_block());
+    let c = b.def(entry, "c");
+    let a = b.def(entry, "a");
+    let dead_entry = b.def(entry, "dead_entry");
+    b.branch(entry, c, t, e);
+    let y = b.def(t, "y");
+    let dead_then = b.op(t, "dead_then", &[a]);
+    b.jump(t, j);
+    let z = b.def(e, "z");
+    b.jump(e, j);
+    let w = b.phi(j, "w", &[(t, y), (e, z)]);
+    let dead_phi = b.phi(j, "dead_phi", &[(t, a), (e, a)]);
+    b.ret(j, &[w, a]);
+    let f = b.finish();
+    assert_same_interference(&f);
+    for ig in both_kinds(&f) {
+        assert!(ig.interferes(dead_entry, a) && ig.interferes(dead_entry, c));
+        assert!(ig.interferes(dead_then, a) && ig.interferes(dead_then, y));
+        assert!(ig.interferes(dead_phi, w) && ig.interferes(dead_phi, a));
+    }
+
+    // Three φs, two of them dead, at a join with an empty live-in set.
+    let mut b = FunctionBuilder::new("phi_group");
+    let entry = b.entry_block();
+    let (t, e, j) = (b.new_block(), b.new_block(), b.new_block());
+    let c = b.def(entry, "c");
+    b.branch(entry, c, t, e);
+    let left: Vec<Var> = (0..3).map(|_| b.def(t, "")).collect();
+    b.jump(t, j);
+    let right: Vec<Var> = (0..3).map(|_| b.def(e, "")).collect();
+    b.jump(e, j);
+    let phis: Vec<Var> = (0..3)
+        .map(|i| b.phi(j, "", &[(t, left[i]), (e, right[i])]))
+        .collect();
+    b.ret(j, &phis[..1]);
+    let f = b.finish();
+    assert!(Liveness::compute(&f).live_in(j).is_empty());
+    assert_same_interference(&f);
+    for ig in both_kinds(&f) {
+        assert!(ig.interferes(phis[0], phis[1]));
+        assert!(ig.interferes(phis[0], phis[2]));
+        assert!(ig.interferes(phis[1], phis[2]));
+    }
+}
+
 /// The next-use pin of the proptest above, on every CFG profile of
 /// [`workload_functions`].
 #[test]
